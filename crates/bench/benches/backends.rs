@@ -59,9 +59,7 @@ fn bench_step_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Candidate ranking per backend: `batched` pushes candidates through the
-/// kernel bank in chunks (one kernel-expansion visit per chunk), which is
-/// the amortization the flow relies on even single-threaded.
+/// Litho-proxy candidate ranking per backend.
 fn bench_rank_backends(c: &mut Criterion) {
     let layout = cells::cell("AOI211_X1").expect("known cell");
     let candidates = generate_candidates(&layout, &DecompConfig::default());
@@ -72,7 +70,7 @@ fn bench_rank_backends(c: &mut Criterion) {
     let ctx = IltContext::new(&cfg.ilt);
     let mut group = c.benchmark_group("backend");
     group.sample_size(10);
-    for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Batched] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(kind);
         let mut flow = LdmoFlow::new(cfg.clone(), SelectionStrategy::LithoProxy);
         group.bench_function(format!("rank_{kind}"), |b| {

@@ -8,9 +8,9 @@
 //! optical interaction radius of the kernel bank — beyond that radius the
 //! kernels are identically zero, so patterns outside a tile's haloed
 //! window contribute nothing to the print inside its core. Each tile runs
-//! the full decomposition-selection + ILT flow independently on the
-//! `ldmo-par` pool (recycled per-worker scratch, batched ranking under the
-//! batched backend), and the per-tile masks are stitched back into one
+//! the flow's own select-then-optimize loop (`ldmo_core::select`)
+//! independently on the `ldmo-par` pool, on a recycled per-worker
+//! scratch, and the per-tile masks are stitched back into one
 //! chip mask under a deterministic ownership rule: every chip pixel is
 //! owned by exactly one tile (the tile whose core contains it — cores
 //! partition the chip, so the lowest-index tile tiebreak never actually

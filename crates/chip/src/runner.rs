@@ -3,15 +3,13 @@
 
 use crate::stitch::stitch_masks;
 use crate::tiles::{halo_nm, px_quantum, snap_up, Tile, TileGrid};
-use ldmo_core::score::{printability_score, ScoreWeights};
+use ldmo_core::score::ScoreWeights;
+use ldmo_core::select::{attempt_ladder, rank_by_proxy};
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_geom::Grid;
-use ldmo_guard::{penalty_score, DegradeReason, OutcomeHealth};
-use ldmo_ilt::{IltConfig, IltContext, IltOutcome, IltScratch, ViolationPolicy};
-use ldmo_layout::{Layout, MaskAssignment};
-use ldmo_litho::backend::resolved_kind;
-use ldmo_litho::BackendKind;
-use std::collections::HashSet;
+use ldmo_guard::{DegradeReason, OutcomeHealth};
+use ldmo_ilt::{IltConfig, IltContext, IltOutcome, IltScratch};
+use ldmo_layout::Layout;
 use std::time::{Duration, Instant};
 
 /// Configuration of a tiled chip run.
@@ -228,11 +226,12 @@ fn owned_epe(out: &IltOutcome, owned: &[bool]) -> usize {
         .count()
 }
 
-/// The full per-tile pipeline: extract the haloed window, generate and
-/// rank decomposition candidates by the litho proxy, attempt the best
-/// ones under the abort policy, fall back to completing the best-ranked
-/// one, and degrade to the unoptimized drawn mask when the accepted run
-/// is unhealthy (budget exhausted, divergence limit, …).
+/// The full per-tile pipeline: extract the haloed window, generate
+/// decomposition candidates, run the shared select-then-optimize loop
+/// (`ldmo_core::select`: serial litho-proxy ranking and the attempt
+/// ladder, both on this worker's scratch), and degrade to the unoptimized
+/// drawn mask when the accepted run is unhealthy (budget exhausted,
+/// divergence limit, …).
 fn process_tile(
     layout: &Layout,
     tile: &Tile,
@@ -262,43 +261,24 @@ fn process_tile(
     let owned = owned_flags(&sub, tile, grid);
     let candidates = generate_candidates(&sub, &cfg.decomp);
     span.set("candidates", candidates.len() as f64);
-    let order = rank(&sub, &candidates, cfg, ctx, scratch);
-
-    let abort_ctx = ctx.with_config(&IltConfig {
-        policy: ViolationPolicy::AbortOnViolation,
-        ..cfg.ilt.clone()
-    });
-    let mut rejected: HashSet<MaskAssignment> = HashSet::new();
-    let mut attempts = 0usize;
-    let mut accepted: Option<(usize, IltOutcome)> = None;
-    for &ci in order.iter().take(cfg.max_attempts.max(1)) {
-        let cand = &candidates[ci];
-        if rejected.contains(cand) {
-            continue;
-        }
-        attempts += 1;
-        let out = abort_ctx.optimize_reusing(&sub, cand, scratch);
-        if out.aborted_at.is_none() {
-            accepted = Some((ci, out));
-            break;
-        }
-        rejected.insert(cand.clone());
-    }
-    let (ci, out) = accepted.unwrap_or_else(|| {
-        // every attempt aborted: complete the best-ranked candidate fully
-        attempts += 1;
-        (
-            order[0],
-            ctx.optimize_reusing(&sub, &candidates[order[0]], scratch),
-        )
-    });
+    let order = rank_by_proxy(&sub, &candidates, ctx, &cfg.weights, scratch);
+    let chosen = attempt_ladder(
+        &sub,
+        &candidates,
+        &order,
+        ctx,
+        cfg.max_attempts,
+        scratch,
+        |_, run| run(),
+    );
+    let out = chosen.outcome;
 
     // budget-degradation semantics: an unhealthy accepted run falls back
     // to the drawn decomposition's unoptimized mask — a safe, always-
     // printable-as-drawn result — and stays marked degraded
     let (masks, epe_owned) = if out.health.is_degraded() {
         ldmo_obs::incr("chip.tiles_degraded");
-        let un = ctx.evaluate_unoptimized_reusing(&sub, &candidates[ci], scratch);
+        let un = ctx.evaluate_unoptimized_reusing(&sub, &candidates[chosen.index], scratch);
         (un.masks.clone(), owned_epe(&un, &owned))
     } else {
         (out.masks.clone(), owned_epe(&out, &owned))
@@ -312,47 +292,12 @@ fn process_tile(
             index: tile.index,
             patterns: sub.len(),
             candidates: candidates.len(),
-            attempts,
+            attempts: chosen.attempts,
             iterations: out.iterations_run,
             epe_owned,
             health: out.health,
         },
     }
-}
-
-/// Litho-proxy candidate ranking for one tile (best first). Uses the
-/// batched evaluator under the batched backend — one kernel-bank pass per
-/// tile instead of per candidate — which is bit-identical to the
-/// per-candidate path, so the ranking is backend-invariant.
-fn rank(
-    sub: &Layout,
-    candidates: &[MaskAssignment],
-    cfg: &ChipConfig,
-    ctx: &IltContext,
-    scratch: &mut Option<IltScratch>,
-) -> Vec<usize> {
-    let score = |out: &IltOutcome| -> f64 {
-        if let OutcomeHealth::Degraded { reason } = out.health {
-            penalty_score(reason)
-        } else {
-            printability_score(out, &cfg.weights)
-        }
-    };
-    let scores: Vec<f64> = if resolved_kind() == BackendKind::Batched && candidates.len() > 1 {
-        let assignments: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
-        ctx.evaluate_unoptimized_batch(sub, &assignments)
-            .iter()
-            .map(score)
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|c| score(&ctx.evaluate_unoptimized_reusing(sub, c, scratch)))
-            .collect()
-    };
-    let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-    scored.into_iter().map(|(i, _)| i).collect()
 }
 
 /// Serial replacement for a tile whose pool worker panicked: the first

@@ -24,8 +24,11 @@
 //!   plus the random-sampling ablation of Fig. 8;
 //! - [`dataset`] — training-set construction with ILT labeling (Fig. 5);
 //! - [`trainer`] — Adam + MAE training loop (Section IV-C);
+//! - [`select`] — the violation-triggered reselection loop (rank →
+//!   abort-checked attempts → complete the best-ranked), shared by the
+//!   flow, `ldmo-chip` and `ldmo-serve`;
 //! - [`flow`] — the end-to-end [`flow::LdmoFlow`] with selection-strategy
-//!   ablations and the violation-triggered reselection loop;
+//!   ablations;
 //! - [`baselines`] — the comparison flows of Table I: the ICCAD'17 unified
 //!   framework with greedy pruning, and two two-stage
 //!   decompose-then-optimize flows.
@@ -46,4 +49,5 @@ pub mod flow;
 pub mod predictor;
 pub mod sampling;
 pub mod score;
+pub mod select;
 pub mod trainer;

@@ -2,17 +2,17 @@
 //!
 //! Candidates are rendered as grayscale decomposition images (mask 0 at
 //! level 1.0, mask 1 at level 0.5), canonicalized against the dual-mask
-//! symmetry, resized to the network input, and scored. The module also
-//! implements the paper's rejected-candidate memory: "we mark the previous
-//! outputs and when facing the same decomposition, we drop it to avoid
-//! giving the same output".
+//! symmetry, resized to the network input, and scored. The paper's rule
+//! for rejected candidates — "we mark the previous outputs and when facing
+//! the same decomposition, we drop it to avoid giving the same output" —
+//! holds by construction in [`crate::select::attempt_ladder`], which never
+//! attempts a (canonically deduplicated) candidate twice.
 
 use ldmo_decomp::canonical::canonicalize;
 use ldmo_geom::Grid;
 use ldmo_layout::Layout;
 use ldmo_nn::resnet::{resnet_lite_config, ResNetConfig, ResNetRegressor};
 use ldmo_nn::{serialize, NnError, Tensor};
-use std::collections::HashSet;
 use std::path::Path;
 
 /// The printability predictor: a ResNet regressor plus the image pipeline.
@@ -21,7 +21,6 @@ pub struct PrintabilityPredictor {
     /// Raster scale used when rendering decomposition images (must match
     /// training).
     nm_per_px: f64,
-    rejected: HashSet<Vec<u8>>,
 }
 
 impl PrintabilityPredictor {
@@ -30,7 +29,6 @@ impl PrintabilityPredictor {
         PrintabilityPredictor {
             net: ResNetRegressor::new(config),
             nm_per_px,
-            rejected: HashSet::new(),
         }
     }
 
@@ -70,45 +68,10 @@ impl PrintabilityPredictor {
 
     /// Scores all candidates and returns indices sorted best-first.
     pub fn rank(&mut self, layout: &Layout, candidates: &[Vec<u8>]) -> Vec<usize> {
-        let mut scored: Vec<(usize, f32)> = candidates
+        let scores = candidates
             .iter()
-            .enumerate()
-            .map(|(i, c)| (i, self.predict(layout, c)))
-            .collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-        scored.into_iter().map(|(i, _)| i).collect()
-    }
-
-    /// Selects the best candidate that has not been rejected before.
-    /// Returns `None` when every candidate is rejected.
-    pub fn select<'a>(
-        &mut self,
-        layout: &Layout,
-        candidates: &'a [Vec<u8>],
-    ) -> Option<&'a Vec<u8>> {
-        self.rank(layout, candidates)
-            .into_iter()
-            .map(|i| &candidates[i])
-            .find(|c| !self.is_rejected(c))
-    }
-
-    /// Marks a candidate as rejected (it caused print violations).
-    pub fn reject(&mut self, assignment: &[u8]) {
-        let mut canonical = assignment.to_vec();
-        canonicalize(&mut canonical);
-        self.rejected.insert(canonical);
-    }
-
-    /// Whether a candidate was previously rejected.
-    pub fn is_rejected(&self, assignment: &[u8]) -> bool {
-        let mut canonical = assignment.to_vec();
-        canonicalize(&mut canonical);
-        self.rejected.contains(&canonical)
-    }
-
-    /// Clears the rejected-candidate memory (between layouts).
-    pub fn clear_rejections(&mut self) {
-        self.rejected.clear();
+            .map(|c| f64::from(self.predict(layout, c)));
+        crate::select::order_by_score(scores.collect())
     }
 
     /// Saves network weights.
@@ -199,35 +162,6 @@ mod tests {
         let s1 = predictor.predict(&layout(), &[0, 1]);
         let s2 = predictor.predict(&layout(), &[0, 1]);
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn rejection_memory_respects_duality() {
-        let mut predictor = PrintabilityPredictor::lite(1);
-        predictor.reject(&[0, 1]);
-        assert!(predictor.is_rejected(&[0, 1]));
-        assert!(predictor.is_rejected(&[1, 0]), "dual must be rejected too");
-        assert!(!predictor.is_rejected(&[0, 0]));
-        predictor.clear_rejections();
-        assert!(!predictor.is_rejected(&[0, 1]));
-    }
-
-    #[test]
-    fn select_skips_rejected() {
-        let mut predictor = PrintabilityPredictor::lite(5);
-        let candidates = vec![vec![0u8, 1], vec![0u8, 0]];
-        let first = predictor
-            .select(&layout(), &candidates)
-            .expect("one available")
-            .clone();
-        predictor.reject(&first);
-        let second = predictor
-            .select(&layout(), &candidates)
-            .expect("one left")
-            .clone();
-        assert_ne!(first, second);
-        predictor.reject(&second);
-        assert!(predictor.select(&layout(), &candidates).is_none());
     }
 
     #[test]

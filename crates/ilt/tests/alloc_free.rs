@@ -42,13 +42,12 @@ fn step_one_is_allocation_free_after_warmup() {
         "the counting allocator must have observed the setup allocations"
     );
     // Every backend must keep the hot loop allocation-free — the SIMD
-    // passes use the same caller-owned buffers as scalar, and the batched
-    // backend's per-pass arithmetic is the SIMD path. One loop in one test:
-    // the counting allocator is process-global, so parallel per-backend
-    // tests would observe each other's setup allocations.
+    // passes use the same caller-owned buffers as scalar. One loop in one
+    // test: the counting allocator is process-global, so parallel
+    // per-backend tests would observe each other's setup allocations.
     use ldmo_litho::backend::{self, BackendKind};
     let prev = backend::backend_kind();
-    for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Batched] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(kind);
         let mut session = IltSession::new(&layout, &[0, 1, 1, 0], &IltConfig::default());
         // warmup: the first iterations populate anything touched lazily

@@ -12,14 +12,6 @@
 //!   Bit-identical by construction: lanes vectorize across output elements
 //!   while each element keeps the exact scalar tap order (increasing `k`)
 //!   and operation shape (`mul` then `add`, never fused).
-//! - [`BatchedBackend`] — the same per-pass arithmetic as the auto-resolved
-//!   SIMD/scalar path, plus a process-wide signal (see
-//!   [`backend_kind`]`() == `[`BackendKind::Batched`]) that higher layers —
-//!   `ldmo_core::flow::LdmoFlow::rank_candidates`,
-//!   `ldmo_ilt::IltContext::evaluate_unoptimized_batch` and
-//!   [`crate::simulate_print_batch`] — use to push many candidate masks
-//!   through the kernel bank kernel-major, loading each kernel expansion
-//!   once per batch instead of once per candidate.
 //!
 //! Selection is process-global, like the `ldmo-par` thread pool: the
 //! default comes from `LDMO_BACKEND` (falling back to [`BackendKind::Auto`]),
@@ -40,7 +32,7 @@ use std::sync::OnceLock;
 /// conformance suite (`crates/litho/tests/backend_conformance.rs`) enforces
 /// for every backend in [`registry`].
 pub trait LithoBackend: Send + Sync + fmt::Debug {
-    /// Stable lowercase backend name (`"scalar"`, `"simd"`, `"batched"`).
+    /// Stable lowercase backend name (`"scalar"`, `"simd"`).
     fn name(&self) -> &'static str;
 
     /// Separable convolution `input ⊗ (p pᵀ)`: row pass into `tmp`, column
@@ -79,8 +71,6 @@ pub enum BackendKind {
     Scalar,
     /// Runtime-detected SSE2/AVX2 vector passes.
     Simd,
-    /// SIMD/scalar passes plus batched candidate evaluation in ranking.
-    Batched,
 }
 
 impl BackendKind {
@@ -90,7 +80,6 @@ impl BackendKind {
             "auto" => Some(BackendKind::Auto),
             "scalar" => Some(BackendKind::Scalar),
             "simd" => Some(BackendKind::Simd),
-            "batched" => Some(BackendKind::Batched),
             _ => None,
         }
     }
@@ -101,18 +90,16 @@ impl BackendKind {
             BackendKind::Auto => "auto",
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-            BackendKind::Batched => "batched",
         }
     }
 
     /// Numeric code for span metadata (`litho.backend` on `flow.run`):
-    /// 0 auto (unresolved), 1 scalar, 2 simd, 3 batched.
+    /// 0 auto (unresolved), 1 scalar, 2 simd.
     pub fn code(self) -> u8 {
         match self {
             BackendKind::Auto => 0,
             BackendKind::Scalar => 1,
             BackendKind::Simd => 2,
-            BackendKind::Batched => 3,
         }
     }
 
@@ -120,7 +107,6 @@ impl BackendKind {
         match code {
             1 => BackendKind::Scalar,
             2 => BackendKind::Simd,
-            3 => BackendKind::Batched,
             _ => BackendKind::Auto,
         }
     }
@@ -218,39 +204,13 @@ impl LithoBackend for SimdBackend {
     }
 }
 
-/// The batched backend: per-pass arithmetic identical to [`SimdBackend`]
-/// (and therefore to scalar); its batching lives in the call sites that
-/// consult [`backend_kind`] — candidate ranking evaluates candidates
-/// through `IltContext::evaluate_unoptimized_batch`, which pushes every
-/// mask of a batch through the kernel bank kernel-major.
-#[derive(Debug)]
-pub struct BatchedBackend;
-
-impl LithoBackend for BatchedBackend {
-    fn name(&self) -> &'static str {
-        "batched"
-    }
-
-    fn convolve_separable_into(
-        &self,
-        input: &Grid,
-        profile: &[f32],
-        tmp: &mut Grid,
-        out: &mut Grid,
-    ) {
-        conv::convolve_rows_simd(input, profile, tmp);
-        conv::convolve_cols_simd(tmp, profile, out);
-    }
-}
-
 static SCALAR: ScalarBackend = ScalarBackend;
 static SIMD: SimdBackend = SimdBackend;
-static BATCHED: BatchedBackend = BatchedBackend;
 
 /// Every registered backend, scalar first. The conformance suite iterates
 /// this, so a new backend gets differential coverage by joining the list.
 pub fn registry() -> &'static [&'static dyn LithoBackend] {
-    static REGISTRY: [&dyn LithoBackend; 3] = [&SCALAR, &SIMD, &BATCHED];
+    static REGISTRY: [&dyn LithoBackend; 2] = [&SCALAR, &SIMD];
     &REGISTRY
 }
 
@@ -309,13 +269,12 @@ pub fn active() -> &'static dyn LithoBackend {
     match resolved_kind() {
         BackendKind::Scalar => &SCALAR,
         BackendKind::Simd | BackendKind::Auto => &SIMD,
-        BackendKind::Batched => &BATCHED,
     }
 }
 
 /// One-call CLI setup shared by the `ldmo` binary and the bench bins
 /// (mirrors `ldmo_par::cli_setup`): scans `std::env::args` for
-/// `--backend {auto,scalar,simd,batched}` (last occurrence wins) and
+/// `--backend {auto,scalar,simd}` (last occurrence wins) and
 /// installs it; without the flag the process keeps its default
 /// (`LDMO_BACKEND` or auto). Returns the resulting resolved kind.
 pub fn cli_setup() -> BackendKind {
@@ -326,7 +285,7 @@ pub fn cli_setup() -> BackendKind {
             match BackendKind::parse(&pair[1]) {
                 Some(kind) => requested = Some(kind),
                 None => eprintln!(
-                    "ignoring invalid --backend value '{}' (want auto|scalar|simd|batched)",
+                    "ignoring invalid --backend value '{}' (want auto|scalar|simd)",
                     pair[1]
                 ),
             }
@@ -346,12 +305,7 @@ mod tests {
 
     #[test]
     fn kind_parse_round_trips() {
-        for kind in [
-            BackendKind::Auto,
-            BackendKind::Scalar,
-            BackendKind::Simd,
-            BackendKind::Batched,
-        ] {
+        for kind in [BackendKind::Auto, BackendKind::Scalar, BackendKind::Simd] {
             assert_eq!(BackendKind::parse(kind.as_str()), Some(kind));
             assert_eq!(BackendKind::from_code(kind.code()), kind);
         }
@@ -362,7 +316,7 @@ mod tests {
     #[test]
     fn registry_leads_with_scalar_reference() {
         let names: Vec<&str> = registry().iter().map(|b| b.name()).collect();
-        assert_eq!(names, ["scalar", "simd", "batched"]);
+        assert_eq!(names, ["scalar", "simd"]);
         assert!(registry().iter().all(|b| b.max_ulps() == 0));
     }
 

@@ -8,8 +8,8 @@
 //! contract of the separable pass itself, on every backend.
 
 use ldmo_geom::{Grid, Rect};
-use ldmo_litho::backend::{registry, LithoBackend};
-use ldmo_litho::{simulate_print, simulate_print_batch, KernelBank, LithoConfig};
+use ldmo_litho::backend::{self, registry, BackendKind, LithoBackend};
+use ldmo_litho::{simulate_print, KernelBank, LithoConfig};
 use proptest::prelude::*;
 
 /// Small odd profiles exercising symmetric, asymmetric, negative-lobe and
@@ -162,38 +162,24 @@ fn dense_contacts_conform_on_all_backends() {
 #[test]
 fn full_print_is_bit_identical_across_backends() {
     // end-to-end: the entire forward model (kernel bank + resist), not
-    // just one pass, agrees bitwise whichever backend runs it
+    // just one pass, agrees bitwise whichever backend the process selects
     let cfg = LithoConfig::default();
     let bank = KernelBank::paper_bank(&cfg);
     let mask = dense_contacts(96, 96);
-    let all = registry();
-    let mut tmp = Grid::zeros(96, 96);
-    let mut out = Grid::zeros(96, 96);
-    // reference print under the scalar backend, via the public trait
-    let reference = {
-        // simulate_print routes through the process-global backend; the
-        // per-pass trait calls below are backend-explicit instead
-        let (_, profile) = bank.kernels()[0].components().next().expect("components");
-        all[0].convolve_separable_into(&mask, profile, &mut tmp, &mut out);
-        simulate_print(&mask, &bank, &cfg)
-    };
-    // batch path: three masks in one pass, bit-identical per mask
-    let masks = vec![mask.clone(), impulse(96, 96), straight_edge(96, 96)];
-    let batch = simulate_print_batch(&masks, &bank, &cfg);
-    assert_eq!(batch.len(), 3);
+    let prev = backend::backend_kind();
+    let prints: Vec<Grid> = [BackendKind::Scalar, BackendKind::Simd]
+        .into_iter()
+        .map(|kind| {
+            backend::set_backend(kind);
+            simulate_print(&mask, &bank, &cfg)
+        })
+        .collect();
+    backend::set_backend(prev);
     assert_eq!(
-        batch[0].as_slice(),
-        reference.as_slice(),
-        "batched print diverged from sequential print"
+        prints[0].as_slice(),
+        prints[1].as_slice(),
+        "simd print diverged from scalar print"
     );
-    for (mask, print) in masks.iter().zip(&batch) {
-        let sequential = simulate_print(mask, &bank, &cfg);
-        assert_eq!(
-            print.as_slice(),
-            sequential.as_slice(),
-            "batched print diverged from sequential print"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------------

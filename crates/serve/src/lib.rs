@@ -9,14 +9,16 @@
 //!
 //! - **[`protocol`]** — one JSON request / one JSON response per POST,
 //!   with the stable response-code table mapping [`ldmo_guard`]'s error
-//!   taxonomy and `OutcomeHealth` onto HTTP-class codes;
+//!   taxonomy and `OutcomeHealth` onto HTTP-class codes, and the bounds
+//!   on a request (body size, layout window);
 //! - **[`cache`]** — a content-addressed result cache over a crash-safe
 //!   single-file append log (checksummed frames, torn-tail recovery, a
 //!   warm start survives `kill -9`);
-//! - **[`pipeline`]** — the per-request optimize path: litho-proxy
-//!   ranking (batched under the batched backend), the abort-attempt
-//!   loop, per-request deadlines, retry-once-with-halved-budget, and the
-//!   deterministic unoptimized-mask fallback;
+//! - **[`pipeline`]** — the per-request optimize path: the flow's own
+//!   select-then-optimize loop (`ldmo_core::select`: litho-proxy ranking
+//!   and the abort-attempt ladder), per-request deadlines,
+//!   retry-once-with-halved-budget, and the deterministic
+//!   unoptimized-mask fallback;
 //! - **[`server`]** — bounded admission with explicit load shedding,
 //!   batch scheduling on the [`ldmo_par`] pool with per-request panic
 //!   containment, graceful drain;

@@ -1,16 +1,16 @@
-//! The per-request optimization pipeline: the `ldmo-chip` tile idiom
-//! (rank → abort-attempt loop → complete best-ranked) under a per-request
-//! deadline, with retry-once-with-halved-budget before degrading to the
-//! deterministic unoptimized drawn masks.
+//! The per-request optimization pipeline: the shared select-then-optimize
+//! loop of `ldmo_core::select` (serial proxy ranking → abort-attempt
+//! ladder → complete best-ranked) under a per-request deadline, with
+//! retry-once-with-halved-budget before degrading to the deterministic
+//! unoptimized drawn masks.
 
-use ldmo_core::score::{printability_score, ScoreWeights};
+use ldmo_core::score::ScoreWeights;
+use ldmo_core::select::{attempt_ladder, rank_by_proxy};
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_geom::Grid;
-use ldmo_guard::{penalty_score, Budget, DegradeReason, OutcomeHealth};
-use ldmo_ilt::{IltConfig, IltContext, IltOutcome, ViolationPolicy};
+use ldmo_guard::{Budget, DegradeReason, OutcomeHealth};
+use ldmo_ilt::{IltConfig, IltContext};
 use ldmo_layout::{Layout, MaskAssignment};
-use ldmo_litho::backend::resolved_kind;
-use ldmo_litho::BackendKind;
 use std::time::{Duration, Instant};
 
 /// Per-request optimization knobs (the serving analogue of `ChipConfig`).
@@ -75,39 +75,6 @@ fn merge_budget(base: &Budget, remaining: Option<Duration>) -> Budget {
     }
 }
 
-/// Litho-proxy candidate ranking (best first) — the batched evaluator
-/// under the batched backend (one kernel-bank pass for the whole
-/// candidate set), bit-identical to the per-candidate path.
-fn rank(
-    layout: &Layout,
-    candidates: &[MaskAssignment],
-    cfg: &PipelineConfig,
-    ctx: &IltContext,
-) -> Vec<usize> {
-    let score = |out: &IltOutcome| -> f64 {
-        if let OutcomeHealth::Degraded { reason } = out.health {
-            penalty_score(reason)
-        } else {
-            printability_score(out, &cfg.weights)
-        }
-    };
-    let scores: Vec<f64> = if resolved_kind() == BackendKind::Batched && candidates.len() > 1 {
-        let assignments: Vec<&[u8]> = candidates.iter().map(|c| c.as_slice()).collect();
-        ctx.evaluate_unoptimized_batch(layout, &assignments)
-            .iter()
-            .map(score)
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|c| score(&ctx.evaluate_unoptimized(layout, c.as_slice())))
-            .collect()
-    };
-    let mut scored: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-    scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-    scored.into_iter().map(|(i, _)| i).collect()
-}
-
 /// Runs one request end to end. `remaining` is the wall-clock budget left
 /// of the request's deadline at processing start (queue wait already
 /// deducted); `None` means no deadline.
@@ -124,8 +91,10 @@ pub fn optimize_request(
     remaining: Option<Duration>,
 ) -> RequestOutcome {
     let started = Instant::now();
+    // one scratch serves the ranking, every attempt and the retry
+    let mut scratch = None;
     let candidates = generate_candidates(layout, &cfg.decomp);
-    let order = rank(layout, &candidates, cfg, ctx);
+    let order = rank_by_proxy(layout, &candidates, ctx, &cfg.weights, &mut scratch);
     let n_candidates = candidates.len();
 
     // the deadline may already be spent on queue wait + ranking: skip
@@ -151,28 +120,16 @@ pub fn optimize_request(
         ),
         ..cfg.ilt.clone()
     };
-    let abort_ctx = ctx.with_config(&IltConfig {
-        policy: ViolationPolicy::AbortOnViolation,
-        ..first_cfg.clone()
-    });
-    let mut attempts = 0usize;
-    let mut accepted: Option<(usize, IltOutcome)> = None;
-    for &ci in order.iter().take(cfg.max_attempts.max(1)) {
-        attempts += 1;
-        let out = abort_ctx.optimize(layout, candidates[ci].as_slice());
-        if out.aborted_at.is_none() {
-            accepted = Some((ci, out));
-            break;
-        }
-    }
-    let (ci, out) = accepted.unwrap_or_else(|| {
-        attempts += 1;
-        (
-            order[0],
-            ctx.with_config(&first_cfg)
-                .optimize(layout, candidates[order[0]].as_slice()),
-        )
-    });
+    let chosen = attempt_ladder(
+        layout,
+        &candidates,
+        &order,
+        &ctx.with_config(&first_cfg),
+        cfg.max_attempts,
+        &mut scratch,
+        |_, run| run(),
+    );
+    let (ci, out, mut attempts) = (chosen.index, chosen.outcome, chosen.attempts);
     if out.health.is_usable() {
         return RequestOutcome {
             masks: out.masks.clone(),
@@ -205,9 +162,11 @@ pub fn optimize_request(
             ..cfg.ilt.clone()
         };
         attempts += 1;
-        let retry = ctx
-            .with_config(&retry_cfg)
-            .optimize(layout, candidates[ci].as_slice());
+        let retry = ctx.with_config(&retry_cfg).optimize_reusing(
+            layout,
+            candidates[ci].as_slice(),
+            &mut scratch,
+        );
         if retry.health.is_usable() {
             return RequestOutcome {
                 masks: retry.masks.clone(),

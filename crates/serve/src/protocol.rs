@@ -24,11 +24,15 @@
 //! | `LdmoError::Parse`               | 422    | `bad-layout`  |
 //! | `LdmoError::Model/Io/Trace/Fault`| 500    | `internal`    |
 //!
+//! A layout whose window rasterizes wider than [`MAX_WINDOW_PX`] is a
+//! `LdmoError::Parse` too.
+//!
 //! Responses return masks by content hash (`mask_hash`), not by value —
 //! the cache holds the pixels; the hash is what the determinism contract
 //! ("bit-identical cached vs recomputed") is asserted on.
 
 use ldmo_guard::{LdmoError, OutcomeHealth};
+use ldmo_layout::Layout;
 use ldmo_obs::json::{self, Value};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -323,6 +327,36 @@ impl OptimizeResponse {
         }
         Ok(response)
     }
+}
+
+/// Served layouts whose raster is wider or taller than this are refused
+/// with the 422 `bad-layout` row. Every ILT grid of a request is a
+/// window-sized f32 raster, so 2048 px per side bounds each at 16 MB — at
+/// the default 2 nm/px about 9× the paper's 448 nm clip on each side.
+/// Unbounded, a ~60-byte body naming `window 0 0 400000 400000` asks for a
+/// 160 GB raster, and that allocation failure kills the daemon instead of
+/// panicking a batch slot the scheduler could contain. Larger layouts
+/// belong to `ldmo chip`, which tiles them.
+pub const MAX_WINDOW_PX: usize = 2048;
+
+/// Refuses a request layout whose raster at `nm_per_px` exceeds
+/// [`MAX_WINDOW_PX`] on either side.
+///
+/// # Errors
+///
+/// Returns [`LdmoError::Parse`] (422 `bad-layout`) for an oversize window.
+pub(crate) fn check_window(layout: &Layout, nm_per_px: f64) -> Result<(), LdmoError> {
+    let (w, h) = layout.grid_shape(nm_per_px);
+    if w.max(h) <= MAX_WINDOW_PX {
+        return Ok(());
+    }
+    Err(LdmoError::Parse {
+        context: "request layout".to_owned(),
+        detail: format!(
+            "window rasterizes to {w}x{h} px at {nm_per_px} nm/px, over the \
+             {MAX_WINDOW_PX} px cap per side; tile it with `ldmo chip`"
+        ),
+    })
 }
 
 /// The stable `(status, code)` row for an error (see the module table).

@@ -22,7 +22,7 @@ use crate::cache::{self, CachedResult, ResultCache};
 use crate::pipeline::{self, PipelineConfig, RequestOutcome};
 use crate::protocol::{self, HttpRequest, OptimizeRequest, OptimizeResponse};
 use ldmo_guard::fault;
-use ldmo_guard::OutcomeHealth;
+use ldmo_guard::{LdmoError, OutcomeHealth};
 use ldmo_ilt::IltContext;
 use ldmo_layout::{io as layout_io, Layout};
 use std::collections::VecDeque;
@@ -459,13 +459,17 @@ fn process_batch(
             .max_candidates
             .unwrap_or(cfg.pipeline.decomp.max_candidates)
             .min(cfg.pipeline.decomp.max_candidates);
-        let layout = match layout_io::from_str(&job.request.layout_text) {
+        // refuse an oversize window before anything rasterizes it
+        let parsed = layout_io::from_str(&job.request.layout_text)
+            .map_err(|e| LdmoError::from(e).with_context("request layout".to_owned()))
+            .and_then(|layout| {
+                protocol::check_window(&layout, cfg.pipeline.ilt.litho.nm_per_px).map(|()| layout)
+            });
+        let layout = match parsed {
             Ok(layout) => layout,
-            Err(e) => {
+            Err(error) => {
                 shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 ldmo_obs::incr("serve.bad_requests");
-                let error =
-                    ldmo_guard::LdmoError::from(e).with_context("request layout".to_owned());
                 let _ = respond(
                     &mut job.stream,
                     &OptimizeResponse::from_error(&job.request.id, &error),
@@ -586,5 +590,37 @@ fn process_batch(
                 outcome.retried,
             ),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    #[test]
+    fn oversize_window_is_refused_and_the_daemon_keeps_serving() {
+        let mut cfg = ServeConfig::default();
+        cfg.pipeline.ilt.max_iterations = 2;
+        cfg.pipeline.decomp.max_candidates = 2;
+        let server = Server::start(cfg).expect("server starts");
+        let send = |window: &str| {
+            let request = OptimizeRequest {
+                id: window.into(),
+                layout_text: format!("ldmo-layout v1\nwindow {window}\npattern 80 80 144 144\n"),
+                deadline_ms: None,
+                max_iterations: None,
+                max_candidates: None,
+            };
+            let addr = server.addr().to_string();
+            let body = client::post(&addr, "/optimize", &request.to_json()).expect("post");
+            OptimizeResponse::from_json(&body).expect("well-formed response")
+        };
+        // 200000² px at 2 nm/px: a 160 GB raster if anything allocated it
+        let huge = send("0 0 400000 400000");
+        assert_eq!((huge.status, huge.code.as_str()), (422, "bad-layout"));
+        assert_eq!(send("0 0 448 448").status, 200, "the daemon still serves");
+        let stats = server.shutdown();
+        assert_eq!((stats.rejected, stats.served), (1, 1));
     }
 }

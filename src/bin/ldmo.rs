@@ -150,7 +150,7 @@ fn print_usage() {
          with 'ldmo trace flame'); crashes and typed-error exits dump the\n\
          flight-recorder ring to flight_<pid>.jsonl (LDMO_FLIGHT_DIR, or\n\
          LDMO_FLIGHT=0 to disable)\n\n\
-         --backend {{auto,scalar,simd,batched}} (or LDMO_BACKEND=..) picks\n\
+         --backend {{auto,scalar,simd}} (or LDMO_BACKEND=..) picks\n\
          the litho convolution backend (DESIGN.md §13); all backends are\n\
          bit-identical, 'auto' resolves to the fastest available\n\n\
          LDMO_FAULTS=SPEC installs a deterministic fault-injection plan\n\

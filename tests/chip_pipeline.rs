@@ -2,10 +2,10 @@
 //!
 //! The pivotal guarantee: tiling is an implementation detail, not a
 //! semantic one. A chip that fits in one tile must report exactly the
-//! whole-grid flow's outcome, a multi-tile run must account every EPE
-//! violation to exactly one owning tile, and per-tile budgets — or a
-//! chaos-plan panic striking one tile worker — degrade a tile instead of
-//! aborting the chip.
+//! whole-grid flow's (and a served request's) outcome, a multi-tile run
+//! must account every EPE violation to exactly one owning tile, and
+//! per-tile budgets — or a chaos-plan panic striking one tile worker —
+//! degrade a tile instead of aborting the chip.
 //!
 //! The fault plan is process-global, so every test here serializes on one
 //! lock and clears the plan on entry and exit (the chaos tests install
@@ -15,8 +15,10 @@ use ldmo::chip::{run_chip, ChipConfig};
 use ldmo::core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo::guard::fault::{self, FaultPlan};
 use ldmo::guard::{Budget, DegradeReason, OutcomeHealth};
+use ldmo::ilt::IltContext;
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::Layout;
+use ldmo::serve::{optimize_request, PipelineConfig};
 use std::sync::Mutex;
 
 /// Serializes every test in this file: the installed fault plan is
@@ -47,8 +49,8 @@ fn demo_chip(cols: usize, rows: usize, seed: u64) -> Layout {
         .expect("demo chip generates")
 }
 
-/// A chip config small enough for test budgets; `max_candidates` is
-/// shared with the flow comparator in the parity test below.
+/// A chip config small enough for test budgets; the parity test below
+/// shares it with its flow and served-request comparators.
 fn fast_cfg() -> ChipConfig {
     let mut cfg = ChipConfig {
         tile_nm: 448,
@@ -62,15 +64,15 @@ fn fast_cfg() -> ChipConfig {
 #[test]
 fn one_tile_chip_matches_the_whole_grid_flow() {
     let _g = chaos_guard();
-    // a single-block chip fits in one 448 nm tile, so the tiled path and
-    // the whole-grid LithoProxy flow run the same ranking, the same
-    // abort-attempt loop and the same final ILT — EPE count, attempt
-    // count and the masks themselves must agree bit for bit
-    let layout = demo_chip(1, 1, 7);
-    let cfg = fast_cfg();
-    let out = run_chip(&layout, &cfg);
-    assert_eq!((out.grid.cols(), out.grid.rows()), (1, 1), "one tile");
-
+    // every Table-I case fits in one 448 nm tile, so the tiled path, a
+    // served request and the whole-grid LithoProxy flow run the same
+    // shared select-then-optimize loop — EPE count, attempt count, health
+    // and the masks themselves must agree bit for bit. 9 iterations with
+    // a warm-up of 3 put abort checks at iterations 3, 6 and 9, so the
+    // attempt ladder and its fallback are exercised, not just attempt 1
+    let mut cfg = fast_cfg();
+    cfg.ilt.max_iterations = 9;
+    cfg.ilt.abort_warmup = 3;
     let flow_cfg = FlowConfig {
         decomp: cfg.decomp.clone(),
         ilt: cfg.ilt.clone(),
@@ -78,13 +80,29 @@ fn one_tile_chip_matches_the_whole_grid_flow() {
         max_attempts: cfg.max_attempts,
         candidate_deadline: None,
     };
-    let flow = LdmoFlow::new(flow_cfg, SelectionStrategy::LithoProxy).run(&layout);
+    let pcfg = PipelineConfig {
+        ilt: cfg.ilt.clone(),
+        decomp: cfg.decomp.clone(),
+        weights: cfg.weights,
+        max_attempts: cfg.max_attempts,
+    };
+    let ctx = IltContext::new(&pcfg.ilt);
+    for (name, layout) in ldmo::bench::testcases() {
+        let out = run_chip(&layout, &cfg);
+        assert_eq!((out.grid.cols(), out.grid.rows()), (1, 1), "{name}");
+        let flow = LdmoFlow::new(flow_cfg.clone(), SelectionStrategy::LithoProxy).run(&layout);
+        let served = optimize_request(&layout, &pcfg, &ctx, None);
 
-    assert_eq!(out.epe_violations, flow.outcome.epe_violations());
-    assert_eq!(out.tiles[0].attempts, flow.attempts);
-    assert_eq!(out.tiles[0].candidates, flow.candidates);
-    assert_eq!(out.masks[0], flow.outcome.masks[0]);
-    assert_eq!(out.masks[1], flow.outcome.masks[1]);
+        // (EPE, health, attempts, candidates) of each entry point
+        let (f, t, s) = (&flow.outcome, &out.tiles[0], &served);
+        let want = (f.epe_violations(), f.health, flow.attempts, flow.candidates);
+        let chip = (out.epe_violations, t.health, t.attempts, t.candidates);
+        let serve = (s.epe_violations, s.health, s.attempts, s.candidates);
+        assert_eq!(chip, want, "{name}: chip");
+        assert_eq!(serve, want, "{name}: served");
+        assert_eq!(out.masks, flow.outcome.masks, "{name}: chip masks");
+        assert_eq!(served.masks, flow.outcome.masks, "{name}: served masks");
+    }
 }
 
 #[test]

@@ -157,12 +157,7 @@ fn golden_holds_on_every_backend_at_1_and_4_threads() {
     let assignment = suald_decompose(&layout);
     let cfg = IltConfig::default();
     let prev = backend::backend_kind();
-    for kind in [
-        BackendKind::Scalar,
-        BackendKind::Simd,
-        BackendKind::Batched,
-        BackendKind::Auto,
-    ] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Auto] {
         backend::set_backend(kind);
         let (a, b) = serial_vs_threaded(|| optimize(&layout, &assignment, &cfg));
         for (threads, out) in [(1, &a), (4, &b)] {
@@ -213,9 +208,9 @@ fn golden_holds_with_live_ops_enabled() {
 
 #[test]
 fn flow_ranking_is_backend_invariant() {
-    // the batched ranking path (chunked kernel-major evaluation) must
-    // select the same decomposition as the per-candidate path, at any
-    // thread count — chunk boundaries are keyed on candidate indices only
+    // proxy ranking under the scalar and SIMD backends must select the
+    // same decomposition, at any thread count — the backends are
+    // bit-identical, so the scores and their order are too
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     use ldmo::litho::backend::{self, BackendKind};
     let (_, layout) = cells::all_cells().into_iter().next().expect("cells");
@@ -228,7 +223,7 @@ fn flow_ranking_is_backend_invariant() {
     };
     let prev = backend::backend_kind();
     let mut results = Vec::new();
-    for kind in [BackendKind::Scalar, BackendKind::Batched] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(kind);
         let (a, b) = serial_vs_threaded(|| {
             LdmoFlow::new(cfg.clone(), SelectionStrategy::LithoProxy).run(&layout)
@@ -238,11 +233,11 @@ fn flow_ranking_is_backend_invariant() {
         results.push(a);
     }
     backend::set_backend(prev);
-    let (scalar, batched) = (&results[0], &results[1]);
-    assert_eq!(scalar.assignment, batched.assignment);
-    assert_eq!(scalar.attempts, batched.attempts);
-    assert_eq!(scalar.outcome.l2.to_bits(), batched.outcome.l2.to_bits());
-    assert_eq!(scalar.outcome.masks, batched.outcome.masks);
+    let (scalar, simd) = (&results[0], &results[1]);
+    assert_eq!(scalar.assignment, simd.assignment);
+    assert_eq!(scalar.attempts, simd.attempts);
+    assert_eq!(scalar.outcome.l2.to_bits(), simd.outcome.l2.to_bits());
+    assert_eq!(scalar.outcome.masks, simd.outcome.masks);
 }
 
 #[test]
@@ -266,7 +261,7 @@ fn tiled_chip_is_thread_and_backend_invariant() {
     cfg.decomp.max_candidates = 6;
     let prev = backend::backend_kind();
     let mut pinned: Option<ldmo::geom::Grid> = None;
-    for kind in [BackendKind::Scalar, BackendKind::Simd, BackendKind::Batched] {
+    for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(kind);
         let (a, b) = serial_vs_threaded(|| run_chip(&layout, &cfg));
         assert_eq!(a.grid.len(), 2, "two 448 nm tiles");
