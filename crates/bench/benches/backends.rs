@@ -1,7 +1,6 @@
 //! Per-backend litho benchmarks (DESIGN.md §13): the same forward pass /
 //! ILT step / candidate ranking measured under each [`BackendKind`], plus
-//! the direct-vs-separable-vs-FFT dense-kernel crossover at ≥224² that
-//! pins [`ldmo_litho::backend::FFT_CROSSOVER_PX`]. Feeds
+//! the direct-vs-separable-vs-FFT dense-kernel crossover at ≥224². Feeds
 //! `BENCH_backends.json` (via `--json-out`), which `scripts/perf_gate.py`
 //! diffs against the committed `bench_out/` baseline.
 //!
@@ -81,9 +80,9 @@ fn bench_rank_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Dense-kernel convolution crossover at flow-scale grids (≥224²): what
-/// `convolve2d_auto` switches on. The bank's own kernels are separable,
-/// so `separable` is the bar FFT has to clear.
+/// Dense-kernel convolution crossover at flow-scale grids (≥224²). The
+/// bank's own kernels are separable, so `separable` is the bar FFT has to
+/// clear.
 fn bench_crossover(c: &mut Criterion) {
     use ldmo_litho::{convolve2d_direct, convolve2d_fft};
     let mut group = c.benchmark_group("backend");

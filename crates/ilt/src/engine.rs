@@ -5,13 +5,21 @@
 //! (violation checks every 3 iterations) and the ICCAD'17 unified baseline
 //! (greedy pruning of partially optimized candidates) are built on.
 //! [`optimize`] is the one-shot convenience wrapper.
+//!
+//! The session, its outcome and its scratch are generic over the mask
+//! count `K` (default 2, the paper's double patterning): Eq. 1 relaxes
+//! each of the `K` masks independently and Eq. 3 becomes
+//! `T = min(Σ_i T_i, 1)`. [`IltSession::prepare`] is the entry point for
+//! any `K`; the double-patterning names ([`optimize`], [`IltSession::new`],
+//! the [`IltContext`] methods) stay non-generic because const-generic
+//! defaults do not drive type inference.
 
 use crate::gradient::{forward_multi_into, l2_gradient_multi_into, PairForward};
 use ldmo_geom::Grid;
 use ldmo_guard::{fault, sampled_finite, Budget, DegradeReason, GuardPolicy, OutcomeHealth};
 use ldmo_layout::Layout;
 use ldmo_litho::{
-    combine_double_pattern, detect_violations, measure_epe, simulate_print, EpeReport, KernelBank,
+    combine_prints, detect_violations, measure_epe, simulate_print, EpeReport, KernelBank,
     LithoConfig, LithoWorkspace, ViolationReport,
 };
 use std::sync::Arc;
@@ -102,11 +110,12 @@ pub struct IterationStats {
     pub epe_violations: Option<usize>,
 }
 
-/// Result of one ILT run.
+/// Result of one ILT run over `K` masks.
 #[derive(Debug, Clone)]
-pub struct IltOutcome {
-    /// Final binarized masks (mask 0, mask 1), at the litho raster scale.
-    pub masks: [Grid; 2],
+pub struct IltOutcome<const K: usize = 2> {
+    /// Final binarized masks (mask 0 … mask `K − 1`), at the litho raster
+    /// scale.
+    pub masks: [Grid; K],
     /// Final printed image from the binarized masks.
     pub printed: Grid,
     /// EPE report of the final print against the layout.
@@ -130,7 +139,7 @@ pub struct IltOutcome {
     pub rollbacks: u32,
 }
 
-impl IltOutcome {
+impl<const K: usize> IltOutcome<K> {
     /// The paper's headline metric: the number of EPE violations.
     pub fn epe_violations(&self) -> usize {
         self.epe.violations()
@@ -155,18 +164,17 @@ impl IltOutcome {
 /// are still built per session; only the overwritten-every-iteration
 /// scratch is recycled, which is what keeps reuse bit-exact.
 #[derive(Debug, Clone)]
-pub struct IltScratch {
+pub struct IltScratch<const K: usize = 2> {
     ws: LithoWorkspace,
     fwd: PairForward,
-    grads: [Grid; 2],
+    grads: [Grid; K],
 }
 
-impl IltScratch {
+impl<const K: usize> IltScratch<K> {
     /// Whether these buffers fit a `width × height` session under a bank
     /// of `num_kernels` kernels.
     fn matches(&self, width: usize, height: usize, num_kernels: usize) -> bool {
         self.ws.shape() == (width, height)
-            && self.fwd.masks.len() == 2
             && self.fwd.printed.shape() == (width, height)
             && self.fwd.aerials[0].fields.len() == num_kernels
     }
@@ -238,7 +246,7 @@ impl IltContext {
 
     /// Runs the full optimization loop (see [`optimize`]).
     pub fn optimize(&self, layout: &Layout, assignment: &[u8]) -> IltOutcome {
-        run_session(self.session(layout, assignment))
+        self.session(layout, assignment).run()
     }
 
     /// [`IltContext::optimize`] with buffer recycling: the session takes
@@ -293,26 +301,27 @@ impl IltContext {
     }
 }
 
-/// A resumable ILT optimization of one (layout, decomposition) pair.
+/// A resumable ILT optimization of one (layout, decomposition) pair over
+/// `K` masks.
 ///
 /// All per-iteration buffers (forward artifacts, gradients, convolution
 /// scratch) are allocated here at construction; [`IltSession::step_one`]
 /// performs no heap allocation.
-pub struct IltSession {
+pub struct IltSession<const K: usize = 2> {
     patterns: Vec<ldmo_geom::Rect>,
     cfg: IltConfig,
     bank: Arc<KernelBank>,
     target: Grid,
-    corridors: [Grid; 2],
-    p: [Grid; 2],
+    corridors: [Grid; K],
+    p: [Grid; K],
     ws: LithoWorkspace,
     fwd: PairForward,
-    grads: [Grid; 2],
+    grads: [Grid; K],
     iterations_done: usize,
     last_l2: f64,
     /// Best-L2 iterate seen so far (preallocated at construction; rollback
     /// restores from it without allocating).
-    best_p: [Grid; 2],
+    best_p: [Grid; K],
     best_l2: f64,
     /// Multiplier on `cfg.step_size`; starts at exactly 1.0 (bit-identity
     /// on healthy runs) and halves on every divergence rollback.
@@ -322,7 +331,8 @@ pub struct IltSession {
 }
 
 impl IltSession {
-    /// Prepares a session for `layout` under `assignment`.
+    /// Prepares a double-patterning session for `layout` under
+    /// `assignment` ([`IltSession::prepare`] with `K = 2`).
     ///
     /// Expands a fresh kernel bank; prefer [`IltContext::session`] when
     /// running several sessions under one configuration.
@@ -332,6 +342,20 @@ impl IltSession {
     /// Panics if `assignment.len() != layout.len()` or contains mask
     /// indices other than 0/1.
     pub fn new(layout: &Layout, assignment: &[u8], cfg: &IltConfig) -> Self {
+        IltSession::prepare(layout, assignment, cfg)
+    }
+}
+
+impl<const K: usize> IltSession<K> {
+    /// Prepares a `K`-mask session for `layout` under `assignment`
+    /// (pattern `i` → mask `assignment[i]`), expanding a fresh kernel
+    /// bank. `K = 3` is triple patterning, `K = 1` a single exposure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K == 0`, `assignment.len() != layout.len()`, or an
+    /// assignment entry is `K` or more.
+    pub fn prepare(layout: &Layout, assignment: &[u8], cfg: &IltConfig) -> Self {
         let bank = Arc::new(KernelBank::paper_bank(&cfg.litho));
         IltSession::from_parts(layout, assignment, cfg, bank, None)
     }
@@ -341,54 +365,50 @@ impl IltSession {
         assignment: &[u8],
         cfg: &IltConfig,
         bank: Arc<KernelBank>,
-        recycled: Option<IltScratch>,
+        recycled: Option<IltScratch<K>>,
     ) -> Self {
         if ldmo_obs::enabled() {
             ldmo_obs::counter("ilt.sessions").incr();
         }
+        assert!(K > 0, "need at least one mask");
         assert_eq!(
             assignment.len(),
             layout.len(),
             "assignment must cover every pattern"
         );
         assert!(
-            assignment.iter().all(|&m| m < 2),
-            "double patterning uses masks 0 and 1"
+            assignment.iter().all(|&m| usize::from(m) < K),
+            "assignment references a mask beyond the session's mask count"
         );
         let scale = cfg.litho.nm_per_px;
         let target = layout.rasterize_target(scale);
-        let m1 = layout
-            .rasterize_mask(assignment, 0, scale)
-            .expect("assignment length checked");
-        let m2 = layout
-            .rasterize_mask(assignment, 1, scale)
-            .expect("assignment length checked");
-        let corridors = [
+        let drawn: [Grid; K] = std::array::from_fn(|m| {
             layout
-                .rasterize_mask_expanded(assignment, 0, scale, cfg.mrc_expand_nm)
-                .expect("assignment length checked"),
+                .rasterize_mask(assignment, m as u8, scale)
+                .expect("assignment length checked")
+        });
+        let corridors = std::array::from_fn(|m| {
             layout
-                .rasterize_mask_expanded(assignment, 1, scale, cfg.mrc_expand_nm)
-                .expect("assignment length checked"),
-        ];
+                .rasterize_mask_expanded(assignment, m as u8, scale, cfg.mrc_expand_nm)
+                .expect("assignment length checked")
+        });
         // Eq. 1 initialization: P = ±p0 puts M near the drawn mask while
         // keeping sigmoid'(θm P) large enough for gradient flow.
         let p0 = 0.25f32;
-        let p = [
-            m1.map(|v| if v > 0.5 { p0 } else { -p0 }),
-            m2.map(|v| if v > 0.5 { p0 } else { -p0 }),
-        ];
+        let p = drawn
+            .each_ref()
+            .map(|d| d.map(|v| if v > 0.5 { p0 } else { -p0 }));
         let (w, h) = target.shape();
         let nk = bank.kernels().len();
         let IltScratch { ws, fwd, grads } = match recycled {
             Some(scratch) if scratch.matches(w, h, nk) => scratch,
             _ => IltScratch {
                 ws: LithoWorkspace::new(w, h),
-                fwd: PairForward::zeros(w, h, 2, nk),
-                grads: [Grid::zeros(w, h), Grid::zeros(w, h)],
+                fwd: PairForward::zeros(w, h, K, nk),
+                grads: std::array::from_fn(|_| Grid::zeros(w, h)),
             },
         };
-        let best_p = [p[0].clone(), p[1].clone()];
+        let best_p = p.clone();
         IltSession {
             patterns: layout.patterns().to_vec(),
             cfg: cfg.clone(),
@@ -453,8 +473,9 @@ impl IltSession {
     /// account the skipped update as one iteration. No allocation — the
     /// restore is a copy into the preallocated parameter grids.
     fn rollback(&mut self, step_start: Option<std::time::Instant>, l2: f64) -> f64 {
-        self.p[0].copy_from(&self.best_p[0]);
-        self.p[1].copy_from(&self.best_p[1]);
+        for (p, best) in self.p.iter_mut().zip(&self.best_p) {
+            p.copy_from(best);
+        }
         self.step_scale *= 0.5;
         self.rollbacks += 1;
         ldmo_obs::incr("guard.rollback");
@@ -503,8 +524,9 @@ impl IltSession {
                 return self.rollback(step_start, l2);
             }
             if l2 < self.best_l2 {
-                self.best_p[0].copy_from(&self.p[0]);
-                self.best_p[1].copy_from(&self.p[1]);
+                for (best, p) in self.best_p.iter_mut().zip(&self.p) {
+                    best.copy_from(p);
+                }
                 self.best_l2 = l2;
             }
         }
@@ -523,8 +545,10 @@ impl IltSession {
             self.grads[0].as_mut_slice()[0] = f32::NAN;
         }
         if guard.enabled
-            && !(sampled_finite(self.grads[0].as_slice(), guard.scan_stride)
-                && sampled_finite(self.grads[1].as_slice(), guard.scan_stride))
+            && !self
+                .grads
+                .iter()
+                .all(|g| sampled_finite(g.as_slice(), guard.scan_stride))
         {
             return self.rollback(step_start, l2);
         }
@@ -533,10 +557,10 @@ impl IltSession {
             Some(_) => update_norm(&self.grads, step),
             None => f64::NAN,
         };
-        descend(&mut self.p[0], &self.grads[0], step);
-        descend(&mut self.p[1], &self.grads[1], step);
-        clamp_to_corridor(&mut self.p[0], &self.corridors[0]);
-        clamp_to_corridor(&mut self.p[1], &self.corridors[1]);
+        for ((p, g), corridor) in self.p.iter_mut().zip(&self.grads).zip(&self.corridors) {
+            descend(p, g, step);
+            clamp_to_corridor(p, corridor);
+        }
         self.iterations_done += 1;
         self.last_l2 = l2;
         if let Some(start) = step_start {
@@ -558,14 +582,17 @@ impl IltSession {
         }
     }
 
-    /// The combined print of the current *binarized* masks — what
-    /// manufacturing would produce right now.
+    /// The combined print `T = min(Σ_i T_i, 1)` (Eq. 3) of the current
+    /// *binarized* masks — what manufacturing would produce right now.
     pub fn current_print(&self) -> Grid {
-        let m1 = self.p[0].map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let m2 = self.p[1].map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let t1 = simulate_print(&m1, &self.bank, &self.cfg.litho);
-        let t2 = simulate_print(&m2, &self.bank, &self.cfg.litho);
-        combine_double_pattern(&t1, &t2)
+        combine_prints(&self.prints(&binarize(&self.p)))
+    }
+
+    /// Per-mask prints `T_i` of binarized masks.
+    fn prints(&self, masks: &[Grid; K]) -> [Grid; K] {
+        masks
+            .each_ref()
+            .map(|m| simulate_print(m, &self.bank, &self.cfg.litho))
     }
 
     /// EPE report of the current print.
@@ -578,7 +605,7 @@ impl IltSession {
         &self,
         trajectory: Vec<IterationStats>,
         aborted_at: Option<usize>,
-    ) -> IltOutcome {
+    ) -> IltOutcome<K> {
         // On guarded runs where a rollback fired, fall back to the best
         // evaluated iterate unless the current one is provably no worse —
         // this is what makes the outcome "the best finite iterate". Clean
@@ -590,11 +617,12 @@ impl IltSession {
         } else {
             &self.p
         };
-        let m1 = src[0].map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let m2 = src[1].map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        let t1 = simulate_print(&m1, &self.bank, &self.cfg.litho);
-        let t2 = simulate_print(&m2, &self.bank, &self.cfg.litho);
-        let printed = combine_double_pattern(&t1, &t2);
+        let masks = binarize(src);
+        // the per-mask prints stay alive until the outcome is built: freeing
+        // them before the EPE and violation passes changes the allocator's
+        // heap layout and measurably raises peak RSS
+        let prints = self.prints(&masks);
+        let printed = combine_prints(&prints);
         let epe = measure_epe(&printed, &self.patterns, &self.cfg.litho);
         let l2 = printed.l2_dist_sq(&self.target).expect("shapes match");
         let violations = detect_violations(
@@ -604,7 +632,7 @@ impl IltSession {
             self.cfg.litho.nm_per_px,
         );
         IltOutcome {
-            masks: [m1, m2],
+            masks,
             printed,
             epe,
             l2,
@@ -618,13 +646,19 @@ impl IltSession {
     }
 
     /// Finishes the session into an outcome with an empty trajectory.
-    pub fn into_outcome(self) -> IltOutcome {
+    pub fn into_outcome(self) -> IltOutcome<K> {
         self.snapshot(Vec::new(), None)
+    }
+
+    /// Drives the session through the full optimization loop with
+    /// violation checks and budget, as configured by its [`IltConfig`].
+    pub fn run(self) -> IltOutcome<K> {
+        run_session_recycling(self, None)
     }
 
     /// Recovers the recyclable buffers for the next session of the same
     /// shape (see [`IltScratch`]).
-    fn into_scratch(self) -> IltScratch {
+    fn into_scratch(self) -> IltScratch<K> {
         IltScratch {
             ws: self.ws,
             fwd: self.fwd,
@@ -634,28 +668,23 @@ impl IltSession {
 }
 
 /// Runs double-patterning ILT on `layout` under the decomposition
-/// `assignment` (pattern `i` → mask `assignment[i]`).
+/// `assignment` (pattern `i` → mask `assignment[i]`). Other mask counts
+/// run through [`IltSession::prepare`] and [`IltSession::run`].
 ///
 /// # Panics
 ///
 /// Panics if `assignment.len() != layout.len()` or contains values other
 /// than 0/1.
 pub fn optimize(layout: &Layout, assignment: &[u8], cfg: &IltConfig) -> IltOutcome {
-    run_session(IltSession::new(layout, assignment, cfg))
+    IltSession::new(layout, assignment, cfg).run()
 }
 
-/// Drives a prepared session through the full optimization loop with
-/// violation checks, as configured by the session's [`IltConfig`].
-fn run_session(session: IltSession) -> IltOutcome {
-    run_session_recycling(session, None)
-}
-
-/// [`run_session`], optionally returning the session's recyclable buffers
-/// through `recycle` for the next same-shape session.
-fn run_session_recycling(
-    mut session: IltSession,
-    recycle: Option<&mut Option<IltScratch>>,
-) -> IltOutcome {
+/// [`IltSession::run`], optionally returning the session's recyclable
+/// buffers through `recycle` for the next same-shape session.
+fn run_session_recycling<const K: usize>(
+    mut session: IltSession<K>,
+    recycle: Option<&mut Option<IltScratch<K>>>,
+) -> IltOutcome<K> {
     let mut span = ldmo_obs::span("ilt.run");
     let cfg = session.cfg.clone();
     let mut trajectory = Vec::with_capacity(cfg.max_iterations);
@@ -745,7 +774,7 @@ fn step_histogram() -> ldmo_obs::Histogram {
 /// `step · ‖g‖₂ / max|g|` per mask, combined in quadrature. Only computed
 /// when the collector is enabled — it costs one extra pass over the
 /// gradients.
-fn update_norm(grads: &[Grid; 2], step: f32) -> f64 {
+fn update_norm(grads: &[Grid], step: f32) -> f64 {
     let mut total = 0.0f64;
     for g in grads {
         let mut max_abs = 0.0f32;
@@ -762,6 +791,8 @@ fn update_norm(grads: &[Grid; 2], step: f32) -> f64 {
     total.sqrt()
 }
 
+/// Max-normalized gradient step: the most-active parameter moves by
+/// exactly `step`.
 fn descend(p: &mut Grid, g: &Grid, step: f32) {
     let max_abs = g.as_slice().iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
     if max_abs <= f32::EPSILON {
@@ -784,6 +815,12 @@ fn clamp_to_corridor(p: &mut Grid, corridor: &Grid) {
             *v = -1.0;
         }
     }
+}
+
+/// The manufactured masks of parameter fields: open where `P > 0`.
+fn binarize<const K: usize>(p: &[Grid; K]) -> [Grid; K] {
+    p.each_ref()
+        .map(|p| p.map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
 }
 
 /// A convenience forward-only evaluation of a decomposition *without*
@@ -822,6 +859,19 @@ mod tests {
                 Rect::square(120 + pitch, 120, size),
                 Rect::square(120, 120 + pitch, size),
                 Rect::square(120 + pitch, 120 + pitch, size),
+            ],
+        )
+    }
+
+    /// Three contacts in a mutual-conflict triangle, one per mask: the
+    /// triple-patterning case the generic session must guard like a pair.
+    fn triangle_layout() -> Layout {
+        Layout::new(
+            Rect::new(0, 0, 448, 448),
+            vec![
+                Rect::square(120, 120, 64),
+                Rect::square(248, 120, 64),
+                Rect::square(184, 230, 64),
             ],
         )
     }
@@ -1010,12 +1060,18 @@ mod tests {
             nan_grad_at: Some(3),
             ..Default::default()
         });
-        let out = optimize(&layout, &[0, 1], &cfg);
+        let pair = optimize(&layout, &[0, 1], &cfg);
+        let triple = IltSession::<3>::prepare(&triangle_layout(), &[0, 1, 2], &cfg).run();
         fault::clear();
-        assert_eq!(out.health, OutcomeHealth::RecoveredAfterRollback);
-        assert_eq!(out.rollbacks, 1);
-        assert!(out.l2.is_finite(), "recovered outcome must be finite");
-        assert!(out.masks[0].as_slice().iter().all(|v| v.is_finite()));
+        for (health, rollbacks, l2, mask0) in [
+            (pair.health, pair.rollbacks, pair.l2, &pair.masks[0]),
+            (triple.health, triple.rollbacks, triple.l2, &triple.masks[0]),
+        ] {
+            assert_eq!(health, OutcomeHealth::RecoveredAfterRollback);
+            assert_eq!(rollbacks, 1);
+            assert!(l2.is_finite(), "recovered outcome must be finite");
+            assert!(mask0.as_slice().iter().all(|v| v.is_finite()));
+        }
         // and with the plan cleared the run is healthy again
         let clean = optimize(&layout, &[0, 1], &cfg);
         assert_eq!(clean.health, OutcomeHealth::Clean);
@@ -1032,19 +1088,27 @@ mod tests {
             },
             ..fast_cfg()
         };
-        let out = optimize(&layout, &[0, 1], &cfg);
-        assert_eq!(out.iterations_run, 4);
-        assert_eq!(
-            out.health,
-            OutcomeHealth::Degraded {
-                reason: DegradeReason::BudgetExhausted
-            }
-        );
-        assert!(!out.is_clean());
-        assert!(
-            out.l2.is_finite(),
-            "degraded outcome still carries an iterate"
-        );
+        let pair = optimize(&layout, &[0, 1], &cfg);
+        let triple = IltSession::<3>::prepare(&triangle_layout(), &[0, 1, 2], &cfg).run();
+        for (iterations_run, health, clean, l2) in [
+            (pair.iterations_run, pair.health, pair.is_clean(), pair.l2),
+            (
+                triple.iterations_run,
+                triple.health,
+                triple.is_clean(),
+                triple.l2,
+            ),
+        ] {
+            assert_eq!(iterations_run, 4);
+            assert_eq!(
+                health,
+                OutcomeHealth::Degraded {
+                    reason: DegradeReason::BudgetExhausted
+                }
+            );
+            assert!(!clean);
+            assert!(l2.is_finite(), "degraded outcome still carries an iterate");
+        }
     }
 
     #[test]

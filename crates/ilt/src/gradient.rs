@@ -1,11 +1,13 @@
-//! Forward pass and analytic gradient of the double-patterning L2 objective.
+//! Forward pass and analytic gradient of the multiple-patterning L2
+//! objective.
 //!
 //! With `M_i = sigmoid(θm P_i)` (Eq. 1), `I_i = Σ_k w_k (M_i ⊗ h_k)²`,
-//! `T_i = sigmoid(θz (I_i − I_th))` (Eq. 2) and `T = min(T1 + T2, 1)`
-//! (Eq. 3), the gradient of `L = ‖T − T′‖²` with respect to `P_i` is
+//! `T_i = sigmoid(θz (I_i − I_th))` (Eq. 2) and `T = min(Σ_i T_i, 1)`
+//! (Eq. 3; `T1 + T2` for double patterning), the gradient of
+//! `L = ‖T − T′‖²` with respect to `P_i` is
 //!
 //! ```text
-//! ∂L/∂T   = 2 (T − T′)                      (zero where T1+T2 ≥ 1, the
+//! ∂L/∂T   = 2 (T − T′)                      (zero where Σ T_i ≥ 1, the
 //!                                            flat branch of the min)
 //! ∂T/∂I_i = θz T_i (1 − T_i)
 //! ∂I_i/∂M_i = Σ_k 2 w_k  (G ⊙ (M_i ⊗ h_k)) ⊗ h_k    (h_k symmetric)
@@ -22,7 +24,7 @@ use ldmo_litho::{
 };
 
 /// Forward-pass artifacts for a set of masks (two for the paper's double
-/// patterning; `k` for the MPL extension), reused by the gradient.
+/// patterning, any count in general), reused by the gradient.
 #[derive(Debug, Clone)]
 pub struct PairForward {
     /// Relaxed masks `M_i = sigmoid(θm P_i)`.
@@ -54,9 +56,6 @@ impl PairForward {
     }
 }
 
-/// The MPL-extension alias: the structure is identical for any mask count.
-pub type MultiForward = PairForward;
-
 /// Runs the forward model for any number of mask parameter fields.
 ///
 /// Thin wrapper over [`forward_multi_into`] with transient buffers; hot
@@ -72,7 +71,7 @@ pub fn forward_multi(
     theta_m: f32,
     bank: &KernelBank,
     litho: &LithoConfig,
-) -> MultiForward {
+) -> PairForward {
     assert!(!ps.is_empty(), "need at least one mask");
     let (w, h) = ps[0].shape();
     let mut ws = LithoWorkspace::new(w, h);
@@ -95,7 +94,7 @@ pub fn forward_multi_into(
     bank: &KernelBank,
     litho: &LithoConfig,
     ws: &mut LithoWorkspace,
-    out: &mut MultiForward,
+    out: &mut PairForward,
 ) {
     assert!(!ps.is_empty(), "need at least one mask");
     assert_eq!(
@@ -116,23 +115,11 @@ pub fn forward_multi_into(
     out.l2 = out.printed.l2_dist_sq(target).expect("shapes match");
 }
 
-/// Runs the forward model for parameters `(p1, p2)` against `target`.
-pub fn forward_pair(
-    p1: &Grid,
-    p2: &Grid,
-    target: &Grid,
-    theta_m: f32,
-    bank: &KernelBank,
-    litho: &LithoConfig,
-) -> PairForward {
-    forward_multi(&[p1.clone(), p2.clone()], target, theta_m, bank, litho)
-}
-
 /// Computes `∂L/∂P_i` for every mask of a forward pass.
 ///
 /// Thin wrapper over [`l2_gradient_multi_into`] with transient buffers.
 pub fn l2_gradient_multi(
-    fwd: &MultiForward,
+    fwd: &PairForward,
     target: &Grid,
     theta_m: f32,
     bank: &KernelBank,
@@ -152,7 +139,7 @@ pub fn l2_gradient_multi(
 ///
 /// Panics if `grads.len() != fwd.masks.len()` or shapes differ.
 pub fn l2_gradient_multi_into(
-    fwd: &MultiForward,
+    fwd: &PairForward,
     target: &Grid,
     theta_m: f32,
     bank: &KernelBank,
@@ -180,21 +167,6 @@ pub fn l2_gradient_multi_into(
     for (idx, out) in grads.iter_mut().enumerate() {
         grad_one_mask_into(fwd, idx, theta_m, bank, litho, ws, out);
     }
-}
-
-/// Computes `(∂L/∂P1, ∂L/∂P2)` from a forward pass.
-pub fn l2_gradient_pair(
-    fwd: &PairForward,
-    target: &Grid,
-    theta_m: f32,
-    bank: &KernelBank,
-    litho: &LithoConfig,
-) -> (Grid, Grid) {
-    let mut grads = l2_gradient_multi(fwd, target, theta_m, bank, litho);
-    assert_eq!(grads.len(), 2, "pair gradient expects two masks");
-    let g2 = grads.pop().expect("two masks");
-    let g1 = grads.pop().expect("two masks");
-    (g1, g2)
 }
 
 /// Workspace-backed gradient of one mask. Expects `ws.grad.dl_dt` to hold
@@ -271,9 +243,11 @@ mod tests {
     #[test]
     fn forward_produces_bounded_print() {
         let (bank, litho, target) = tiny_setup();
-        let p1 = target.map(|v| if v > 0.5 { 0.5 } else { -0.5 });
-        let p2 = Grid::filled(32, 32, -0.5);
-        let fwd = forward_pair(&p1, &p2, &target, 8.0, &bank, &litho);
+        let ps = [
+            target.map(|v| if v > 0.5 { 0.5 } else { -0.5 }),
+            Grid::filled(32, 32, -0.5),
+        ];
+        let fwd = forward_multi(&ps, &target, 8.0, &bank, &litho);
         assert!(fwd.printed.min() >= 0.0 && fwd.printed.max() <= 1.0);
         assert!(fwd.l2 > 0.0);
     }
@@ -281,23 +255,23 @@ mod tests {
     #[test]
     fn analytic_gradient_matches_finite_differences() {
         let (bank, litho, target) = tiny_setup();
-        let p1 = target.map(|v| if v > 0.5 { 0.4 } else { -0.4 });
-        let p2 = Grid::filled(32, 32, -0.4);
-        let fwd = forward_pair(&p1, &p2, &target, 8.0, &bank, &litho);
-        let (g1, g2) = l2_gradient_pair(&fwd, &target, 8.0, &bank, &litho);
+        let ps = [
+            target.map(|v| if v > 0.5 { 0.4 } else { -0.4 }),
+            Grid::filled(32, 32, -0.4),
+        ];
+        let fwd = forward_multi(&ps, &target, 8.0, &bank, &litho);
+        let grads = l2_gradient_multi(&fwd, &target, 8.0, &bank, &litho);
         let eps = 5e-3f32;
         // probe a few pixels on each mask, including edge-adjacent ones
         for &(x, y) in &[(10usize, 10usize), (16, 16), (22, 10), (5, 5), (16, 9)] {
-            for (pi, (p, g)) in [(&p1, &g1), (&p2, &g2)].iter().enumerate() {
+            for (pi, g) in grads.iter().enumerate() {
                 // central difference to cancel the quadratic term
-                let mut pa = (*p).clone();
-                pa.set(x, y, p.get(x, y) + eps);
-                let mut pb = (*p).clone();
-                pb.set(x, y, p.get(x, y) - eps);
-                let (fa1, fa2) = if pi == 0 { (&pa, &p2) } else { (&p1, &pa) };
-                let (fb1, fb2) = if pi == 0 { (&pb, &p2) } else { (&p1, &pb) };
-                let la = forward_pair(fa1, fa2, &target, 8.0, &bank, &litho).l2;
-                let lb = forward_pair(fb1, fb2, &target, 8.0, &bank, &litho).l2;
+                let mut pa = ps.clone();
+                pa[pi].set(x, y, ps[pi].get(x, y) + eps);
+                let mut pb = ps.clone();
+                pb[pi].set(x, y, ps[pi].get(x, y) - eps);
+                let la = forward_multi(&pa, &target, 8.0, &bank, &litho).l2;
+                let lb = forward_multi(&pb, &target, 8.0, &bank, &litho).l2;
                 let numeric = ((la - lb) / (2.0 * f64::from(eps))) as f32;
                 let analytic = g.get(x, y);
                 let denom = numeric.abs().max(analytic.abs()).max(0.05);
@@ -314,13 +288,13 @@ mod tests {
         let (bank, litho, _) = tiny_setup();
         let target = Grid::zeros(32, 32);
         let p = Grid::filled(32, 32, -5.0); // masks fully closed
-        let fwd = forward_pair(&p, &p, &target, 8.0, &bank, &litho);
+        let fwd = forward_multi(&[p.clone(), p], &target, 8.0, &bank, &litho);
         // the resist sigmoid never reaches exactly 0, so a small residual
         // L2 remains (sigmoid(-θz·Ith)² per pixel)…
         assert!(fwd.l2 < 0.5, "residual L2 {}", fwd.l2);
         // …but the gradient is dead: the coherent fields are ~0, and the
         // mask sigmoid is saturated
-        let (g1, _) = l2_gradient_pair(&fwd, &target, 8.0, &bank, &litho);
+        let g1 = &l2_gradient_multi(&fwd, &target, 8.0, &bank, &litho)[0];
         assert!(g1.max().abs() < 1e-6 && g1.min().abs() < 1e-6);
     }
 
@@ -333,9 +307,9 @@ mod tests {
         // (18 px), so no boundary gradient can back-propagate into it.
         let target = Grid::zeros(64, 64);
         let p = Grid::filled(64, 64, 2.0);
-        let fwd = forward_pair(&p, &p, &target, 8.0, &bank, &litho);
+        let fwd = forward_multi(&[p.clone(), p], &target, 8.0, &bank, &litho);
         assert!(fwd.resists[0].get(32, 32) + fwd.resists[1].get(32, 32) >= 1.0);
-        let (g1, _) = l2_gradient_pair(&fwd, &target, 8.0, &bank, &litho);
+        let g1 = &l2_gradient_multi(&fwd, &target, 8.0, &bank, &litho)[0];
         assert_eq!(g1.get(32, 32), 0.0);
     }
 }

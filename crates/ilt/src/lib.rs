@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # ldmo-ilt — inverse lithography for double patterning
+//! # ldmo-ilt — inverse lithography for any mask count
 //!
 //! The gradient-descent ILT engine of the paper's Section II/III-C:
 //!
@@ -7,7 +7,7 @@
 //!   `M_i = sigmoid(θm · P_i)` with `θm = 8`, so the unbounded parameters
 //!   `P_i` can be optimized by plain gradient descent;
 //! - the printed image is formed by the [`ldmo_litho`] forward model
-//!   (aerial intensity → Eq. 2 resist → Eq. 3 double-pattern union);
+//!   (aerial intensity → Eq. 2 resist → Eq. 3 union of the mask prints);
 //! - each iteration descends the L2 error `‖T − T′‖²`
 //!   (`P_i ← P_i − stepSize · g`);
 //! - every `check_interval = 3` iterations the engine looks for print
@@ -16,6 +16,13 @@
 //! - the iteration cap is 29, as in the paper.
 //!
 //! The per-iteration [`IterationStats`] trajectory is what Fig. 1(b) plots.
+//!
+//! One engine serves every mask count: [`IltSession`], [`IltOutcome`] and
+//! [`IltScratch`] take the count as a const parameter `K` that defaults to
+//! the paper's double patterning (`K = 2`). [`IltSession::prepare`] with
+//! `K = 3` runs triple patterning under the same guards, budget, abort
+//! policy and allocation-free step; [`greedy_coloring`] produces its
+//! assignments.
 //!
 //! ```no_run
 //! use ldmo_geom::Rect;
@@ -33,17 +40,15 @@
 mod engine;
 mod gradient;
 pub mod multi;
-pub mod rule_opc;
 
 pub use engine::{
     evaluate_unoptimized, optimize, IltConfig, IltContext, IltOutcome, IltScratch, IltSession,
     IterationStats, ViolationPolicy,
 };
+pub use gradient::{
+    forward_multi, forward_multi_into, l2_gradient_multi, l2_gradient_multi_into, PairForward,
+};
 // Guard vocabulary used in this crate's public API (IltConfig carries the
 // policy and budget; IltOutcome carries the health verdict).
-pub use gradient::{
-    forward_multi, forward_multi_into, forward_pair, l2_gradient_multi, l2_gradient_multi_into,
-    l2_gradient_pair, MultiForward, PairForward,
-};
 pub use ldmo_guard::{Budget, DegradeReason, GuardPolicy, OutcomeHealth};
-pub use multi::{greedy_coloring, optimize_multi, MultiIltOutcome};
+pub use multi::greedy_coloring;

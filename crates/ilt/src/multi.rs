@@ -1,158 +1,13 @@
-//! Multiple-patterning generalization of the ILT engine.
+//! Multiple-patterning decomposition.
 //!
 //! The paper's framework is formulated for double patterning (Eqs. 3-5),
 //! but its introduction motivates general MPL; triple patterning is the
-//! industrially relevant next step (the paper's refs [1], [3], [4]). This
-//! module generalizes the forward model and gradient to `k` masks:
-//!
-//! `T = min(Σ_i T_i, 1)` with one sigmoid-relaxed parameter field per mask,
-//! plus a greedy conflict-graph coloring to produce `k`-mask assignments
-//! (the [`greedy_coloring`] decomposition).
+//! industrially relevant next step (the paper's refs [1], [3], [4]). The
+//! ILT engine runs any mask count: an [`IltSession`](crate::IltSession)
+//! over `K` masks prints `T = min(Σ_i T_i, 1)`. This module supplies the
+//! `k`-mask assignments through a greedy conflict-graph coloring.
 
-use crate::engine::IltConfig;
-use crate::gradient::{forward_multi_into, l2_gradient_multi_into, PairForward};
-use ldmo_geom::Grid;
 use ldmo_layout::{Layout, MaskAssignment};
-use ldmo_litho::{
-    combine_prints, detect_violations, measure_epe, simulate_print, EpeReport, KernelBank,
-    LithoWorkspace, ViolationReport,
-};
-
-/// Outcome of a multi-mask ILT run.
-#[derive(Debug, Clone)]
-pub struct MultiIltOutcome {
-    /// Final binarized masks, one per mask index.
-    pub masks: Vec<Grid>,
-    /// Final combined print.
-    pub printed: Grid,
-    /// EPE report of the final print.
-    pub epe: EpeReport,
-    /// Final L2 error.
-    pub l2: f64,
-    /// Print violations of the final print.
-    pub violations: ViolationReport,
-    /// Iterations executed.
-    pub iterations_run: usize,
-}
-
-impl MultiIltOutcome {
-    /// EPE violation count.
-    pub fn epe_violations(&self) -> usize {
-        self.epe.violations()
-    }
-}
-
-/// Runs `k`-mask ILT on `layout` under `assignment` (`assignment[i] < k`).
-///
-/// # Panics
-///
-/// Panics if `num_masks == 0`, the assignment length mismatches, or an
-/// assignment entry is out of range.
-pub fn optimize_multi(
-    layout: &Layout,
-    assignment: &[u8],
-    num_masks: usize,
-    cfg: &IltConfig,
-) -> MultiIltOutcome {
-    assert!(num_masks >= 1, "need at least one mask");
-    assert_eq!(
-        assignment.len(),
-        layout.len(),
-        "assignment must cover every pattern"
-    );
-    assert!(
-        assignment.iter().all(|&m| (m as usize) < num_masks),
-        "assignment references a mask beyond num_masks"
-    );
-    let bank = KernelBank::paper_bank(&cfg.litho);
-    let scale = cfg.litho.nm_per_px;
-    let target = layout.rasterize_target(scale);
-    let p0 = 0.25f32;
-    let mut ps: Vec<Grid> = Vec::with_capacity(num_masks);
-    let mut corridors: Vec<Grid> = Vec::with_capacity(num_masks);
-    for m in 0..num_masks {
-        let drawn = layout
-            .rasterize_mask(assignment, m as u8, scale)
-            .expect("assignment length checked");
-        ps.push(drawn.map(|v| if v > 0.5 { p0 } else { -p0 }));
-        corridors.push(
-            layout
-                .rasterize_mask_expanded(assignment, m as u8, scale, cfg.mrc_expand_nm)
-                .expect("assignment length checked"),
-        );
-    }
-    // all iteration buffers allocated once, outside the hot loop
-    let (w, h) = target.shape();
-    let mut ws = LithoWorkspace::new(w, h);
-    let mut fwd = PairForward::zeros(w, h, num_masks, bank.kernels().len());
-    let mut grads: Vec<Grid> = (0..num_masks).map(|_| Grid::zeros(w, h)).collect();
-    for _ in 0..cfg.max_iterations {
-        forward_multi_into(
-            &ps,
-            &target,
-            cfg.theta_m,
-            &bank,
-            &cfg.litho,
-            &mut ws,
-            &mut fwd,
-        );
-        l2_gradient_multi_into(
-            &fwd,
-            &target,
-            cfg.theta_m,
-            &bank,
-            &cfg.litho,
-            &mut ws,
-            &mut grads,
-        );
-        for (p, g) in ps.iter_mut().zip(&grads) {
-            descend(p, g, cfg.step_size);
-        }
-        for (p, c) in ps.iter_mut().zip(&corridors) {
-            clamp(p, c);
-        }
-    }
-    // final evaluation with binarized masks
-    let masks: Vec<Grid> = ps
-        .iter()
-        .map(|p| p.map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
-        .collect();
-    let prints: Vec<Grid> = masks
-        .iter()
-        .map(|m| simulate_print(m, &bank, &cfg.litho))
-        .collect();
-    let printed = combine_prints(&prints);
-    let epe = measure_epe(&printed, layout.patterns(), &cfg.litho);
-    let l2 = printed.l2_dist_sq(&target).expect("shapes match");
-    let violations = detect_violations(&printed, layout.patterns(), cfg.litho.print_level, scale);
-    MultiIltOutcome {
-        masks,
-        printed,
-        epe,
-        l2,
-        violations,
-        iterations_run: cfg.max_iterations,
-    }
-}
-
-fn descend(p: &mut Grid, g: &Grid, step: f32) {
-    let max_abs = g.as_slice().iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
-    if max_abs <= f32::EPSILON {
-        return;
-    }
-    let scale = step / max_abs;
-    for (v, &d) in p.as_mut_slice().iter_mut().zip(g.as_slice()) {
-        *v -= scale * d;
-    }
-}
-
-fn clamp(p: &mut Grid, corridor: &Grid) {
-    for (v, &c) in p.as_mut_slice().iter_mut().zip(corridor.as_slice()) {
-        if c < 0.5 {
-            *v = -1.0;
-        }
-    }
-}
 
 /// Greedy `k`-mask decomposition of the conflict graph: patterns in
 /// most-constrained-first order take the mask maximizing the minimum
@@ -194,6 +49,7 @@ pub fn greedy_coloring(layout: &Layout, num_masks: usize) -> MaskAssignment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IltConfig, IltSession};
     use ldmo_geom::Rect;
 
     /// Three contacts in a mutual-conflict triangle (all gaps ≤ 80):
@@ -230,8 +86,10 @@ mod tests {
     #[test]
     fn triple_patterning_beats_double_on_triangle() {
         let layout = triangle();
-        let tpl = optimize_multi(&layout, &greedy_coloring(&layout, 3), 3, &fast_cfg());
-        let dpl = optimize_multi(&layout, &greedy_coloring(&layout, 2), 2, &fast_cfg());
+        let tpl =
+            IltSession::<3>::prepare(&layout, &greedy_coloring(&layout, 3), &fast_cfg()).run();
+        let dpl =
+            IltSession::<2>::prepare(&layout, &greedy_coloring(&layout, 2), &fast_cfg()).run();
         assert!(
             tpl.epe_violations() < dpl.epe_violations()
                 || tpl.violations.count() < dpl.violations.count(),
@@ -251,30 +109,14 @@ mod tests {
     #[test]
     fn single_mask_case_degenerates_gracefully() {
         let layout = Layout::new(Rect::new(0, 0, 448, 448), vec![Rect::square(192, 192, 64)]);
-        let out = optimize_multi(&layout, &[0], 1, &fast_cfg());
+        let out = IltSession::<1>::prepare(&layout, &[0], &fast_cfg()).run();
         assert_eq!(out.masks.len(), 1);
         assert_eq!(out.epe_violations(), 0);
     }
 
     #[test]
-    fn multi_matches_pair_engine_for_two_masks() {
-        let layout = Layout::new(
-            Rect::new(0, 0, 448, 448),
-            vec![Rect::square(120, 192, 64), Rect::square(280, 192, 64)],
-        );
-        let cfg = IltConfig {
-            max_iterations: 6,
-            ..fast_cfg()
-        };
-        let multi = optimize_multi(&layout, &[0, 1], 2, &cfg);
-        let pair = crate::optimize(&layout, &[0, 1], &cfg);
-        assert_eq!(multi.epe_violations(), pair.epe_violations());
-        assert!((multi.l2 - pair.l2).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond num_masks")]
+    #[should_panic(expected = "beyond the session's mask count")]
     fn out_of_range_assignment_rejected() {
-        let _ = optimize_multi(&triangle(), &[0, 1, 2], 2, &fast_cfg());
+        let _ = IltSession::<2>::prepare(&triangle(), &[0, 1, 2], &fast_cfg());
     }
 }

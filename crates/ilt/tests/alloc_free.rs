@@ -12,6 +12,8 @@
 //! counting `#[global_allocator]`, which must not observe allocations from
 //! unrelated concurrently running tests.
 
+use ldmo_ilt::{IltConfig, IltSession};
+use ldmo_litho::backend::{self, BackendKind};
 use ldmo_obs::alloc::{alloc_event_count, CountingAlloc};
 
 #[global_allocator]
@@ -20,7 +22,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn step_one_is_allocation_free_after_warmup() {
     use ldmo_geom::Rect;
-    use ldmo_ilt::{IltConfig, IltSession};
     use ldmo_layout::Layout;
 
     let layout = Layout::new(
@@ -42,32 +43,37 @@ fn step_one_is_allocation_free_after_warmup() {
         "the counting allocator must have observed the setup allocations"
     );
     // Every backend must keep the hot loop allocation-free — the SIMD
-    // passes use the same caller-owned buffers as scalar. One loop in one
-    // test: the counting allocator is process-global, so parallel
-    // per-backend tests would observe each other's setup allocations.
-    use ldmo_litho::backend::{self, BackendKind};
+    // passes use the same caller-owned buffers as scalar — and so must
+    // every mask count. One loop in one test: the counting allocator is
+    // process-global, so parallel per-backend tests would observe each
+    // other's setup allocations.
     let prev = backend::backend_kind();
+    let cfg = IltConfig::default();
     for kind in [BackendKind::Scalar, BackendKind::Simd] {
         backend::set_backend(kind);
-        let mut session = IltSession::new(&layout, &[0, 1, 1, 0], &IltConfig::default());
-        // warmup: the first iterations populate anything touched lazily
-        // (including lazy metric registration in ldmo-obs and the SIMD
-        // feature-detection cache)
-        session.step_one();
-        session.step_one();
-
-        let before = alloc_event_count();
-        let l2 = session.step_one();
-        let allocated = alloc_event_count() - before;
-        assert!(l2.is_finite());
-        assert_eq!(
-            allocated, 0,
-            "step_one under backend '{kind}' performed {allocated} heap allocations; \
-             the hot path must reuse session buffers"
-        );
+        assert_step_allocation_free(IltSession::new(&layout, &[0, 1, 1, 0], &cfg), kind);
+        assert_step_allocation_free(IltSession::<3>::prepare(&layout, &[0, 1, 2, 0], &cfg), kind);
     }
     backend::set_backend(prev);
     // the self-profiling counters themselves must have seen real traffic
     assert!(ldmo_obs::alloc::peak_bytes() > 0);
     assert!(ldmo_obs::alloc::current_bytes() <= ldmo_obs::alloc::peak_bytes());
+}
+
+fn assert_step_allocation_free<const K: usize>(mut session: IltSession<K>, kind: BackendKind) {
+    // warmup: the first iterations populate anything touched lazily
+    // (including lazy metric registration in ldmo-obs and the SIMD
+    // feature-detection cache)
+    session.step_one();
+    session.step_one();
+
+    let before = alloc_event_count();
+    let l2 = session.step_one();
+    let allocated = alloc_event_count() - before;
+    assert!(l2.is_finite());
+    assert_eq!(
+        allocated, 0,
+        "step_one of a {K}-mask session under backend '{kind}' performed {allocated} heap \
+         allocations; the hot path must reuse session buffers"
+    );
 }

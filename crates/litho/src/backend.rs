@@ -63,9 +63,7 @@ pub trait LithoBackend: Send + Sync + fmt::Debug {
 /// Backend selection, as spelled on the `--backend` flag / `LDMO_BACKEND`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Resolve at runtime: SIMD where detected, scalar elsewhere. The
-    /// separable path never auto-selects FFT — see [`FFT_CROSSOVER_PX`]
-    /// for the dense-kernel crossover the auto rule is keyed on.
+    /// Resolve at runtime: SIMD where detected, scalar elsewhere.
     Auto,
     /// The register-blocked scalar passes.
     Scalar,
@@ -115,46 +113,6 @@ impl BackendKind {
 impl fmt::Display for BackendKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Grid side length (pixels) at which a *dense* (non-separable) kernel
-/// convolution of a bank-scale kernel switches from the direct path to the
-/// FFT. The bank's own kernels are separable and never route through this
-/// — the separable passes beat the FFT at every size we run. Re-measured
-/// for this PR at ≥224² via the `backend/xover_*` bench rows (see
-/// EXPERIMENTS.md): for the σ=6 (37-tap) dense kernel the FFT wins 39.8ms
-/// vs 70.8ms direct at 224² and 39.5ms vs 92.7ms at 256², and the
-/// direct/FFT cost models (`n²k²` vs padded-`n² log n`) put the break-even
-/// between 32² and 64² — 64 is the measured floor where FFT padding
-/// overhead stops dominating.
-pub const FFT_CROSSOVER_PX: usize = 64;
-
-/// Minimum dense-kernel width (taps) for the FFT path to be worth it at
-/// *any* grid size: FFT cost is kernel-size independent, so small kernels
-/// never amortize it — at 128² the 13-tap σ=2 kernel runs 2.9ms direct vs
-/// 8.1ms FFT, and the gap widens with grid size (direct `∝ n²k²` vs FFT
-/// `∝ n_pad² log n_pad`). 25 taps sits between the measured always-loses
-/// 13-tap and always-wins-past-64² 37-tap points.
-pub const FFT_MIN_KERNEL_TAPS: usize = 25;
-
-/// Dense-kernel convolution with automatic direct/FFT selection: the FFT
-/// path when the grid is at least [`FFT_CROSSOVER_PX`] on a side *and* the
-/// kernel at least [`FFT_MIN_KERNEL_TAPS`] wide, the cache-friendly direct
-/// path otherwise. Results differ between the two paths only by FFT
-/// rounding (~1e-6 relative); callers needing bit-stable output should
-/// call one of [`crate::convolve2d_direct`] / [`crate::convolve2d_fft`]
-/// explicitly.
-///
-/// # Panics
-///
-/// Panics if `kernel.len() != kw * kh` or either kernel dimension is even.
-pub fn convolve2d_auto(input: &Grid, kernel: &[f32], kw: usize, kh: usize) -> Grid {
-    let (w, h) = input.shape();
-    if w.max(h) >= FFT_CROSSOVER_PX && kw.max(kh) >= FFT_MIN_KERNEL_TAPS {
-        crate::fft::convolve2d_fft(input, kernel, kw, kh)
-    } else {
-        conv::convolve2d_direct(input, kernel, kw, kh)
     }
 }
 
@@ -326,25 +284,5 @@ mod tests {
         set_backend(BackendKind::Auto);
         assert_ne!(resolved_kind(), BackendKind::Auto);
         set_backend(prev);
-    }
-
-    #[test]
-    fn dense_auto_selects_by_grid_size() {
-        // behaviourally: tiny grids and large grids agree within FFT
-        // rounding, whichever path auto picks
-        let kernel = crate::CoherentKernel::gaussian(2.0, 1.0);
-        let (dense, k) = kernel.to_dense();
-        for side in [32usize, 96] {
-            let mut g = Grid::zeros(side, side);
-            g.set(side / 2, side / 2, 1.0);
-            let auto = convolve2d_auto(&g, &dense, k, k);
-            let direct = conv::convolve2d_direct(&g, &dense, k, k);
-            for i in 0..side * side {
-                assert!(
-                    (auto.as_slice()[i] - direct.as_slice()[i]).abs() < 1e-5,
-                    "auto/direct mismatch at {i} (side {side})"
-                );
-            }
-        }
     }
 }

@@ -26,7 +26,7 @@ use ldmo::core::sampling::SamplingConfig;
 use ldmo::core::trainer::{train, TrainConfig};
 use ldmo::decomp::{generate_candidates, is_dpl_compatible, DecompConfig};
 use ldmo::guard::LdmoError;
-use ldmo::ilt::{optimize, optimize_multi, Budget, IltConfig};
+use ldmo::ilt::{Budget, IltConfig, IltSession};
 use ldmo::layout::classify::{classify_patterns, ClassifyConfig};
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::{io as layout_io, Layout};
@@ -111,7 +111,7 @@ fn print_usage() {
          \x20 info      FILE                           classes, candidate count, DPL check\n\
          \x20 decompose FILE                           list decomposition candidates\n\
          \x20 optimize  FILE --assignment 0,1,..       run ILT on one decomposition\n\
-         \x20           [--masks K] [--out PREFIX]\n\
+         \x20           [--masks 1|2|3] [--out PREFIX]\n\
          \x20 flow      FILE [--predictor W.bin]       run the full LDMO flow\n\
          \x20 chip      [FILE]                         tiled full-chip pipeline\n\
          \x20           [--tiles CxR] [--seed S]       (no FILE: generate a CxR demo\n\
@@ -272,35 +272,46 @@ fn cmd_optimize(args: &[String]) -> Result<(), LdmoError> {
             layout.len()
         )));
     }
-    let masks: usize = opts.get("masks").and_then(|s| s.parse().ok()).unwrap_or(2);
-    let cfg = IltConfig::default();
-    let (epe, violations, l2, printed, mask_grids) = if masks == 2 {
-        let out = optimize(&layout, &assignment, &cfg);
-        (
-            out.epe_violations(),
-            out.violations.count(),
-            out.l2,
-            out.printed,
-            out.masks.to_vec(),
-        )
-    } else {
-        let out = optimize_multi(&layout, &assignment, masks, &cfg);
-        (
-            out.epe_violations(),
-            out.violations.count(),
-            out.l2,
-            out.printed,
-            out.masks,
-        )
+    // validated before any rasterizing: a bad mask count or an out-of-range
+    // mask index is a usage error, not an engine assertion
+    let masks = match opts.get("masks") {
+        None => 2,
+        Some(text) => text
+            .parse::<u8>()
+            .ok()
+            .filter(|k| (1..=3).contains(k))
+            .ok_or_else(|| LdmoError::usage(format!("--masks must be 1, 2 or 3, got '{text}'")))?,
     };
-    println!("EPE violations:   {epe}");
-    println!("print violations: {violations}");
-    println!("L2 error:         {l2:.1}");
-    if let Some(prefix) = opts.get("out") {
+    if let Some(&m) = assignment.iter().find(|&&m| m >= masks) {
+        return Err(LdmoError::usage(format!(
+            "assignment uses mask {m}, but --masks {masks} allows 0..={}",
+            masks - 1
+        )));
+    }
+    let prefix = opts.get("out").copied();
+    match masks {
+        1 => optimize_and_report::<1>(&layout, &assignment, prefix),
+        2 => optimize_and_report::<2>(&layout, &assignment, prefix),
+        _ => optimize_and_report::<3>(&layout, &assignment, prefix),
+    }
+}
+
+/// Runs `K`-mask ILT under the paper's defaults, prints its metrics and,
+/// given a prefix, writes the print and every mask as PGM images.
+fn optimize_and_report<const K: usize>(
+    layout: &Layout,
+    assignment: &[u8],
+    prefix: Option<&str>,
+) -> Result<(), LdmoError> {
+    let out = IltSession::<K>::prepare(layout, assignment, &IltConfig::default()).run();
+    println!("EPE violations:   {}", out.epe_violations());
+    println!("print violations: {}", out.violations.count());
+    println!("L2 error:         {:.1}", out.l2);
+    if let Some(prefix) = prefix {
         let printed_path = format!("{prefix}_printed.pgm");
-        std::fs::write(&printed_path, printed.to_pgm())
+        std::fs::write(&printed_path, out.printed.to_pgm())
             .map_err(io_error(format!("printed image '{printed_path}'")))?;
-        for (i, m) in mask_grids.iter().enumerate() {
+        for (i, m) in out.masks.iter().enumerate() {
             let mask_path = format!("{prefix}_mask{i}.pgm");
             std::fs::write(&mask_path, m.to_pgm())
                 .map_err(io_error(format!("mask image '{mask_path}'")))?;

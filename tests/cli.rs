@@ -158,6 +158,34 @@ fn optimize_rejects_wrong_assignment_length() {
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("assignment covers"), "stderr: {err}");
+    // bad mask input on a three-contact layout is a usage error too, caught
+    // before the engine could assert on it
+    let triangle = dir.join("triangle.lay");
+    std::fs::write(
+        &triangle,
+        "ldmo-layout v1\nwindow 0 0 448 448\n\
+         pattern 120 120 184 184\npattern 248 120 312 184\npattern 184 230 248 294\n",
+    )
+    .expect("writes layout");
+    for (masks, expected) in [
+        ("2", "allows 0..=1"),
+        ("0", "--masks must be 1, 2 or 3"),
+        ("x", "--masks must be 1, 2 or 3"),
+    ] {
+        let out = ldmo()
+            .arg("optimize")
+            .arg(&triangle)
+            .args(["--masks", masks, "--assignment", "0,1,2"])
+            .output()
+            .expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--masks {masks}: usage errors exit 2"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(expected), "--masks {masks} stderr: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,10 +1,11 @@
 //! Integration tests of the multiple-patterning (MPL) extension: the
 //! paper's introduction motivates general MPL; triple patterning handles
-//! layouts double patterning cannot.
+//! layouts double patterning cannot. Every mask count runs on the one ILT
+//! engine, `IltSession::<K>`.
 
 use ldmo::decomp::is_dpl_compatible;
 use ldmo::geom::Rect;
-use ldmo::ilt::{greedy_coloring, optimize_multi, IltConfig};
+use ldmo::ilt::{greedy_coloring, IltConfig, IltSession};
 use ldmo::layout::Layout;
 
 /// Three contacts in a mutual-conflict triangle (all gaps ≤ 80 nm).
@@ -35,7 +36,7 @@ fn triangle_is_not_dpl_compatible() {
 fn triple_patterning_rescues_non_bipartite_layouts() {
     let layout = triangle();
     let tpl_assignment = greedy_coloring(&layout, 3);
-    let tpl = optimize_multi(&layout, &tpl_assignment, 3, &IltConfig::default());
+    let tpl = IltSession::<3>::prepare(&layout, &tpl_assignment, &IltConfig::default()).run();
     assert_eq!(
         tpl.violations.count(),
         0,
@@ -49,7 +50,7 @@ fn triple_patterning_rescues_non_bipartite_layouts() {
 fn mask_images_partition_the_target() {
     let layout = triangle();
     let assignment = greedy_coloring(&layout, 3);
-    let out = optimize_multi(&layout, &assignment, 3, &short_ilt());
+    let out = IltSession::<3>::prepare(&layout, &assignment, &short_ilt()).run();
     assert_eq!(out.masks.len(), 3);
     // each mask contains some area and the union of drawn patterns per
     // mask equals the drawn target
@@ -78,8 +79,8 @@ fn more_masks_never_hurt_on_dense_grids() {
     }
     let layout = Layout::new(Rect::new(0, 0, 448, 448), pats);
     let cfg = IltConfig::default();
-    let dpl = optimize_multi(&layout, &greedy_coloring(&layout, 2), 2, &cfg);
-    let tpl = optimize_multi(&layout, &greedy_coloring(&layout, 3), 3, &cfg);
+    let dpl = IltSession::<2>::prepare(&layout, &greedy_coloring(&layout, 2), &cfg).run();
+    let tpl = IltSession::<3>::prepare(&layout, &greedy_coloring(&layout, 3), &cfg).run();
     assert!(
         tpl.epe_violations() <= dpl.epe_violations(),
         "TPL ({}) worse than DPL ({})",

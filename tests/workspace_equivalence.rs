@@ -8,7 +8,7 @@
 //! on randomized layouts, plus property-test the convolution primitives.
 
 use ldmo_geom::{Grid, Rect};
-use ldmo_ilt::{forward_pair, l2_gradient_pair, optimize, IltConfig};
+use ldmo_ilt::{forward_multi, l2_gradient_multi, optimize, IltConfig};
 use ldmo_layout::Layout;
 use ldmo_litho::{
     combine_double_pattern, convolve_separable, convolve_separable_into, correlate_separable,
@@ -67,9 +67,9 @@ fn reference_optimize(
         .collect();
     let mut l2s = Vec::new();
     for _ in 0..cfg.max_iterations {
-        let fwd = forward_pair(&p[0], &p[1], &target, cfg.theta_m, &bank, &cfg.litho);
-        let (g1, g2) = l2_gradient_pair(&fwd, &target, cfg.theta_m, &bank, &cfg.litho);
-        for (pi, g) in p.iter_mut().zip([&g1, &g2]) {
+        let fwd = forward_multi(&p, &target, cfg.theta_m, &bank, &cfg.litho);
+        let grads = l2_gradient_multi(&fwd, &target, cfg.theta_m, &bank, &cfg.litho);
+        for (pi, g) in p.iter_mut().zip(&grads) {
             let max_abs = g.as_slice().iter().fold(0.0f32, |a, &v| a.max(v.abs()));
             if max_abs > f32::EPSILON {
                 let s = cfg.step_size / max_abs;
