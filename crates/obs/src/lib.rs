@@ -38,6 +38,7 @@ pub mod alloc;
 pub mod analyze;
 mod collector;
 pub mod flight;
+pub mod http;
 pub mod json;
 mod metrics;
 pub mod profiler;

@@ -1,6 +1,5 @@
-//! The live-ops export endpoint: a dependency-free mini-HTTP server on
-//! `std::net::TcpListener` serving the collector's state while a run is
-//! in flight.
+//! The live-ops export endpoint: the collector's state, served over HTTP
+//! while a run is in flight.
 //!
 //! Routes (DESIGN.md §14):
 //!
@@ -17,147 +16,80 @@
 //!   rows.
 //! - `GET /` — a plain-text index of the routes.
 //!
-//! The server runs one detached accept thread; connections are handled
-//! serially with short timeouts, which is exactly right for a scrape
-//! endpoint and keeps the implementation free of any thread-per-request
-//! machinery. Scrapes read atomics — they never block or perturb the
-//! optimization hot path.
+//! The routes mount on the workspace's one HTTP stack ([`crate::http`]):
+//! one accept thread, blocked in `accept` until a scrape arrives, serves
+//! connections one at a time with 2-second socket timeouts, which is
+//! exactly right for a scrape endpoint. The thread stops and joins when
+//! the [`MetricsServer`] guard drops. Scrapes read atomics — they never
+//! block or perturb the optimization hot path.
 
+use crate::http::{self, HttpServer};
 use crate::metrics::{self, HistogramSnapshot, HISTOGRAM_BINS};
 use crate::snapshot::Snapshotter;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::io;
+use std::net::TcpStream;
 use std::time::Duration;
+
+/// Read and write timeout of a scrape connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+const INDEX: &str = "ldmo live-ops endpoint\n/metrics  Prometheus text exposition\n\
+                     /snapshot sequenced metrics snapshot + delta (JSON)\n\
+                     /spans    flight-recorder ring (JSONL)\n";
 
 /// A running metrics server. The accept loop stops (and the thread joins)
 /// when this guard drops, so binaries hold it for the duration of `main`.
-#[must_use = "the metrics server stops when this guard drops"]
-#[derive(Debug)]
-pub struct MetricsServer {
-    local: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl MetricsServer {
-    /// The address the server actually bound (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.local
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
+pub type MetricsServer = HttpServer;
 
 /// Binds `addr` (e.g. `127.0.0.1:9184`, port 0 for an OS-assigned port)
 /// and starts serving. Enables the collector — an ops feed over a
 /// disabled collector would be an empty lie.
+///
+/// # Errors
+///
+/// Propagates bind and thread-spawn failures.
 pub fn start(addr: &str) -> io::Result<MetricsServer> {
     crate::enable();
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
-    let handle = std::thread::Builder::new()
-        .name("ldmo-metrics".into())
-        .spawn(move || accept_loop(&listener, &stop))?;
-    Ok(MetricsServer {
-        local,
-        shutdown,
-        handle: Some(handle),
+    let mut snapshotter = Snapshotter::new();
+    HttpServer::start(addr, "metrics", IO_TIMEOUT, move |mut stream, _| {
+        handle_conn(&mut stream, &mut snapshotter)
     })
 }
 
-fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
-    let mut snapshotter = Snapshotter::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if let Err(e) = handle_conn(stream, &mut snapshotter) {
-                    eprintln!("[metrics] connection error: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => {
-                eprintln!("[metrics] accept error: {e}");
-                std::thread::sleep(Duration::from_millis(100));
-            }
+fn handle_conn(stream: &mut TcpStream, snapshotter: &mut Snapshotter) -> io::Result<()> {
+    let request = match http::read_request(stream) {
+        Ok(request) => request,
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            return http::write_response(stream, 400, "text/plain", &format!("{e}\n"));
         }
+        Err(e) => return Err(e),
+    };
+    if request.method != "GET" {
+        return http::write_response(stream, 405, "text/plain", "GET only\n");
     }
-}
-
-fn handle_conn(mut stream: TcpStream, snapshotter: &mut Snapshotter) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut buf = [0u8; 2048];
-    let n = stream.read(&mut buf)?;
-    let request = String::from_utf8_lossy(&buf[..n]);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    if method != "GET" {
-        return respond(
-            &mut stream,
-            "405 Method Not Allowed",
-            "text/plain",
-            "GET only\n",
-        );
-    }
-    match path {
-        "/metrics" => respond(
-            &mut stream,
-            "200 OK",
+    let (content_type, body) = match request.path.as_str() {
+        "/metrics" => (
             "text/plain; version=0.0.4; charset=utf-8",
-            &prometheus_text(),
+            prometheus_text(),
         ),
         "/snapshot" => {
             let (snapshot, delta) = snapshotter.take();
             let mut body = snapshot.to_json_with(delta.as_ref());
             body.push('\n');
-            respond(&mut stream, "200 OK", "application/json", &body)
+            ("application/json", body)
         }
         "/spans" => {
             let mut body = Vec::new();
             crate::flight::dump_to(&mut body, "live")?;
-            respond(
-                &mut stream,
-                "200 OK",
+            (
                 "application/x-ndjson",
-                &String::from_utf8_lossy(&body),
+                String::from_utf8_lossy(&body).into_owned(),
             )
         }
-        "/" => respond(
-            &mut stream,
-            "200 OK",
-            "text/plain",
-            "ldmo live-ops endpoint\n/metrics  Prometheus text exposition\n\
-             /snapshot sequenced metrics snapshot + delta (JSON)\n\
-             /spans    flight-recorder ring (JSONL)\n",
-        ),
-        _ => respond(&mut stream, "404 Not Found", "text/plain", "not found\n"),
-    }
-}
-
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+        "/" => ("text/plain", INDEX.to_owned()),
+        _ => return http::write_response(stream, 404, "text/plain", "not found\n"),
+    };
+    http::write_response(stream, 200, content_type, &body)
 }
 
 /// Sanitizes a metric name for Prometheus: `[a-zA-Z0-9_]` pass through,

@@ -18,6 +18,10 @@
 //! frame, so a `kill -9` mid-append costs at most the record being
 //! written, never the store.
 //!
+//! The index keeps each result's mask hash beside it, computed once when
+//! the result is inserted or replayed on open, so a hit answers without
+//! any work that scales with the mask size.
+//!
 //! Cache policy (the bit-identity invariant): only *usable*
 //! (`Clean`/`RecoveredAfterRollback`), *non-retried* outcomes are
 //! inserted. A usable first-pass outcome means no wall-clock budget
@@ -30,7 +34,7 @@ use ldmo_geom::Grid;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Frame magic ("LDMR" little-endian).
 pub const CACHE_MAGIC: u32 = 0x4C44_4D52;
@@ -173,9 +177,9 @@ pub struct RecoveryStats {
 /// The open cache: an in-memory index over the append log.
 #[derive(Debug)]
 pub struct ResultCache {
-    path: PathBuf,
     file: File,
-    index: HashMap<u64, CachedResult>,
+    /// Each result beside its [`mask_hash`].
+    index: HashMap<u64, (CachedResult, String)>,
 }
 
 impl ResultCache {
@@ -187,13 +191,12 @@ impl ResultCache {
     /// Propagates file-system errors; corrupt *content* is repaired, not
     /// reported as an error.
     pub fn open(path: impl AsRef<Path>) -> io::Result<(ResultCache, RecoveryStats)> {
-        let path = path.as_ref().to_path_buf();
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
-            .open(&path)?;
+            .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let mut index = HashMap::new();
@@ -215,7 +218,8 @@ impl ResultCache {
             let Some(result) = CachedResult::decode(payload) else {
                 break;
             };
-            index.insert(key, result);
+            let hash = result.mask_hash();
+            index.insert(key, (result, hash));
             records += 1;
             good += HEADER_BYTES + len;
         }
@@ -226,7 +230,7 @@ impl ResultCache {
         }
         file.seek(SeekFrom::End(0))?;
         Ok((
-            ResultCache { path, file, index },
+            ResultCache { file, index },
             RecoveryStats {
                 records,
                 truncated_bytes: truncated,
@@ -234,14 +238,14 @@ impl ResultCache {
         ))
     }
 
-    /// The path the store lives at.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Looks up a result by its canonical key.
     pub fn get(&self, key: u64) -> Option<&CachedResult> {
-        self.index.get(&key)
+        self.index.get(&key).map(|(result, _)| result)
+    }
+
+    /// Looks up a result together with its stored [`mask_hash`].
+    pub(crate) fn get_with_hash(&self, key: u64) -> Option<(&CachedResult, &str)> {
+        self.index.get(&key).map(|(r, hash)| (r, hash.as_str()))
     }
 
     /// Appends a result (no-op if the key is already present — content
@@ -254,6 +258,21 @@ impl ResultCache {
     /// Propagates write/sync errors; the in-memory index is only updated
     /// after the frame is durable.
     pub fn insert(&mut self, key: u64, result: CachedResult) -> io::Result<bool> {
+        let mask_hash = result.mask_hash();
+        self.insert_hashed(key, result, mask_hash)
+    }
+
+    /// [`ResultCache::insert`] for a caller that already hashed the masks.
+    ///
+    /// # Errors
+    ///
+    /// As [`ResultCache::insert`].
+    pub(crate) fn insert_hashed(
+        &mut self,
+        key: u64,
+        result: CachedResult,
+        mask_hash: String,
+    ) -> io::Result<bool> {
         if self.index.contains_key(&key) {
             return Ok(false);
         }
@@ -266,7 +285,7 @@ impl ResultCache {
         frame.extend_from_slice(&payload);
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
-        self.index.insert(key, result);
+        self.index.insert(key, (result, mask_hash));
         Ok(true)
     }
 
@@ -284,6 +303,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample(seed: f32) -> CachedResult {
         let data: Vec<f32> = (0..16).map(|i| seed + i as f32 * 0.25).collect();
@@ -335,6 +355,8 @@ mod tests {
         // duplicate keys are no-ops
         assert!(!cache.insert(1, sample(9.0)).expect("insert"));
         assert_eq!(cache.len(), 2);
+        let stored = cache.get_with_hash(2).map(|(_, hash)| hash.to_owned());
+        assert_eq!(stored, Some(sample(1.0).mask_hash()));
         drop(cache);
 
         let (cache, stats) = ResultCache::open(&path).expect("reopen");
@@ -342,10 +364,10 @@ mod tests {
         assert_eq!(stats.truncated_bytes, 0);
         assert_eq!(cache.get(1), Some(&sample(0.0)));
         assert_eq!(cache.get(2), Some(&sample(1.0)));
-        assert_eq!(
-            cache.get(1).expect("hit").mask_hash(),
-            sample(0.0).mask_hash()
-        );
+        // the hash replayed into the index is the masks' own
+        let (hit, hash) = cache.get_with_hash(1).expect("hit");
+        assert_eq!(hit, &sample(0.0));
+        assert_eq!(hash, sample(0.0).mask_hash());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -4,13 +4,14 @@
 //! The paper's economics (a ~1 ms CNN ranking replacing ~1 s ILT probes)
 //! only pay off when optimization runs as a *service*: long-lived,
 //! continuously fed, batched across concurrent requests. This crate is
-//! that daemon (DESIGN.md §16), built on the `ldmo_obs::serve` mini-HTTP
-//! idiom and the workspace's existing robustness substrate:
+//! that daemon (DESIGN.md §16), built on the workspace's one HTTP stack
+//! ([`ldmo_obs::http`], shared with the live-ops endpoint) and its
+//! existing robustness substrate:
 //!
 //! - **[`protocol`]** — one JSON request / one JSON response per POST,
 //!   with the stable response-code table mapping [`ldmo_guard`]'s error
-//!   taxonomy and `OutcomeHealth` onto HTTP-class codes, and the bounds
-//!   on a request (body size, layout window);
+//!   taxonomy and `OutcomeHealth` onto HTTP-class codes, and the bound
+//!   on a request's layout window;
 //! - **[`cache`]** — a content-addressed result cache over a crash-safe
 //!   single-file append log (checksummed frames, torn-tail recovery, a
 //!   warm start survives `kill -9`);

@@ -30,12 +30,13 @@
 //! Responses return masks by content hash (`mask_hash`), not by value —
 //! the cache holds the pixels; the hash is what the determinism contract
 //! ("bit-identical cached vs recomputed") is asserted on.
+//!
+//! The HTTP framing under these bodies — reading a request, the 4 MiB cap,
+//! writing a response — is the workspace's shared stack, [`ldmo_obs::http`].
 
 use ldmo_guard::{LdmoError, OutcomeHealth};
 use ldmo_layout::Layout;
 use ldmo_obs::json::{self, Value};
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
 
 /// One layout-optimization request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -371,126 +372,6 @@ pub fn error_status(error: &LdmoError) -> (u16, &'static str) {
         // a degraded outcome is still a served result, not an error row —
         // callers that get here were refused a healthy-result demand
         LdmoError::Degraded { .. } => (200, "degraded"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal HTTP/1.0 framing (the `ldmo_obs::serve` idiom, plus bodies)
-// ---------------------------------------------------------------------------
-
-/// Requests larger than this are rejected before buffering (64 MiB would
-/// let one bad client exhaust the daemon).
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
-
-/// A parsed inbound HTTP request.
-#[derive(Debug, Clone)]
-pub struct HttpRequest {
-    /// Request method (`GET`, `POST`).
-    pub method: String,
-    /// Request path (`/optimize`, `/shutdown`, `/healthz`).
-    pub path: String,
-    /// The request body (empty for GET).
-    pub body: String,
-}
-
-/// Reads one HTTP request, honoring `Content-Length` (unlike the metrics
-/// endpoint's single fixed read, request bodies here carry whole layouts).
-///
-/// # Errors
-///
-/// Propagates socket errors; malformed framing and oversized bodies
-/// surface as [`io::ErrorKind::InvalidData`].
-pub fn read_http(stream: &mut TcpStream) -> io::Result<HttpRequest> {
-    let mut buf = Vec::with_capacity(2048);
-    let mut chunk = [0u8; 2048];
-    let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_BODY_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "headers too large",
-            ));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-request",
-            ));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let mut lines = head.lines();
-    let mut parts = lines.next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("").to_owned();
-    let path = parts.next().unwrap_or("").to_owned();
-    let mut content_length = 0usize;
-    for line in lines {
-        if let Some((name, v)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
-    }
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    Ok(HttpRequest {
-        method,
-        path,
-        body: String::from_utf8_lossy(&body).into_owned(),
-    })
-}
-
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-/// Writes one HTTP/1.0 response with the body and closes semantics of
-/// the metrics endpoint (`Connection: close`, exact `Content-Length`).
-///
-/// # Errors
-///
-/// Propagates socket errors.
-pub fn write_http(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.0 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {len}\r\nConnection: close\r\n\r\n{body}",
-        reason = reason_phrase(status),
-        len = body.len(),
-    )?;
-    stream.flush()
-}
-
-/// Canonical reason phrase for the status codes the protocol uses.
-pub fn reason_phrase(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
     }
 }
 

@@ -3,7 +3,9 @@
 //!
 //! Two threads own everything:
 //!
-//! - the **accept** thread reads and parses each connection (applying the
+//! - the **accept** thread is the workspace's shared HTTP loop
+//!   ([`ldmo_obs::http`]): it blocks in `accept`, so a request is read the
+//!   moment it arrives. It reads and parses each connection (applying the
 //!   `drop-conn`/`slow-io` network faults), answers control routes
 //!   inline, and admits optimization jobs into a bounded queue — a full
 //!   queue is answered with the deterministic 429 `shed` row *before*
@@ -16,23 +18,31 @@
 //! daemon into draining — new requests get the 503 `draining` row,
 //! queued and in-flight requests finish and respond, the cache log is
 //! already durable per append, and [`Server::shutdown`] joins both
-//! threads. Nothing admitted is ever dropped without a response.
+//! threads (the accept thread is woken from `accept` by a connection to
+//! its own address, which takes no connection index). Nothing admitted is
+//! ever dropped without a response.
 
 use crate::cache::{self, CachedResult, ResultCache};
 use crate::pipeline::{self, PipelineConfig, RequestOutcome};
-use crate::protocol::{self, HttpRequest, OptimizeRequest, OptimizeResponse};
+use crate::protocol::{self, OptimizeRequest, OptimizeResponse};
 use ldmo_guard::fault;
 use ldmo_guard::{LdmoError, OutcomeHealth};
 use ldmo_ilt::IltContext;
 use ldmo_layout::{io as layout_io, Layout};
+use ldmo_obs::http::{self, HttpServer};
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Read and write timeout of a client connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+const JSON: &str = "application/json";
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -135,7 +145,6 @@ struct Shared {
     notify: Condvar,
     draining: AtomicBool,
     shutdown_requested: AtomicBool,
-    stop: AtomicBool,
     stats: ServeStats,
 }
 
@@ -145,7 +154,7 @@ struct Shared {
 pub struct Server {
     local: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
+    http: Option<HttpServer>,
     scheduler: Option<JoinHandle<()>>,
 }
 
@@ -182,23 +191,20 @@ impl Server {
             }
             None => None,
         };
-        let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             notify: Condvar::new(),
             draining: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            stop: AtomicBool::new(false),
             stats: ServeStats::default(),
         });
 
         let accept_shared = Arc::clone(&shared);
         let accept_cap = cfg.queue_capacity;
-        let accept = std::thread::Builder::new()
-            .name("ldmo-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared, accept_cap))?;
+        let http = HttpServer::start(&cfg.addr, "serve", IO_TIMEOUT, move |stream, index| {
+            handle_conn(stream, index, &accept_shared, accept_cap)
+        })?;
+        let local = http.addr();
 
         let sched_shared = Arc::clone(&shared);
         let sched_cfg = cfg;
@@ -209,7 +215,7 @@ impl Server {
         Ok(Server {
             local,
             shared,
-            accept: Some(accept),
+            http: Some(http),
             scheduler: Some(scheduler),
         })
     }
@@ -242,10 +248,8 @@ impl Server {
         if let Some(handle) = self.scheduler.take() {
             let _ = handle.join();
         }
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        // stops the accept loop and joins its thread
+        drop(self.http.take());
     }
 }
 
@@ -259,49 +263,29 @@ impl Drop for Server {
 // Accept side
 // ---------------------------------------------------------------------------
 
-fn accept_loop(listener: &TcpListener, shared: &Shared, capacity: usize) {
-    let mut conn_index = 0usize;
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let n = conn_index;
-                conn_index += 1;
-                // network fault injection is first-class here: drop-conn
-                // closes without a byte (the peer retries), slow-io delays
-                // the whole exchange
-                if fault::drop_conn_at(n) {
-                    shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
-                    ldmo_obs::incr("serve.conn_drops");
-                    drop(stream);
-                    continue;
-                }
-                fault::apply_slow_io(n);
-                if let Err(e) = handle_conn(stream, shared, capacity) {
-                    eprintln!("[serve] connection error: {e}");
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => {
-                eprintln!("[serve] accept error: {e}");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
-}
-
 fn respond(stream: &mut TcpStream, response: &OptimizeResponse) -> io::Result<()> {
-    protocol::write_http(stream, response.status, &response.to_json())
+    http::write_response(stream, response.status, JSON, &response.to_json())
 }
 
-fn handle_conn(mut stream: TcpStream, shared: &Shared, capacity: usize) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+/// Serves accepted connection `index`: the network faults, then one
+/// request, answered inline or admitted into the queue.
+fn handle_conn(
+    mut stream: TcpStream,
+    index: usize,
+    shared: &Shared,
+    capacity: usize,
+) -> io::Result<()> {
+    // network fault injection is first-class here: drop-conn closes
+    // without a byte (the peer retries), slow-io delays the whole exchange
+    if fault::drop_conn_at(index) {
+        shared.stats.conn_drops.fetch_add(1, Ordering::Relaxed);
+        ldmo_obs::incr("serve.conn_drops");
+        return Ok(());
+    }
+    fault::apply_slow_io(index);
     let admitted = Instant::now();
-    let http = match protocol::read_http(&mut stream) {
-        Ok(http) => http,
+    let request = match http::read_request(&mut stream) {
+        Ok(request) => request,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return respond(
@@ -311,8 +295,8 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, capacity: usize) -> io::R
         }
         Err(e) => return Err(e),
     };
-    match (http.method.as_str(), http.path.as_str()) {
-        ("POST", "/optimize") => admit(stream, shared, capacity, &http, admitted),
+    match (request.method.as_str(), request.path.as_str()) {
+        ("POST", "/optimize") => admit(stream, shared, capacity, &request.body, admitted),
         ("POST", "/shutdown") => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
             shared.draining.store(true, Ordering::SeqCst);
@@ -330,7 +314,7 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, capacity: usize) -> io::R
                 "{{\"code\":\"{}\",\"queue_depth\":{depth}}}",
                 if draining { "draining" } else { "ok" }
             );
-            protocol::write_http(&mut stream, 200, &body)
+            http::write_response(&mut stream, 200, JSON, &body)
         }
         ("POST", _) | ("GET", _) => respond(
             &mut stream,
@@ -347,11 +331,11 @@ fn admit(
     mut stream: TcpStream,
     shared: &Shared,
     capacity: usize,
-    http: &HttpRequest,
+    body: &str,
     admitted: Instant,
 ) -> io::Result<()> {
     ldmo_obs::incr("serve.requests");
-    let request = match OptimizeRequest::from_json(&http.body) {
+    let request = match OptimizeRequest::from_json(body) {
         Ok(request) => request,
         Err(reason) => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
@@ -484,7 +468,7 @@ fn process_batch(
             .map(Duration::from_millis)
             .or(cfg.default_deadline);
         let remaining = deadline.map(|d| d.saturating_sub(queue_wait));
-        if let Some(hit) = cache.as_deref().and_then(|c| c.get(key)) {
+        if let Some((hit, hash)) = cache.as_deref().and_then(|c| c.get_with_hash(key)) {
             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             shared.stats.served.fetch_add(1, Ordering::Relaxed);
             ldmo_obs::incr("serve.cache_hits");
@@ -502,7 +486,7 @@ fn process_batch(
                     hit.attempts as usize,
                     hit.candidates as usize,
                     hit.iterations as usize,
-                    hit.mask_hash(),
+                    hash.to_owned(),
                     true,
                     false,
                 ),
@@ -550,11 +534,13 @@ fn process_batch(
         if outcome.health.is_degraded() {
             shared.stats.degraded.fetch_add(1, Ordering::Relaxed);
         }
+        // hashed once: the response carries it and the cache stores it
+        let hash = cache::mask_hash(&outcome.masks);
         // cache policy (bit-identity invariant): usable, non-retried
         // outcomes only — see the cache module docs
         if outcome.health.is_usable() && !outcome.retried {
             if let Some(cache) = cache.as_deref_mut() {
-                let inserted = cache.insert(
+                let inserted = cache.insert_hashed(
                     w.key,
                     CachedResult {
                         masks: outcome.masks.clone(),
@@ -564,6 +550,7 @@ fn process_batch(
                         iterations: outcome.iterations as u32,
                         recovered: outcome.health == OutcomeHealth::RecoveredAfterRollback,
                     },
+                    hash.clone(),
                 );
                 match inserted {
                     Ok(_) => ldmo_obs::gauge("serve.cache_entries").set(cache.len() as f64),
@@ -585,7 +572,7 @@ fn process_batch(
                 outcome.attempts,
                 outcome.candidates,
                 outcome.iterations,
-                cache::mask_hash(&outcome.masks),
+                hash,
                 false,
                 outcome.retried,
             ),

@@ -8,7 +8,11 @@
 //!   receives a well-formed typed response;
 //! - **bit-identical warm start** — a cache log torn mid-frame by a
 //!   simulated `kill -9` recovers on reopen, and the cached mask hash
-//!   equals the hash a cacheless server recomputes from scratch.
+//!   equals the hash a cacheless server recomputes from scratch;
+//! - **a clean stop** — shutdown wakes an accept loop no client ever
+//!   reached, also on an unspecified bind address, and the wake connection
+//!   takes no connection index (a `drop-conn` planned at the next index
+//!   never fires).
 //!
 //! The fault plan is process-global, so every test here serializes on
 //! one lock and clears the plan on entry and exit.
@@ -19,6 +23,7 @@ use ldmo::layout::io as layout_io;
 use ldmo::serve::{client, ClientConfig, OptimizeRequest, OptimizeResponse, ServeConfig, Server};
 use std::io::Write;
 use std::sync::Mutex;
+use std::time::Duration;
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -128,7 +133,6 @@ fn drop_conn_fault_is_survived_by_retry() {
         seed: 5,
         ..ClientConfig::default()
     });
-    fault::clear();
 
     assert!(report.clean(), "retries absorb the drop: {report:?}");
     assert_eq!(report.ok + report.degraded, 3);
@@ -136,8 +140,45 @@ fn drop_conn_fault_is_survived_by_retry() {
         report.conn_retries >= 1,
         "the dropped socket forced a retry"
     );
+    // one client never sheds, so it made one connection per request and
+    // per retry; a drop planned at the next index stays installed through
+    // shutdown and must not fire on the wake connection
+    let next = report.sent + report.conn_retries;
+    fault::install(FaultPlan::from_spec(&format!("drop-conn@{next}")).expect("spec parses"));
     let stats = server.shutdown();
     assert_eq!(stats.conn_drops, 1, "exactly one planned drop fired");
+}
+
+/// Runs `stop` on a helper thread and waits at most 5 s for it, so a
+/// shutdown that is never woken fails the test instead of hanging it.
+fn stops_within_5s<T: Send + 'static>(what: &str, stop: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(stop());
+    });
+    finished
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("{what} did not stop within 5 s"))
+}
+
+#[test]
+fn idle_endpoints_on_an_unspecified_address_stop_without_a_client() {
+    let _g = chaos_guard();
+    // the wake connection would be index 0 if it took one
+    fault::install(FaultPlan::from_spec("drop-conn@0").expect("spec parses"));
+    let server = Server::start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..fast_serve_cfg()
+    })
+    .expect("server binds the unspecified address");
+    assert!(server.addr().ip().is_unspecified());
+    let stats = stops_within_5s("the daemon", move || server.shutdown());
+    assert_eq!(stats.conn_drops, 0, "the wake took no connection index");
+    assert_eq!(stats, Default::default(), "no stat moved");
+
+    let metrics = ldmo::obs::serve::start("0.0.0.0:0").expect("metrics endpoint binds");
+    assert!(metrics.addr().ip().is_unspecified());
+    stops_within_5s("the metrics endpoint", move || drop(metrics));
 }
 
 #[test]
