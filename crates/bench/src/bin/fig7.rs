@@ -1,4 +1,4 @@
-//! Reproduces **Fig. 7**: qualitative comparison with ICCAD'17 [10] on
+//! Reproduces **Fig. 7**: qualitative comparison with ICCAD'17 \[10\] on
 //! `AOI211_X1`, `NAND3_X2` and `BUF_X1`. The paper's claim: "in all three
 //! cases our proposed framework can effectively remove EPE".
 //!

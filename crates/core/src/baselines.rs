@@ -1,14 +1,14 @@
 //! The comparison flows of Table I.
 //!
-//! - [`unified_flow`] — the ICCAD'17 simultaneous framework [10]: all
+//! - [`unified_flow`] — the ICCAD'17 simultaneous framework \[10\]: all
 //!   candidates are optimized in parallel rounds and greedily pruned by
 //!   intermediate printability. Accurate but expensive: most of its time
 //!   goes to decomposition selection (Fig. 1(c)), and pruning on
 //!   *intermediate* results is exactly the inaccuracy the paper criticises
 //!   (Fig. 1(b): trajectories cross).
-//! - [`two_stage_suald`] — "[16] + [6]": a spacing-uniformity-aware greedy
+//! - [`two_stage_suald`] — "\[16\] + \[6\]": a spacing-uniformity-aware greedy
 //!   decomposition followed by an independent ILT run.
-//! - [`two_stage_bfs`] — "[17] + [6]": conflict-graph BFS two-coloring
+//! - [`two_stage_bfs`] — "\[17\] + \[6\]": conflict-graph BFS two-coloring
 //!   followed by an independent ILT run.
 
 use crate::score::{printability_score, ScoreWeights};
@@ -68,7 +68,7 @@ impl Default for UnifiedConfig {
     }
 }
 
-/// The ICCAD'17 unified framework [10]: greedy pruning on intermediate
+/// The ICCAD'17 unified framework \[10\]: greedy pruning on intermediate
 /// mask-optimization results.
 ///
 /// All candidates advance `prune_interval` ILT iterations per round; after
@@ -150,7 +150,7 @@ pub fn unified_flow(layout: &Layout, cfg: &UnifiedConfig) -> BaselineResult {
     }
 }
 
-/// "[16] + [6]": spacing-uniformity-aware greedy decomposition (SUALD-style)
+/// "\[16\] + \[6\]": spacing-uniformity-aware greedy decomposition (SUALD-style)
 /// followed by one independent ILT run.
 ///
 /// Patterns are assigned one by one (densest neighbourhood first) to the
@@ -203,8 +203,8 @@ pub fn suald_decompose(layout: &Layout) -> MaskAssignment {
     assignment
 }
 
-/// "[17] + [6]": BFS two-coloring of the conflict graph (the quadruple-
-/// patterning heuristic of [17] restricted to two masks) followed by one
+/// "\[17\] + \[6\]": BFS two-coloring of the conflict graph (the quadruple-
+/// patterning heuristic of \[17\] restricted to two masks) followed by one
 /// independent ILT run.
 pub fn two_stage_bfs(layout: &Layout, ilt_cfg: &IltConfig) -> BaselineResult {
     let ds_start = Instant::now();

@@ -109,16 +109,6 @@ impl FlowTiming {
     pub fn total(&self) -> Duration {
         self.decomposition_selection + self.mask_optimization
     }
-
-    /// Fraction of time spent on decomposition selection.
-    pub fn ds_fraction(&self) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.decomposition_selection.as_secs_f64() / total
-        }
-    }
 }
 
 /// Result of one LDMO flow run.
@@ -455,7 +445,6 @@ mod tests {
         let result = LdmoFlow::new(fast_cfg(), SelectionStrategy::First).run(&layout);
         let t = result.timing;
         assert!(t.total() >= t.mask_optimization);
-        assert!((0.0..=1.0).contains(&t.ds_fraction()));
     }
 
     #[test]

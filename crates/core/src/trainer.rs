@@ -58,55 +58,6 @@ impl TrainHistory {
     pub fn final_mae(&self) -> Option<f32> {
         self.epoch_mae.last().copied()
     }
-
-    /// Total wall-clock time across all epochs.
-    pub fn total_wall(&self) -> Duration {
-        self.epoch_wall.iter().sum()
-    }
-
-    /// Exports the history as JSONL: one
-    /// `{"epoch":N,"mae":M,"wall_us":W}` object per epoch (the vendored
-    /// serde is a derive-only stand-in, so the writer is hand-rolled to
-    /// the same shape the `ldmo-obs` sinks use).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (epoch, &mae) in self.epoch_mae.iter().enumerate() {
-            let wall_us = self
-                .epoch_wall
-                .get(epoch)
-                .map_or(0, |w| w.as_micros() as u64);
-            out.push_str(&format!(
-                "{{\"epoch\":{epoch},\"mae\":{},\"wall_us\":{wall_us}}}\n",
-                ldmo_obs::json::number(f64::from(mae))
-            ));
-        }
-        out
-    }
-
-    /// Parses a history back from the [`TrainHistory::to_jsonl`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line when a line is not a
-    /// JSON object or lacks a numeric `mae`/`wall_us`.
-    pub fn from_jsonl(text: &str) -> Result<TrainHistory, String> {
-        let mut history = TrainHistory::default();
-        for value in ldmo_obs::json::parse_jsonl(text)? {
-            let mae = value
-                .get("mae")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("epoch line without numeric mae: {value:?}"))?;
-            let wall_us = value
-                .get("wall_us")
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("epoch line without numeric wall_us: {value:?}"))?;
-            history.epoch_mae.push(mae as f32);
-            history
-                .epoch_wall
-                .push(Duration::from_micros(wall_us as u64));
-        }
-        Ok(history)
-    }
 }
 
 /// Trains `predictor` on `dataset`, returning the loss history.
@@ -303,27 +254,5 @@ mod tests {
         assert!(history.epoch_mae.len() < 8, "guard did not stop training");
         let last = history.final_mae().expect("at least one epoch ran");
         assert!(!last.is_finite(), "stopped without a non-finite epoch");
-    }
-
-    #[test]
-    fn history_jsonl_roundtrip() {
-        let history = TrainHistory {
-            epoch_mae: vec![0.5, 0.25, 0.125],
-            epoch_wall: vec![
-                Duration::from_micros(1500),
-                Duration::from_micros(900),
-                Duration::from_micros(850),
-            ],
-        };
-        let text = history.to_jsonl();
-        assert_eq!(text.lines().count(), 3);
-        let back = TrainHistory::from_jsonl(&text).expect("parse");
-        assert_eq!(back, history);
-        // An empty history roundtrips to an empty string.
-        assert_eq!(
-            TrainHistory::from_jsonl("").expect("empty"),
-            TrainHistory::default()
-        );
-        assert!(TrainHistory::from_jsonl("{\"epoch\":0}").is_err());
     }
 }

@@ -278,11 +278,6 @@ impl Grid {
             .sum())
     }
 
-    /// Binary grid: 1.0 where `value >= threshold`, else 0.0.
-    pub fn binarize(&self, threshold: f32) -> Grid {
-        self.map(|v| if v >= threshold { 1.0 } else { 0.0 })
-    }
-
     /// Count of pixels `>= threshold`.
     pub fn count_above(&self, threshold: f32) -> usize {
         self.data.iter().filter(|&&v| v >= threshold).count()
@@ -456,10 +451,8 @@ mod tests {
     }
 
     #[test]
-    fn binarize_and_count() {
+    fn count_above_includes_the_threshold() {
         let g = Grid::from_vec(2, 2, vec![0.1, 0.6, 0.5, 0.9]);
-        let b = g.binarize(0.5);
-        assert_eq!(b.as_slice(), &[0.0, 1.0, 1.0, 1.0]);
         assert_eq!(g.count_above(0.5), 3);
     }
 
@@ -561,13 +554,6 @@ mod tests {
         fn l2_dist_is_zero_iff_equal(vals in proptest::collection::vec(-1.0f32..1.0, 16)) {
             let g = Grid::from_vec(4, 4, vals);
             prop_assert_eq!(g.l2_dist_sq(&g).expect("same shape"), 0.0);
-        }
-
-        #[test]
-        fn binarize_idempotent(vals in proptest::collection::vec(0.0f32..1.0, 16)) {
-            let g = Grid::from_vec(4, 4, vals);
-            let b = g.binarize(0.5);
-            prop_assert_eq!(b.binarize(0.5), b.clone());
         }
 
         #[test]

@@ -8,7 +8,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// ```
 /// use ldmo_geom::Point;
 /// let a = Point::new(3, 4);
-/// assert_eq!(a.dist(Point::new(0, 0)), 5.0);
+/// assert_eq!(a - Point::new(1, 1), Point::new(2, 3));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -23,30 +23,6 @@ impl Point {
     /// Creates a point at `(x, y)`.
     pub const fn new(x: i32, y: i32) -> Self {
         Point { x, y }
-    }
-
-    /// Euclidean distance to `other`.
-    pub fn dist(self, other: Point) -> f64 {
-        let dx = f64::from(self.x - other.x);
-        let dy = f64::from(self.y - other.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Squared Euclidean distance to `other` (exact, in nm²).
-    pub fn dist_sq(self, other: Point) -> i64 {
-        let dx = i64::from(self.x - other.x);
-        let dy = i64::from(self.y - other.y);
-        dx * dx + dy * dy
-    }
-
-    /// Manhattan distance to `other`.
-    pub fn manhattan(self, other: Point) -> i64 {
-        i64::from((self.x - other.x).abs()) + i64::from((self.y - other.y).abs())
-    }
-
-    /// Converts to a floating-point vector.
-    pub fn to_vec2(self) -> Vec2 {
-        Vec2::new(f64::from(self.x), f64::from(self.y))
     }
 }
 
@@ -88,8 +64,8 @@ impl From<(i32, i32)> for Point {
 ///
 /// ```
 /// use ldmo_geom::Vec2;
-/// let v = Vec2::new(3.0, 4.0);
-/// assert_eq!(v.norm(), 5.0);
+/// let v = Vec2::new(3.0, 4.0) * 2.0;
+/// assert_eq!(v, Vec2::new(6.0, 8.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
@@ -103,32 +79,6 @@ impl Vec2 {
     /// Creates a vector `(x, y)`.
     pub const fn new(x: f64, y: f64) -> Self {
         Vec2 { x, y }
-    }
-
-    /// Euclidean norm.
-    pub fn norm(self) -> f64 {
-        self.x.hypot(self.y)
-    }
-
-    /// Dot product.
-    pub fn dot(self, other: Vec2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// Unit vector in the same direction; returns `None` for the zero vector.
-    pub fn normalized(self) -> Option<Vec2> {
-        let n = self.norm();
-        if n == 0.0 {
-            None
-        } else {
-            Some(Vec2::new(self.x / n, self.y / n))
-        }
-    }
-
-    /// Rotates the vector by `angle` radians counter-clockwise.
-    pub fn rotated(self, angle: f64) -> Vec2 {
-        let (s, c) = angle.sin_cos();
-        Vec2::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
 }
 
@@ -170,39 +120,6 @@ mod tests {
         assert_eq!(a + b, Point::new(4, -2));
         assert_eq!(a - b, Point::new(-2, 6));
         assert_eq!(-a, Point::new(-1, -2));
-    }
-
-    #[test]
-    fn point_distances() {
-        let a = Point::new(0, 0);
-        let b = Point::new(3, 4);
-        assert_eq!(a.dist(b), 5.0);
-        assert_eq!(a.dist_sq(b), 25);
-        assert_eq!(a.manhattan(b), 7);
-    }
-
-    #[test]
-    fn dist_sq_no_overflow_on_extremes() {
-        let a = Point::new(-1_000_000, -1_000_000);
-        let b = Point::new(1_000_000, 1_000_000);
-        assert_eq!(a.dist_sq(b), 8_000_000_000_000);
-    }
-
-    #[test]
-    fn vec2_norm_dot() {
-        let v = Vec2::new(3.0, 4.0);
-        assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.dot(Vec2::new(1.0, 0.0)), 3.0);
-        let u = v.normalized().expect("nonzero");
-        assert!((u.norm() - 1.0).abs() < 1e-12);
-        assert!(Vec2::default().normalized().is_none());
-    }
-
-    #[test]
-    fn vec2_rotation_quarter_turn() {
-        let v = Vec2::new(1.0, 0.0).rotated(std::f64::consts::FRAC_PI_2);
-        assert!((v.x - 0.0).abs() < 1e-12);
-        assert!((v.y - 1.0).abs() < 1e-12);
     }
 
     #[test]

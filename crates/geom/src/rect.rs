@@ -110,16 +110,6 @@ impl Rect {
         Rect::try_new(x0, y0, x1, y1).ok()
     }
 
-    /// Smallest rectangle containing both.
-    pub fn union_bbox(&self, other: &Rect) -> Rect {
-        Rect {
-            x0: self.x0.min(other.x0),
-            y0: self.y0.min(other.y0),
-            x1: self.x1.max(other.x1),
-            y1: self.y1.max(other.y1),
-        }
-    }
-
     /// Rectangle grown by `margin` on every side.
     ///
     /// # Panics
@@ -153,11 +143,6 @@ impl Rect {
         let dx = (other.x0 - self.x1).max(self.x0 - other.x1).max(0);
         let dy = (other.y0 - self.y1).max(self.y0 - other.y1).max(0);
         f64::from(dx).hypot(f64::from(dy))
-    }
-
-    /// Center-to-center Euclidean distance, in nm.
-    pub fn center_dist(&self, other: &Rect) -> f64 {
-        (self.center_f() - other.center_f()).norm()
     }
 
     /// Iterates over the four corner points, counter-clockwise from `(x0, y0)`.
@@ -284,15 +269,6 @@ mod tests {
             } else {
                 prop_assert!(a.gap_to(&b) >= 0.0);
             }
-        }
-
-        #[test]
-        fn union_contains_both(ax in -50i32..50, ay in -50i32..50, aw in 1i32..40, ah in 1i32..40,
-                               bx in -50i32..50, by in -50i32..50, bw in 1i32..40, bh in 1i32..40) {
-            let a = Rect::new(ax, ay, ax + aw, ay + ah);
-            let b = Rect::new(bx, by, bx + bw, by + bh);
-            let u = a.union_bbox(&b);
-            prop_assert!(u.x0 <= a.x0 && u.x1 >= a.x1 && u.y0 <= b.y0 && u.y1 >= b.y1);
         }
     }
 }

@@ -440,11 +440,6 @@ impl<const K: usize> IltSession<K> {
         self.last_l2
     }
 
-    /// Divergence rollbacks fired so far.
-    pub fn rollbacks(&self) -> u32 {
-        self.rollbacks
-    }
-
     /// Current guard verdict of this session (what the outcome's
     /// [`IltOutcome::health`] will be if the run stopped now).
     pub fn health(&self) -> OutcomeHealth {

@@ -2,7 +2,7 @@
 //!
 //! The paper's framework is formulated for double patterning (Eqs. 3-5),
 //! but its introduction motivates general MPL; triple patterning is the
-//! industrially relevant next step (the paper's refs [1], [3], [4]). The
+//! industrially relevant next step (the paper's refs \[1\], \[3\], \[4\]). The
 //! ILT engine runs any mask count: an [`IltSession`](crate::IltSession)
 //! over `K` masks prints `T = min(Σ_i T_i, 1)`. This module supplies the
 //! `k`-mask assignments through a greedy conflict-graph coloring.

@@ -190,7 +190,7 @@ impl Layout {
     ///
     /// Patterns intersecting `window` are kept whole (they may overhang the
     /// window edge); everything else is dropped. The translation matters:
-    /// downstream consumers — rasterization via [`Layout::to_px`] is
+    /// downstream consumers — rasterization via `Layout::to_px` is
     /// origin-relative, but EPE measurement samples at absolute pattern
     /// coordinates — agree only when the window origin is `(0, 0)`.
     pub fn extract_window(&self, window: Rect) -> Layout {

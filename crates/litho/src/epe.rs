@@ -52,14 +52,6 @@ impl EpeReport {
             .map(|s| s.epe_nm.abs())
             .fold(0.0, f64::max)
     }
-
-    /// Mean absolute EPE (0 when empty).
-    pub fn mean_abs_nm(&self) -> f64 {
-        if self.sites.is_empty() {
-            return 0.0;
-        }
-        self.sites.iter().map(|s| s.epe_nm.abs()).sum::<f64>() / self.sites.len() as f64
-    }
 }
 
 /// Generates the checkpoints for a set of target rectangles: points spaced
@@ -291,7 +283,6 @@ mod tests {
         let mut r = EpeReport::default();
         assert_eq!(r.violations(), 0);
         assert_eq!(r.max_abs_nm(), 0.0);
-        assert_eq!(r.mean_abs_nm(), 0.0);
         let cp = EpeCheckpoint {
             pos: Vec2::new(0.0, 0.0),
             normal: Vec2::new(1.0, 0.0),
@@ -309,6 +300,5 @@ mod tests {
         });
         assert_eq!(r.violations(), 1);
         assert_eq!(r.max_abs_nm(), 12.0);
-        assert!((r.mean_abs_nm() - 8.0).abs() < 1e-12);
     }
 }

@@ -147,11 +147,6 @@ impl CoherentKernel {
         self.weight
     }
 
-    /// Main-lobe standard deviation in pixels.
-    pub fn sigma(&self) -> f64 {
-        self.components[0].sigma
-    }
-
     /// The coherent field `M ⊗ h_k` of a mask (may be negative for DoG
     /// kernels — the destructive-interference ring).
     ///

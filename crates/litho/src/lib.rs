@@ -21,7 +21,8 @@
 //!
 //! - **EPE** (paper Definition 1): edge placement error at checkpoints
 //!   sampled on target edges, violation when `|EPE| > 10 nm` ([`measure_epe`]).
-//! - **L2 error** (paper Definition 2): `‖T − T′‖²` ([`l2_error`]).
+//! - **L2 error** (paper Definition 2): `‖T − T′‖²`, computed by the ILT
+//!   engine with [`Grid::l2_dist_sq`].
 //! - **Print violations**: bridged or missing patterns detected by
 //!   connected-component analysis of the printed image ([`detect_violations`]).
 //!
@@ -47,13 +48,10 @@
 mod aerial;
 pub mod backend;
 mod components;
-mod contour;
 mod conv;
 mod epe;
 mod fft;
 mod kernel;
-mod metrics;
-pub mod process;
 mod resist;
 mod violation;
 mod workspace;
@@ -61,7 +59,6 @@ mod workspace;
 pub use aerial::{aerial_image, aerial_image_into, AerialImage};
 pub use backend::{BackendKind, LithoBackend};
 pub use components::{label_components, ComponentLabels};
-pub use contour::{contour_length, extract_contour, ContourSegment};
 pub use conv::{
     convolve2d_direct, convolve_separable, convolve_separable_into, correlate_separable,
     correlate_separable_into,
@@ -69,7 +66,6 @@ pub use conv::{
 pub use epe::{measure_epe, EpeCheckpoint, EpeReport, EpeSite};
 pub use fft::{convolve2d_fft, fft2d, ifft2d, Complex};
 pub use kernel::{CoherentKernel, KernelBank};
-pub use metrics::{l2_error, pvband_area};
 pub use resist::{
     combine_double_pattern, combine_prints, combine_prints_into, resist_threshold,
     resist_threshold_into, sigmoid,
@@ -112,7 +108,7 @@ pub struct LithoConfig {
     /// at corners (every optical system rounds them), so checkpoints keep
     /// this margin from edge endpoints, as in production OPC recipes.
     pub epe_corner_margin_nm: i32,
-    /// Resist binarization level for contours/components (0.5).
+    /// Resist binarization level for EPE edges and printed components (0.5).
     pub print_level: f32,
 }
 

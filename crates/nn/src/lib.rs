@@ -12,7 +12,8 @@
 //!   `MaxPool2d`, global average pooling, `Linear`, residual
 //!   [`layers::BasicBlock`]s and a [`layers::Sequential`] container, each
 //!   with hand-written backward passes;
-//! - [`optim`] — Adam (the paper's choice) and SGD;
+//! - [`optim`] — Adam (the paper's choice), learning-rate schedule and
+//!   gradient clipping;
 //! - [`loss`] — MAE (the paper's Eq. 10) and MSE;
 //! - [`resnet`] — the ResNet regression network: `resnet18()` builds the
 //!   paper's exact topology; `resnet_lite()` is a narrower variant for

@@ -1,6 +1,7 @@
 //! Optimizers: Adam (the paper's choice — "Adam computes individual
 //! adaptive learning rates for different parameters which is more suitable
-//! for large scale data") and plain SGD for comparison.
+//! for large scale data"), its learning-rate schedule and gradient
+//! clipping.
 
 use crate::layers::{Layer, Param};
 
@@ -129,47 +130,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent, optionally with momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates SGD.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update step.
-    pub fn step(&mut self, net: &mut dyn Layer) {
-        let (lr, mu) = (self.lr, self.momentum);
-        let vel = &mut self.velocity;
-        let mut idx = 0usize;
-        net.visit_params(&mut |p: &mut Param| {
-            if vel.len() <= idx {
-                vel.push(vec![0.0; p.value.len()]);
-            }
-            let v = &mut vel[idx];
-            let vals = p.value.as_mut_slice();
-            let grads = p.grad.as_slice();
-            for i in 0..vals.len() {
-                v[i] = mu * v[i] + grads[i];
-                vals[i] -= lr * v[i];
-            }
-            idx += 1;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +137,8 @@ mod tests {
     use crate::loss::{mse_loss, mse_loss_grad};
     use crate::Tensor;
 
-    fn fit(optimizer_is_adam: bool) -> f32 {
+    #[test]
+    fn adam_fits_linear_regression() {
         // regress y = 2x1 - x2 + 0.5 with a single linear layer
         let mut net = Linear::new(2, 1, 5);
         let xs = [
@@ -192,7 +153,6 @@ mod tests {
         let x = Tensor::from_vec(vec![6, 2], xs.iter().flatten().copied().collect());
         let y = Tensor::from_vec(vec![6, 1], ys);
         let mut adam = Adam::new(0.05);
-        let mut sgd = Sgd::new(0.05, 0.9);
         let mut last = f32::INFINITY;
         for _ in 0..400 {
             let pred = net.forward(&x, true);
@@ -200,23 +160,9 @@ mod tests {
             let grad = mse_loss_grad(&pred, &y);
             net.zero_grad();
             let _ = net.backward(&grad);
-            if optimizer_is_adam {
-                adam.step(&mut net);
-            } else {
-                sgd.step(&mut net);
-            }
+            adam.step(&mut net);
         }
-        last
-    }
-
-    #[test]
-    fn adam_fits_linear_regression() {
-        assert!(fit(true) < 1e-3, "final loss {}", fit(true));
-    }
-
-    #[test]
-    fn sgd_fits_linear_regression() {
-        assert!(fit(false) < 1e-3, "final loss {}", fit(false));
+        assert!(last < 1e-3, "final loss {last}");
     }
 
     #[test]

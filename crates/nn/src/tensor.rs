@@ -104,21 +104,6 @@ impl Tensor {
         self.data
     }
 
-    /// Reshapes without copying.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element count changes.
-    pub fn reshape(mut self, shape: Vec<usize>) -> Self {
-        assert_eq!(
-            checked_len(&shape),
-            self.data.len(),
-            "reshape must preserve element count"
-        );
-        self.shape = shape;
-        self
-    }
-
     /// NCHW accessor.
     ///
     /// # Panics
@@ -213,20 +198,6 @@ mod tests {
         assert_eq!(t.at4(1, 2, 3, 4), 7.0);
         // last element of the buffer
         assert_eq!(t.as_slice()[2 * 3 * 4 * 5 - 1], 7.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![2, 3], (0..6).map(|v| v as f32).collect());
-        let r = t.clone().reshape(vec![3, 2]);
-        assert_eq!(r.as_slice(), t.as_slice());
-        assert_eq!(r.shape(), &[3, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "preserve element count")]
-    fn reshape_rejects_bad_count() {
-        let _ = Tensor::zeros(vec![2, 3]).reshape(vec![4, 2]);
     }
 
     #[test]

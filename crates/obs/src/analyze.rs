@@ -1,5 +1,6 @@
-//! Post-hoc analysis of JSONL traces — the read side of the sink in
-//! [`crate::sink`], powering `ldmo trace summarize` / `ldmo trace diff`.
+//! Post-hoc analysis of JSONL traces — the read side of
+//! [`crate::write_jsonl`], powering `ldmo trace summarize` /
+//! `ldmo trace diff` and the end-of-run [`crate::summary`].
 //!
 //! A [`Trace`] is parsed back from the JSONL event stream (tolerating a
 //! truncated tail, so a trace from a crashed or killed run still
@@ -101,6 +102,9 @@ pub struct Trace {
     pub hists: Vec<TraceHist>,
     /// Folded sampling-profiler stacks, file order.
     pub samples: Vec<TraceSample>,
+    /// Convergence records the writer dropped because its buffer was full
+    /// (`conv_dropped` of the `meta` line; summed over merged traces).
+    pub conv_dropped: u64,
     /// Lines that failed to parse and were skipped (e.g. a line truncated
     /// by a crashed writer). Recovery, not silence: consumers surface it.
     pub skipped_lines: usize,
@@ -233,8 +237,11 @@ impl Trace {
                         });
                     }
                 }
-                // `meta` and any future line types pass through silently:
-                // the reader is forward-compatible by construction
+                Some("meta") => {
+                    trace.conv_dropped += num_or(&value, "conv_dropped", 0.0) as u64;
+                }
+                // any future line types pass through silently: the reader
+                // is forward-compatible by construction
                 _ => {}
             }
         }
@@ -275,6 +282,7 @@ impl Trace {
         self.gauges.extend(other.gauges);
         self.hists.extend(other.hists);
         self.samples.extend(other.samples);
+        self.conv_dropped += other.conv_dropped;
         self.skipped_lines += other.skipped_lines;
     }
 
@@ -665,7 +673,10 @@ fn fmt_us(us: u64) -> String {
 
 /// Renders the human-readable summary of one (possibly merged) trace:
 /// span rollups with self time, histogram percentiles, convergence
-/// summaries, counters, and the skipped-line recovery note.
+/// summaries with the dropped-record count, counters, and the
+/// skipped-line recovery note. The end-of-run summary
+/// ([`crate::summary`]) is this function applied to the trace just
+/// written.
 pub fn render_summary(trace: &Trace) -> String {
     let mut out = String::new();
     if trace.skipped_lines > 0 {
@@ -721,14 +732,15 @@ pub fn render_summary(trace: &Trace) -> String {
         }
     }
     let conv = trace.conv_summaries();
-    if !conv.is_empty() {
+    if !conv.is_empty() || trace.conv_dropped > 0 {
         let finite: Vec<&ConvSummary> = conv.iter().filter(|c| c.first_l2.is_finite()).collect();
         let improved = finite.iter().filter(|c| c.last_l2 < c.first_l2).count();
         let _ = writeln!(
             out,
-            "\nconvergence: {} runs, {} rows; {} of {} runs reduced L2",
+            "\nconvergence: {} runs, {} rows ({} dropped); {} of {} runs reduced L2",
             conv.len(),
             conv.iter().map(|c| c.rows).sum::<usize>(),
+            trace.conv_dropped,
             improved,
             finite.len()
         );

@@ -16,10 +16,10 @@ pub const MAX_SPAN_META: usize = 8;
 /// still record but their children attach to the deepest tracked ancestor.
 const MAX_SPAN_DEPTH: usize = 32;
 
-/// Default capacity of the convergence-record buffer (override with
-/// `LDMO_TRACE_RECORDS`). Sized for a full Table-I run with headroom:
-/// 13 testcases × ~10 ILT runs × 29 iterations ≈ 4k records.
-const DEFAULT_RECORD_CAPACITY: usize = 1 << 17;
+/// Capacity of the convergence-record buffer. Sized for a full Table-I
+/// run with headroom: 13 testcases × ~10 ILT runs × 29 iterations ≈ 4k
+/// records.
+const RECORD_CAPACITY: usize = 1 << 17;
 
 /// A completed span, pushed to the collector when the [`Span`] guard drops.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,19 +68,12 @@ pub(crate) struct Collector {
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
 
 pub(crate) fn collector() -> &'static Collector {
-    COLLECTOR.get_or_init(|| {
-        let cap = std::env::var("LDMO_TRACE_RECORDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_RECORD_CAPACITY)
-            .max(1);
-        Collector {
-            epoch: Instant::now(),
-            next_span_id: AtomicU64::new(0),
-            events: Mutex::new(Vec::with_capacity(4096)),
-            records: Mutex::new(Vec::with_capacity(cap)),
-            dropped_records: AtomicU64::new(0),
-        }
+    COLLECTOR.get_or_init(|| Collector {
+        epoch: Instant::now(),
+        next_span_id: AtomicU64::new(0),
+        events: Mutex::new(Vec::with_capacity(4096)),
+        records: Mutex::new(Vec::with_capacity(RECORD_CAPACITY)),
+        dropped_records: AtomicU64::new(0),
     })
 }
 

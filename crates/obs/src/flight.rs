@@ -9,24 +9,25 @@
 //! slots that were mid-write. Every field is an `AtomicU64`, so even a
 //! reader racing a lapping writer only ever observes a *mixed* event —
 //! plain numbers from two records — never undefined behaviour; span names
-//! travel as intern-table keys ([`crate::collector`]) and a key that does
+//! travel as keys of the collector's intern table and a key that does
 //! not resolve is rendered as `"?"`, not dereferenced.
 //!
 //! Sizing and the dump schema are documented in DESIGN.md §14. The ring is
-//! enabled alongside the collector ([`crate::enable`]); opt out with
-//! `LDMO_FLIGHT=0`, resize with `LDMO_FLIGHT_CAPACITY`.
+//! enabled alongside the collector ([`crate::enable`]) at
+//! [`DEFAULT_CAPACITY`]; opt out with `LDMO_FLIGHT=0`.
 
-use crate::collector;
+use crate::collector::{self, ConvergenceRecord, SpanEvent, MAX_SPAN_META};
 use crate::json;
+use crate::sink;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Default ring capacity (events). At ILT scale — one convergence record
-/// per iteration plus a handful of span closes per flow stage — 4096
-/// events cover the last several full flow runs, which is what a
-/// post-mortem needs. Override with `LDMO_FLIGHT_CAPACITY`.
+/// Ring capacity (events) that [`crate::enable`] allocates. At ILT scale
+/// — one convergence record per iteration plus a handful of span closes
+/// per flow stage — 4096 events cover the last several full flow runs,
+/// which is what a post-mortem needs.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 const KIND_SPAN: u64 = 1;
@@ -131,9 +132,9 @@ impl FlightRing {
 }
 
 /// Initializes the ring (idempotent — the first capacity wins) and turns
-/// recording on. Returns the ring's actual capacity. Called by
-/// [`crate::enable`] via [`init_from_env`]; tests call it directly to pin
-/// a small capacity.
+/// recording on. Returns the ring's actual capacity. [`crate::enable`]
+/// calls it with [`DEFAULT_CAPACITY`] unless `LDMO_FLIGHT=0`; tests call
+/// it directly to pin a small capacity.
 pub fn init(capacity: usize) -> usize {
     let ring = RING.get_or_init(|| FlightRing::new(capacity));
     ACTIVE.store(true, Ordering::Relaxed);
@@ -141,16 +142,12 @@ pub fn init(capacity: usize) -> usize {
 }
 
 /// Ring setup driven by the environment: `LDMO_FLIGHT=0` opts out,
-/// `LDMO_FLIGHT_CAPACITY` sizes the ring (default [`DEFAULT_CAPACITY`]).
+/// otherwise the ring holds [`DEFAULT_CAPACITY`] events.
 pub(crate) fn init_from_env() {
     if std::env::var("LDMO_FLIGHT").is_ok_and(|v| v == "0") {
         return;
     }
-    let capacity = std::env::var("LDMO_FLIGHT_CAPACITY")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_CAPACITY);
-    init(capacity);
+    init(DEFAULT_CAPACITY);
 }
 
 /// Whether the ring exists and is recording (one relaxed load — the gate
@@ -271,18 +268,23 @@ pub fn dump_to<W: Write>(w: &mut W, reason: &str) -> io::Result<usize> {
     writeln!(w, "{header}")?;
     let mut lines = 1usize;
     for event in &events {
-        match event {
+        match *event {
             FlightEvent::Span {
                 id,
                 parent,
                 name,
                 start_us,
                 dur_us,
-            } => writeln!(
+            } => sink::write_span(
                 w,
-                "{{\"type\":\"span\",\"id\":{id},\"parent\":{parent},\
-                 \"name\":\"{}\",\"start_us\":{start_us},\"dur_us\":{dur_us}}}",
-                json::escape(name)
+                &SpanEvent {
+                    id,
+                    parent,
+                    name,
+                    start_us,
+                    dur_us,
+                    meta: [None; MAX_SPAN_META],
+                },
             )?,
             FlightEvent::Conv {
                 span,
@@ -291,12 +293,16 @@ pub fn dump_to<W: Write>(w: &mut W, reason: &str) -> io::Result<usize> {
                 l2,
                 step_norm,
                 epe_violations,
-            } => writeln!(
+            } => sink::write_conv(
                 w,
-                "{{\"type\":\"conv\",\"span\":{span},\"t_us\":{t_us},\
-                 \"iter\":{iteration},\"l2\":{},\"step_norm\":{},\"epe\":{epe_violations}}}",
-                json::number(*l2),
-                json::number(*step_norm)
+                &ConvergenceRecord {
+                    span,
+                    t_us,
+                    iteration,
+                    l2,
+                    step_norm,
+                    epe_violations,
+                },
             )?,
         }
         lines += 1;

@@ -22,14 +22,15 @@
 //! [`trace_setup`] (which also understands the `--trace-out PATH` CLI
 //! convention used by the bench bins and the `ldmo` CLI).
 //!
-//! Two sinks drain the collector: a machine-readable JSONL event stream
-//! ([`flush_jsonl`], one JSON object per line) and a human-readable
-//! end-of-run summary tree ([`summary`]). [`json`] carries a dependency-free
-//! JSON parser so traces can be validated and round-tripped in tests
-//! without external crates. The read side lives in [`analyze`]: span-tree
-//! rollups, histogram percentile reconstruction, convergence summaries and
-//! trace diffing, powering the `ldmo trace` subcommand. [`alloc`] adds an
-//! opt-in counting global allocator feeding `mem.*` gauges.
+//! The collector drains into a machine-readable JSONL event stream
+//! ([`flush_jsonl`], one JSON object per line). [`json`] carries a
+//! dependency-free JSON parser so traces can be validated and round-tripped
+//! in tests without external crates. The read side lives in [`analyze`]:
+//! span-tree rollups, histogram percentile reconstruction, convergence
+//! summaries and trace diffing, powering the `ldmo trace` subcommand. The
+//! human-readable end-of-run summary ([`summary`]) is that read side
+//! applied to the trace just written. [`alloc`] adds an opt-in counting
+//! global allocator feeding `mem.*` gauges.
 //!
 //! Span naming, counter-vs-histogram guidance and the hot-path allocation
 //! rules are documented in DESIGN.md §8.
@@ -208,7 +209,7 @@ pub fn trace_setup() -> Option<PathBuf> {
 }
 
 /// Writes the JSONL trace to `out` (when tracing was set up) and prints the
-/// end-of-run summary tree to stderr. `--trace-out -` streams the JSONL to
+/// end-of-run summary to stderr. `--trace-out -` streams the JSONL to
 /// stdout (diagnostics stay on stderr, so piped JSON stays clean). Errors
 /// are reported to stderr, never panicked — telemetry must not take down a
 /// finished run.

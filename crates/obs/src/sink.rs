@@ -1,13 +1,12 @@
-//! Sinks draining the collector: the JSONL event stream and the
-//! human-readable end-of-run summary tree.
+//! Sinks draining the collector: the JSONL event stream, and the
+//! human-readable end-of-run summary rendered from it by [`crate::analyze`].
 
-use crate::collector::{self, SpanEvent};
+use crate::analyze::{self, Trace};
+use crate::collector::{self, ConvergenceRecord, SpanEvent};
 use crate::json;
 use crate::metrics;
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
-use std::time::Duration;
 
 /// Writes the full trace as JSONL (one JSON object per line) to `w`.
 /// Returns the number of lines written.
@@ -40,39 +39,11 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
     let mut ordered = spans;
     ordered.sort_by_key(|s| (s.start_us, s.id));
     for s in &ordered {
-        let mut line = format!(
-            "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\
-             \"start_us\":{},\"dur_us\":{}",
-            s.id,
-            s.parent,
-            json::escape(s.name),
-            s.start_us,
-            s.dur_us
-        );
-        for (key, value) in s.meta.iter().flatten() {
-            line.push_str(&format!(
-                ",\"{}\":{}",
-                json::escape(key),
-                json::number(*value)
-            ));
-        }
-        line.push('}');
-        writeln!(w, "{line}")?;
+        write_span(w, s)?;
         lines += 1;
     }
-
     for r in &records {
-        writeln!(
-            w,
-            "{{\"type\":\"conv\",\"span\":{},\"t_us\":{},\"iter\":{},\
-             \"l2\":{},\"step_norm\":{},\"epe\":{}}}",
-            r.span,
-            r.t_us,
-            r.iteration,
-            json::number(r.l2),
-            json::number(r.step_norm),
-            r.epe_violations
-        )?;
+        write_conv(w, r)?;
         lines += 1;
     }
 
@@ -126,6 +97,44 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
     Ok(lines)
 }
 
+/// Writes one `span` line; metadata fields are flattened into the object.
+/// Shared with the flight dump, so one writer owns the line schema.
+pub(crate) fn write_span<W: Write>(w: &mut W, s: &SpanEvent) -> io::Result<()> {
+    let mut line = format!(
+        "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\
+         \"start_us\":{},\"dur_us\":{}",
+        s.id,
+        s.parent,
+        json::escape(s.name),
+        s.start_us,
+        s.dur_us
+    );
+    for (key, value) in s.meta.iter().flatten() {
+        line.push_str(&format!(
+            ",\"{}\":{}",
+            json::escape(key),
+            json::number(*value)
+        ));
+    }
+    line.push('}');
+    writeln!(w, "{line}")
+}
+
+/// Writes one `conv` line (shared with the flight dump, like [`write_span`]).
+pub(crate) fn write_conv<W: Write>(w: &mut W, r: &ConvergenceRecord) -> io::Result<()> {
+    writeln!(
+        w,
+        "{{\"type\":\"conv\",\"span\":{},\"t_us\":{},\"iter\":{},\
+         \"l2\":{},\"step_norm\":{},\"epe\":{}}}",
+        r.span,
+        r.t_us,
+        r.iteration,
+        json::number(r.l2),
+        json::number(r.step_norm),
+        r.epe_violations
+    )
+}
+
 /// Writes the JSONL trace to `path` (created or truncated). The special
 /// path `-` streams to stdout instead — which is why every binary keeps
 /// its diagnostics on stderr, so `--trace-out - | jq` sees clean JSON.
@@ -147,157 +156,13 @@ pub fn flush_jsonl(path: &Path) -> io::Result<usize> {
     Ok(lines)
 }
 
-struct TreeNode {
-    calls: u64,
-    total: Duration,
-    children: Vec<usize>, // aggregate indices
-}
-
-fn fmt_duration(d: Duration) -> String {
-    let secs = d.as_secs_f64();
-    if secs >= 1.0 {
-        format!("{secs:.2}s")
-    } else if secs >= 1e-3 {
-        format!("{:.2}ms", secs * 1e3)
-    } else {
-        format!("{:.0}µs", secs * 1e6)
-    }
-}
-
-/// Renders the human-readable end-of-run summary: the span tree aggregated
-/// by name path (call count + total wall time), followed by counters,
-/// gauges and histograms. Empty string when nothing was recorded.
+/// Renders the human-readable end-of-run summary: [`analyze::render_summary`]
+/// of the trace [`write_jsonl`] writes, so it equals `ldmo trace summarize`
+/// of the file just flushed. Empty string when nothing was recorded.
 pub fn summary() -> String {
-    let events = collector::events_snapshot();
-    let records = collector::records_snapshot();
-    let counters = metrics::counters_snapshot();
-    let gauges = metrics::gauges_snapshot();
-    let histograms = metrics::histograms_snapshot();
-    if events.is_empty() && records.is_empty() && counters.is_empty() && histograms.is_empty() {
-        return String::new();
-    }
-
-    let mut out = String::from("── telemetry summary ──\n");
-
-    // Aggregate span instances into a tree keyed by the chain of names.
-    let by_id: HashMap<u64, &SpanEvent> = events.iter().map(|e| (e.id, e)).collect();
-    let path_of = |e: &SpanEvent| -> Vec<&'static str> {
-        let mut path = vec![e.name];
-        let mut parent = e.parent;
-        let mut guard = 0;
-        while parent != 0 && guard < 64 {
-            guard += 1;
-            match by_id.get(&parent) {
-                Some(p) => {
-                    path.push(p.name);
-                    parent = p.parent;
-                }
-                None => break,
-            }
-        }
-        path.reverse();
-        path
-    };
-    let mut aggregates: Vec<(Vec<&'static str>, TreeNode)> = Vec::new();
-    let mut index: HashMap<Vec<&'static str>, usize> = HashMap::new();
-    for e in &events {
-        let path = path_of(e);
-        // materialize every ancestor aggregate so orphaned prefixes render
-        for depth in 1..=path.len() {
-            let prefix = path[..depth].to_vec();
-            if !index.contains_key(&prefix) {
-                index.insert(prefix.clone(), aggregates.len());
-                aggregates.push((
-                    prefix,
-                    TreeNode {
-                        calls: 0,
-                        total: Duration::ZERO,
-                        children: Vec::new(),
-                    },
-                ));
-            }
-        }
-        let i = index[&path];
-        aggregates[i].1.calls += 1;
-        aggregates[i].1.total += Duration::from_micros(e.dur_us);
-    }
-    // link children
-    let links: Vec<(usize, usize)> = index
-        .iter()
-        .filter(|(path, _)| path.len() > 1)
-        .map(|(path, &i)| (index[&path[..path.len() - 1].to_vec()], i))
-        .collect();
-    for (parent, child) in links {
-        aggregates[parent].1.children.push(child);
-    }
-    let mut roots: Vec<usize> = index
-        .iter()
-        .filter(|(path, _)| path.len() == 1)
-        .map(|(_, &i)| i)
-        .collect();
-    let order_key = |i: usize| {
-        let (path, node) = &aggregates[i];
-        (std::cmp::Reverse(node.total), path.clone())
-    };
-    roots.sort_by_key(|&i| order_key(i));
-    fn render(
-        out: &mut String,
-        aggregates: &[(Vec<&'static str>, TreeNode)],
-        i: usize,
-        depth: usize,
-        order_key: &dyn Fn(usize) -> (std::cmp::Reverse<Duration>, Vec<&'static str>),
-    ) {
-        let (path, node) = &aggregates[i];
-        let name = path.last().expect("non-empty path");
-        let label = format!("{}{}", "  ".repeat(depth + 1), name);
-        out.push_str(&format!(
-            "{label:<38} {calls:>6} call{s} {total:>10}\n",
-            calls = node.calls,
-            s = if node.calls == 1 { " " } else { "s" },
-            total = fmt_duration(node.total)
-        ));
-        let mut children = node.children.clone();
-        children.sort_by_key(|&c| order_key(c));
-        for child in children {
-            render(out, aggregates, child, depth + 1, order_key);
-        }
-    }
-    if !events.is_empty() {
-        out.push_str("spans:\n");
-        for root in roots {
-            render(&mut out, &aggregates, root, 0, &order_key);
-        }
-    }
-
-    if !records.is_empty() {
-        out.push_str(&format!(
-            "convergence records: {} ({} dropped)\n",
-            records.len(),
-            collector::dropped_records()
-        ));
-    }
-    if !counters.is_empty() {
-        out.push_str("counters:\n");
-        for (name, value) in counters {
-            out.push_str(&format!("  {name:<36} {value:>12}\n"));
-        }
-    }
-    if !gauges.is_empty() {
-        out.push_str("gauges:\n");
-        for (name, value) in gauges {
-            out.push_str(&format!("  {name:<36} {value:>12.4}\n"));
-        }
-    }
-    if !histograms.is_empty() {
-        out.push_str("histograms:\n");
-        for (name, h) in histograms {
-            out.push_str(&format!(
-                "  {name:<36} n={} mean={:.1} max={}\n",
-                h.count,
-                h.mean(),
-                h.max
-            ));
-        }
-    }
-    out
+    let mut jsonl = Vec::new();
+    write_jsonl(&mut jsonl).expect("writing to memory cannot fail");
+    Trace::parse(&String::from_utf8_lossy(&jsonl))
+        .map(|trace| analyze::render_summary(&trace))
+        .unwrap_or_default()
 }

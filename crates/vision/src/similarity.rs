@@ -24,18 +24,9 @@ impl Default for SimilarityConfig {
     }
 }
 
-/// Eq. 7: thresholded feature distance.
-pub fn feature_distance(p: &Feature, q: &Feature, cfg: &SimilarityConfig) -> f64 {
-    let d = p.descriptor_dist(q);
-    if d <= cfg.d_th {
-        d
-    } else {
-        1.0
-    }
-}
-
-/// Algorithm 2: greedy matching of `a`'s features against `b`'s, then the
-/// sum of the `c` smallest distances. Lower = more similar; identical
+/// Algorithm 2: greedy matching of `a`'s features against `b`'s, each
+/// match thresholded per Eq. 7 (distance above `d_th` counts as 1), then
+/// the sum of the `c` smallest distances. Lower = more similar; identical
 /// layouts score 0 (when they have features at all).
 pub fn layout_distance(a: &[Feature], b: &[Feature], cfg: &SimilarityConfig) -> f64 {
     let mut used = vec![false; b.len()];

@@ -192,8 +192,13 @@ fn io_error(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> LdmoEr
 
 fn cmd_generate(args: &[String]) -> Result<(), LdmoError> {
     let (_, opts) = split_options(args);
-    let seed: u64 = opts.get("seed").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let count: usize = opts.get("count").and_then(|s| s.parse().ok()).unwrap_or(1);
+    let seed: u64 = opts.get("seed").map_or(Ok(1), |s| parse_flag(s, "seed"))?;
+    let count: usize = opts
+        .get("count")
+        .map_or(Ok(1), |s| parse_flag(s, "count"))?;
+    if count == 0 {
+        return Err(LdmoError::usage("--count must be at least 1"));
+    }
     let out = opts.get("out").copied().unwrap_or(".");
     std::fs::create_dir_all(out).map_err(io_error(format!("directory '{out}'")))?;
     let mut generator = LayoutGenerator::new(GeneratorConfig::default(), seed);
@@ -653,7 +658,10 @@ fn cmd_bench_report(args: &[String]) -> Result<(), LdmoError> {
 
 fn cmd_train(args: &[String]) -> Result<(), LdmoError> {
     let (_, opts) = split_options(args);
-    let pool: usize = opts.get("pool").and_then(|s| s.parse().ok()).unwrap_or(24);
+    let pool: usize = opts.get("pool").map_or(Ok(24), |s| parse_flag(s, "pool"))?;
+    if pool == 0 {
+        return Err(LdmoError::usage("--pool must be at least 1"));
+    }
     let out = opts.get("out").copied().unwrap_or("predictor.bin");
     let mut generator = LayoutGenerator::new(GeneratorConfig::default(), 2020);
     let layouts = generator.generate_dataset(pool);

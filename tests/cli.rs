@@ -79,6 +79,39 @@ fn chip_rejects_malformed_tile_grid() {
 }
 
 #[test]
+fn generate_and_train_reject_bad_numbers() {
+    let dir = temp_dir("bad_numbers");
+    let out_dir = dir.to_str().expect("utf8 path");
+    let weights = dir.join("w.bin");
+    let weights = weights.to_str().expect("utf8 path");
+    for (args, needle) in [
+        (
+            ["generate", "--seed", "x", "--count", "y", "--out", out_dir].as_slice(),
+            "--seed 'x' is not a valid number",
+        ),
+        (
+            &["generate", "--count", "0", "--out", out_dir],
+            "--count must be at least 1",
+        ),
+        (
+            &["train", "--pool", "0", "--out", weights],
+            "--pool must be at least 1",
+        ),
+        (
+            &["train", "--pool", "x", "--out", weights],
+            "--pool 'x' is not a valid number",
+        ),
+    ] {
+        let out = ldmo().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: usage errors exit 2");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: stderr: {err}");
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("temp dir").collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+    }
+}
+
+#[test]
 fn unknown_subcommand_fails_with_message() {
     let out = ldmo().arg("frobnicate").output().expect("runs");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");

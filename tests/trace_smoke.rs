@@ -160,6 +160,20 @@ fn flow_trace_has_stage_spans_and_convergence_records() {
     let summary = obs::summary();
     assert!(summary.contains("flow.run"));
     assert!(summary.contains("litho.conv_passes"));
+
+    // one summary: the end-of-run text is `ldmo trace summarize` of the
+    // file just written, self column and dropped-record count included
+    let trace = obs::analyze::Trace::parse(&text).expect("trace parses");
+    assert_eq!(summary, obs::analyze::render_summary(&trace));
+    let header = summary.lines().next().expect("summary has a span table");
+    assert!(
+        header.split_whitespace().any(|column| column == "self"),
+        "span table lacks the self column: {header}"
+    );
+    assert!(
+        summary.contains(&format!("({} dropped)", obs::dropped_records())),
+        "summary lacks the dropped-record count:\n{summary}"
+    );
 }
 
 /// The same flow traced at `--threads 4`: worker threads record spans
