@@ -1,20 +1,20 @@
-//! Per-backend litho benchmarks (DESIGN.md §13): the same forward pass /
-//! ILT step / candidate ranking measured under each [`BackendKind`], plus
-//! the direct-vs-separable-vs-FFT dense-kernel crossover at ≥224². Feeds
-//! `BENCH_backends.json` (via `--json-out`), which `scripts/perf_gate.py`
-//! diffs against the committed `bench_out/` baseline.
+//! Scalar-versus-SIMD litho benchmarks (DESIGN.md §13): the same forward
+//! pass / ILT step / candidate ranking measured with the scalar passes and
+//! with the vector passes, selected through the in-process
+//! [`backend::set_backend`] switch. Feeds `BENCH_backends.json` (via
+//! `--json-out`), which `scripts/perf_gate.py` diffs against the committed
+//! `bench_out/` baseline.
 //!
-//! Backend selection is process-global; every section sets it explicitly
-//! and the file restores the default at the end.
+//! The selection is process-global; every section sets it explicitly and
+//! puts `Auto` back at its end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo_decomp::{generate_candidates, DecompConfig};
-use ldmo_geom::{Grid, Rect};
 use ldmo_ilt::{IltConfig, IltContext, IltSession};
 use ldmo_layout::cells;
 use ldmo_litho::backend::{self, BackendKind};
-use ldmo_litho::{simulate_print, CoherentKernel, KernelBank, LithoConfig};
+use ldmo_litho::{simulate_print, KernelBank, LithoConfig};
 
 fn short_ilt() -> IltConfig {
     IltConfig {
@@ -39,7 +39,7 @@ fn bench_print_backends(c: &mut Criterion) {
             b.iter(|| simulate_print(&mask, &bank, &cfg))
         });
     }
-    backend::set_backend(backend::default_kind());
+    backend::set_backend(BackendKind::Auto);
     group.finish();
 }
 
@@ -54,7 +54,7 @@ fn bench_step_backends(c: &mut Criterion) {
         let mut session = IltSession::new(&layout, &[0, 1, 1, 0], &cfg);
         group.bench_function(format!("step_{kind}"), |b| b.iter(|| session.step_one()));
     }
-    backend::set_backend(backend::default_kind());
+    backend::set_backend(BackendKind::Auto);
     group.finish();
 }
 
@@ -76,33 +76,7 @@ fn bench_rank_backends(c: &mut Criterion) {
             b.iter(|| flow.rank_candidates(&layout, &candidates, &ctx))
         });
     }
-    backend::set_backend(backend::default_kind());
-    group.finish();
-}
-
-/// Dense-kernel convolution crossover at flow-scale grids (≥224²). The
-/// bank's own kernels are separable, so `separable` is the bar FFT has to
-/// clear.
-fn bench_crossover(c: &mut Criterion) {
-    use ldmo_litho::{convolve2d_direct, convolve2d_fft};
-    let mut group = c.benchmark_group("backend");
-    group.sample_size(10);
-    let kernel = CoherentKernel::gaussian(6.0, 1.0);
-    let (dense, k) = kernel.to_dense();
-    for side in [224usize, 256] {
-        let mut grid = Grid::zeros(side, side);
-        let margin = side as i32 / 4;
-        grid.fill_rect(&Rect::new(margin, margin, 3 * margin, 3 * margin), 1.0);
-        group.bench_function(format!("xover_separable_{side}"), |b| {
-            b.iter(|| kernel.field(&grid))
-        });
-        group.bench_function(format!("xover_fft_{side}"), |b| {
-            b.iter(|| convolve2d_fft(&grid, &dense, k, k))
-        });
-        group.bench_function(format!("xover_direct_{side}"), |b| {
-            b.iter(|| convolve2d_direct(&grid, &dense, k, k))
-        });
-    }
+    backend::set_backend(BackendKind::Auto);
     group.finish();
 }
 
@@ -110,7 +84,6 @@ criterion_group!(
     benches,
     bench_print_backends,
     bench_step_backends,
-    bench_rank_backends,
-    bench_crossover
+    bench_rank_backends
 );
 criterion_main!(benches);

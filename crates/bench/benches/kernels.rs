@@ -110,7 +110,7 @@ fn seed_convolve_separable(input: &Grid, profile: &[f32]) -> Grid {
 
 /// The seed's `CoherentKernel::field`: fresh accumulator + one allocating
 /// separable convolution per component. Symmetric profiles make this also
-/// the seed's `backproject`.
+/// the seed's gradient back-projection.
 fn seed_field(kernel: &CoherentKernel, mask: &Grid) -> Grid {
     let (w, h) = mask.shape();
     let mut acc = Grid::zeros(w, h);
@@ -343,8 +343,8 @@ fn bench_vision(c: &mut Criterion) {
 }
 
 fn bench_conv_ablation(c: &mut Criterion) {
-    // DESIGN.md §4: direct vs separable vs FFT convolution crossover
-    use ldmo_litho::{convolve2d_direct, convolve2d_fft, CoherentKernel};
+    // DESIGN.md §4: direct dense convolution vs the separable pass
+    use ldmo_litho::{convolve2d_direct, CoherentKernel};
     let mut grid = Grid::zeros(128, 128);
     grid.fill_rect(&Rect::new(40, 40, 90, 90), 1.0);
     let mut group = c.benchmark_group("conv_ablation");
@@ -357,9 +357,6 @@ fn bench_conv_ablation(c: &mut Criterion) {
         });
         group.bench_function(format!("separable_sigma{sigma}"), |b| {
             b.iter(|| kernel.field(&grid))
-        });
-        group.bench_function(format!("fft_sigma{sigma}"), |b| {
-            b.iter(|| convolve2d_fft(&grid, &dense, k, k))
         });
     }
     group.finish();

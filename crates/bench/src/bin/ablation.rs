@@ -52,8 +52,6 @@ fn run_suite(flow: &mut LdmoFlow, suite: &[(String, ldmo_layout::Layout)]) -> (u
 
 fn main() {
     let trace_out = ldmo_obs::trace_setup();
-    ldmo_par::cli_setup();
-    ldmo_litho::backend::cli_setup();
     let _live = ldmo_bench::live_setup();
     let suite = suite();
     let mut report = BenchReport::new("ablation");

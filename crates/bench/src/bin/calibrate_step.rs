@@ -21,8 +21,6 @@ fn quad(gap: i32) -> Layout {
 
 fn main() {
     let trace_out = ldmo_obs::trace_setup();
-    ldmo_par::cli_setup();
-    ldmo_litho::backend::cli_setup();
     let _live = ldmo_bench::live_setup();
     let args: Vec<String> = std::env::args().collect();
     let sigma: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40.0);

@@ -17,8 +17,6 @@ use ldmo_layout::cells;
 
 fn main() {
     let trace_out = ldmo_obs::trace_setup();
-    ldmo_par::cli_setup();
-    ldmo_litho::backend::cli_setup();
     let _live = ldmo_bench::live_setup();
     let layout = cells::cell("AOI211_X1").expect("known cell");
     let candidates = generate_candidates(&layout, &DecompConfig::default());

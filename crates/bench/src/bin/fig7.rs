@@ -19,8 +19,6 @@ use ldmo_layout::cells;
 
 fn main() {
     let trace_out = ldmo_obs::trace_setup();
-    ldmo_par::cli_setup();
-    ldmo_litho::backend::cli_setup();
     let _live = ldmo_bench::live_setup();
     let mut ilt = IltConfig::default();
     if fast_mode() {

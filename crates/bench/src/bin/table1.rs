@@ -31,8 +31,6 @@ struct Row {
 
 fn main() {
     let trace_out = ldmo_obs::trace_setup();
-    ldmo_par::cli_setup();
-    ldmo_litho::backend::cli_setup();
     let _live = ldmo_bench::live_setup();
     let fast = fast_mode();
     let mut ilt = IltConfig::default();

@@ -42,12 +42,13 @@ pub struct LiveOps {
     pub sampler: Option<ldmo_obs::profiler::Sampler>,
 }
 
-/// One-call live-ops setup for the bench bins, mirroring the `ldmo` CLI:
-/// installs the crash hooks (panic → trace flush + flight dump), then
+/// One-call setup for the bench bins, mirroring the `ldmo` CLI: installs
+/// the crash hooks (panic → trace flush + flight dump), sizes the worker
+/// pool (`--threads`), records the litho backend in the run info, then
 /// starts the metrics endpoint and the sampling profiler when the CLI or
 /// environment asks for them. Call after [`ldmo_obs::trace_setup`] so the
 /// crash path knows the trace destination; keep the returned guard alive
-/// until the run ends.
+/// until the run ends. A malformed `--threads` or `--sample-hz` exits 2.
 pub fn live_setup() -> LiveOps {
     ldmo_guard::ops::install_crash_hooks();
     // bench bins honor LDMO_FAULTS like the ldmo CLI does — chaos runs
@@ -57,9 +58,16 @@ pub fn live_setup() -> LiveOps {
         eprintln!("error: {e}");
         std::process::exit(7);
     }
+    let sampler = ldmo_par::cli_setup()
+        .and_then(|_| ldmo_obs::profiler::cli_setup())
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
+    ldmo_obs::set_run_info("backend", ldmo_litho::backend::resolved_kind().as_str());
     LiveOps {
         server: ldmo_obs::serve::cli_setup(),
-        sampler: ldmo_obs::profiler::cli_setup(),
+        sampler,
     }
 }
 

@@ -133,34 +133,6 @@ pub struct LdmoFlow {
     pool: ldmo_par::ThreadPool,
 }
 
-/// Per-stage peak-heap attribution: resets the counting allocator's
-/// high-water mark at stage start and stamps the stage's own peak onto its
-/// span at the end. Active only when the binary installed
-/// `ldmo_obs::alloc::CountingAlloc` *and* the collector is on — otherwise
-/// every call is a no-op, keeping unprofiled runs free.
-struct StagePeak {
-    on: bool,
-}
-
-impl StagePeak {
-    fn start(on: bool) -> StagePeak {
-        if on {
-            ldmo_obs::alloc::reset_peak();
-        }
-        StagePeak { on }
-    }
-
-    /// Stamps `peak_kb` on the stage span and folds it into the run-level
-    /// maximum.
-    fn finish(self, span: &mut ldmo_obs::Span, run_peak_kb: &mut f64) {
-        if self.on {
-            let kb = ldmo_obs::alloc::peak_bytes() as f64 / 1024.0;
-            span.set("peak_kb", kb);
-            *run_peak_kb = run_peak_kb.max(kb);
-        }
-    }
-}
-
 impl LdmoFlow {
     /// Creates a flow with the given selection strategy, ranking
     /// candidates on the global [`ldmo_par`] pool.
@@ -198,8 +170,6 @@ impl LdmoFlow {
     /// non-empty layouts).
     pub fn run(&mut self, layout: &Layout) -> FlowResult {
         let run_start = Instant::now();
-        let mem = ldmo_obs::enabled() && ldmo_obs::alloc::installed();
-        let mut run_peak_kb = 0f64;
         let mut root = ldmo_obs::span("flow.run");
         root.set("patterns", layout.len() as f64);
         root.set("pool", self.pool.threads() as f64);
@@ -212,27 +182,19 @@ impl LdmoFlow {
         // one kernel-bank expansion serves the proxy ranking, every abort
         // attempt and the final optimization
         let ctx = {
-            let mut s = ldmo_obs::span("flow.kernel_expand");
-            let peak = StagePeak::start(mem);
-            let ctx = IltContext::new(&self.cfg.ilt);
-            peak.finish(&mut s, &mut run_peak_kb);
-            ctx
+            let _s = ldmo_obs::span("flow.kernel_expand");
+            IltContext::new(&self.cfg.ilt)
         };
         let candidates = {
             let mut s = ldmo_obs::span("flow.candidate_gen");
-            let peak = StagePeak::start(mem);
             let candidates = generate_candidates(layout, &self.cfg.decomp);
-            peak.finish(&mut s, &mut run_peak_kb);
             s.set("candidates", candidates.len() as f64);
             candidates
         };
         assert!(!candidates.is_empty(), "no decomposition candidates");
         let order = {
-            let mut s = ldmo_obs::span("flow.rank");
-            let peak = StagePeak::start(mem);
-            let order = self.rank_candidates(layout, &candidates, &ctx);
-            peak.finish(&mut s, &mut run_peak_kb);
-            order
+            let _s = ldmo_obs::span("flow.rank");
+            self.rank_candidates(layout, &candidates, &ctx)
         };
 
         let mut scratch = None;
@@ -253,9 +215,7 @@ impl LdmoFlow {
                     }
                     Rung::Final => ldmo_obs::span("flow.ilt_final"),
                 };
-                let peak = StagePeak::start(mem);
                 let outcome = run();
-                peak.finish(&mut s, &mut run_peak_kb);
                 if rung != Rung::Final {
                     let aborted = outcome.aborted_at.is_some();
                     s.set("aborted", if aborted { 1.0 } else { 0.0 });
@@ -272,14 +232,11 @@ impl LdmoFlow {
         let timing = FlowTiming::from_total(run_start.elapsed(), chosen.final_time);
         // sel_us + opt_us must reconcile with the span's own duration
         // (`ldmo trace summarize --reconcile` enforces it within 1%); with
-        // the backend tag this uses 7 of the collector's
+        // the backend tag this uses 6 of the collector's
         // `ldmo_obs::MAX_SPAN_META` slots
         root.set("attempts", chosen.attempts as f64);
         root.set("sel_us", timing.decomposition_selection.as_micros() as f64);
         root.set("opt_us", timing.mask_optimization.as_micros() as f64);
-        if mem {
-            root.set("peak_kb", run_peak_kb);
-        }
         FlowResult {
             assignment: candidates[chosen.index].clone(),
             outcome: chosen.outcome,

@@ -197,7 +197,9 @@ fn grad_one_mask_into(
         ws.grad
             .weighted
             .zip_from(&ws.grad.g_int, field, |g, f| g * f);
-        kernel.backproject_into(&ws.grad.weighted, &mut ws.conv, &mut ws.grad.back);
+        // back-projection is a correlation with h_k; every profile is a
+        // palindrome, so it equals the convolution `field_into` computes
+        kernel.field_into(&ws.grad.weighted, &mut ws.conv, &mut ws.grad.back);
         let wk = 2.0 * kernel.weight() as f32;
         let acc = out.as_mut_slice();
         for (a, &b) in acc.iter_mut().zip(ws.grad.back.as_slice()) {

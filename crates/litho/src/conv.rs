@@ -1,14 +1,19 @@
-//! 2-D convolution: direct (reference), and fast separable convolution for
-//! the radially symmetric Gaussian kernels used by the optical model.
+//! 2-D convolution: the separable pass the optical model runs for its
+//! radially symmetric Gaussian kernels, and a direct dense convolution kept
+//! as the oracle that pass is tested against.
 //!
 //! All convolutions use "same" output size with zero padding, which models a
 //! mask embedded in an empty (chrome) surround.
 
+use crate::backend::{resolved_kind, BackendKind};
 use ldmo_geom::Grid;
 
+#[cfg(test)]
+mod conformance;
+
 /// Direct 2-D convolution of `input` with a dense `kernel`, same-size output,
-/// zero padding. `O(W·H·kw·kh)` — the reference implementation used to
-/// validate the separable and FFT fast paths, and for non-separable kernels.
+/// zero padding. `O(W·H·kw·kh)` — the oracle the separable pass is tested
+/// against, and the `conv_ablation/direct_*` bench baseline.
 ///
 /// The kernel is indexed `kernel[ky * kw + kx]` and is *centered*: taps run
 /// from `-(kw/2)` to `kw - kw/2 - 1` relative to the output pixel
@@ -63,8 +68,10 @@ pub fn convolve_separable(input: &Grid, profile: &[f32]) -> Grid {
 /// `tmp`, the column pass into `out`. Neither buffer's prior contents
 /// matter; both are fully overwritten. Allocation-free.
 ///
-/// Dispatches to the process-global [`crate::backend`] selection; every
-/// in-tree backend is bit-identical, so the choice affects speed only.
+/// Runs the vector passes on x86_64 (AVX2 when the CPU reports it, SSE2
+/// otherwise) and the scalar passes elsewhere or when
+/// [`crate::backend::set_backend`] selected them. The passes are
+/// bit-identical, so the choice affects speed only.
 ///
 /// # Panics
 ///
@@ -74,7 +81,18 @@ pub fn convolve_separable_into(input: &Grid, profile: &[f32], tmp: &mut Grid, ou
     if ldmo_obs::enabled() {
         conv_pass_counter().incr();
     }
-    crate::backend::active().convolve_separable_into(input, profile, tmp, out);
+    match resolved_kind() {
+        #[cfg(target_arch = "x86_64")]
+        BackendKind::Simd => {
+            // AVX2 where the CPU reports it, SSE2 otherwise
+            convolve_rows_simd(input, profile, tmp, true);
+            convolve_cols_simd(tmp, profile, out, true);
+        }
+        _ => {
+            convolve_rows_scalar(input, profile, tmp);
+            convolve_cols_scalar(tmp, profile, out);
+        }
+    }
 }
 
 /// Telemetry: one count per separable convolution pass (row + column
@@ -83,21 +101,6 @@ pub fn convolve_separable_into(input: &Grid, profile: &[f32], tmp: &mut Grid, ou
 fn conv_pass_counter() -> ldmo_obs::Counter {
     static COUNTER: std::sync::OnceLock<ldmo_obs::Counter> = std::sync::OnceLock::new();
     *COUNTER.get_or_init(|| ldmo_obs::counter("litho.conv_passes"))
-}
-
-/// Correlation with a separable symmetric kernel. For the symmetric Gaussian
-/// profiles used here this is identical to [`convolve_separable`]; it exists
-/// so gradient code can state its intent (backpropagation through a
-/// convolution is a correlation with the same kernel).
-pub fn correlate_separable(input: &Grid, profile: &[f32]) -> Grid {
-    // A symmetric profile equals its own flip, so correlation == convolution.
-    convolve_separable(input, profile)
-}
-
-/// Buffer-reuse variant of [`correlate_separable`]; see
-/// [`convolve_separable_into`].
-pub fn correlate_separable_into(input: &Grid, profile: &[f32], tmp: &mut Grid, out: &mut Grid) {
-    convolve_separable_into(input, profile, tmp, out);
 }
 
 /// Output tile width of the register-blocked convolution passes: the
@@ -110,8 +113,8 @@ const TILE: usize = 32;
 const PAD_STACK: usize = 1024;
 
 /// The scalar row pass of the register-blocked separable convolution — the
-/// reference implementation every backend must reproduce bit-for-bit.
-pub(crate) fn convolve_rows_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
+/// reference the vector passes must reproduce bit-for-bit.
+fn convolve_rows_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
     assert!(profile.len() % 2 == 1, "profile must be odd-length");
     assert_eq!(input.shape(), out.shape(), "output shape mismatch");
     let (w, h) = input.shape();
@@ -159,7 +162,7 @@ pub(crate) fn convolve_rows_scalar(input: &Grid, profile: &[f32], out: &mut Grid
 }
 
 /// The scalar column pass; see [`convolve_rows_scalar`].
-pub(crate) fn convolve_cols_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
+fn convolve_cols_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
     assert!(profile.len() % 2 == 1, "profile must be odd-length");
     assert_eq!(input.shape(), out.shape(), "output shape mismatch");
     let (w, h) = input.shape();
@@ -202,7 +205,7 @@ pub(crate) fn convolve_cols_scalar(input: &Grid, profile: &[f32], out: &mut Grid
 }
 
 // ---------------------------------------------------------------------------
-// SIMD passes (x86_64 SSE2/AVX2, runtime-detected)
+// SIMD passes (x86_64 SSE2/AVX2)
 //
 // Bit-identity argument: the scalar tile loop accumulates, for each output
 // element j, `acc[j] += padded[...k...][j] * p[k]` in increasing-k order
@@ -214,99 +217,94 @@ pub(crate) fn convolve_cols_scalar(input: &Grid, profile: &[f32], out: &mut Grid
 // scalar epilogue loops.
 // ---------------------------------------------------------------------------
 
-/// The SIMD row pass: scalar prologue/epilogue with vectorized 32-wide
-/// tiles on x86_64; delegates to [`convolve_rows_scalar`] elsewhere.
-pub(crate) fn convolve_rows_simd(input: &Grid, profile: &[f32], out: &mut Grid) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        assert!(profile.len() % 2 == 1, "profile must be odd-length");
-        assert_eq!(input.shape(), out.shape(), "output shape mismatch");
-        let (w, h) = input.shape();
-        let c = profile.len() / 2;
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        let padded_len = w + 2 * c;
-        let mut stack_buf = [0.0f32; PAD_STACK];
-        let mut heap_buf = Vec::new();
-        let padded: &mut [f32] = if padded_len <= PAD_STACK {
-            &mut stack_buf[..padded_len]
-        } else {
-            heap_buf.resize(padded_len, 0.0);
-            &mut heap_buf
-        };
-        let avx2 = x86::avx2_available();
-        for y in 0..h {
-            padded[c..c + w].copy_from_slice(&src[y * w..(y + 1) * w]);
-            let out_row = &mut dst[y * w..(y + 1) * w];
-            let mut x = 0;
-            while x + TILE <= w {
-                // SAFETY: `x + TILE <= w` keeps every load of
-                // `padded[x + 2c - k .. +TILE]` (k ≤ 2c) and every store of
-                // `out_row[x .. x + TILE]` in bounds; the ISA was detected.
-                unsafe {
-                    if avx2 {
-                        x86::row_tile_avx2(padded, profile, out_row, x, c);
-                    } else {
-                        x86::row_tile_sse2(padded, profile, out_row, x, c);
-                    }
+/// The SIMD row pass: vectorized 32-wide tiles with a scalar epilogue.
+/// The tiles are AVX2 when `allow_avx2` is set and the CPU reports AVX2,
+/// SSE2 otherwise; clearing it lets the differential suite force SSE2.
+#[cfg(target_arch = "x86_64")]
+fn convolve_rows_simd(input: &Grid, profile: &[f32], out: &mut Grid, allow_avx2: bool) {
+    assert!(profile.len() % 2 == 1, "profile must be odd-length");
+    assert_eq!(input.shape(), out.shape(), "output shape mismatch");
+    let (w, h) = input.shape();
+    let c = profile.len() / 2;
+    let src = input.as_slice();
+    let dst = out.as_mut_slice();
+    let padded_len = w + 2 * c;
+    let mut stack_buf = [0.0f32; PAD_STACK];
+    let mut heap_buf = Vec::new();
+    let padded: &mut [f32] = if padded_len <= PAD_STACK {
+        &mut stack_buf[..padded_len]
+    } else {
+        heap_buf.resize(padded_len, 0.0);
+        &mut heap_buf
+    };
+    let avx2 = allow_avx2 && x86::avx2_available();
+    for y in 0..h {
+        padded[c..c + w].copy_from_slice(&src[y * w..(y + 1) * w]);
+        let out_row = &mut dst[y * w..(y + 1) * w];
+        let mut x = 0;
+        while x + TILE <= w {
+            // SAFETY: `x + TILE <= w` keeps every load of
+            // `padded[x + 2c - k .. +TILE]` (k ≤ 2c) and every store of
+            // `out_row[x .. x + TILE]` in bounds; AVX2 runs only when
+            // `avx2_available` reported it.
+            unsafe {
+                if avx2 {
+                    x86::row_tile_avx2(padded, profile, out_row, x, c);
+                } else {
+                    x86::row_tile_sse2(padded, profile, out_row, x, c);
                 }
-                x += TILE;
             }
-            for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
-                let mut a = 0.0f32;
-                for (k, &p) in profile.iter().enumerate() {
-                    a += padded[xr + 2 * c - k] * p;
-                }
-                *o = a;
+            x += TILE;
+        }
+        for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
+            let mut a = 0.0f32;
+            for (k, &p) in profile.iter().enumerate() {
+                a += padded[xr + 2 * c - k] * p;
             }
+            *o = a;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    convolve_rows_scalar(input, profile, out);
 }
 
 /// The SIMD column pass; see [`convolve_rows_simd`].
-pub(crate) fn convolve_cols_simd(input: &Grid, profile: &[f32], out: &mut Grid) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        assert!(profile.len() % 2 == 1, "profile must be odd-length");
-        assert_eq!(input.shape(), out.shape(), "output shape mismatch");
-        let (w, h) = input.shape();
-        let c = profile.len() as i64 / 2;
-        let src = input.as_slice();
-        let dst = out.as_mut_slice();
-        let avx2 = x86::avx2_available();
-        for y in 0..h {
-            let out_row = &mut dst[y * w..(y + 1) * w];
-            let mut x = 0;
-            while x + TILE <= w {
-                // SAFETY: `x + TILE <= w` and the in-range `sy` filter keep
-                // every `src[sy·w + x .. +TILE]` load and the
-                // `out_row[x .. x + TILE]` store in bounds.
-                unsafe {
-                    if avx2 {
-                        x86::col_tile_avx2(src, profile, out_row, x, y, w, h, c);
-                    } else {
-                        x86::col_tile_sse2(src, profile, out_row, x, y, w, h, c);
-                    }
+#[cfg(target_arch = "x86_64")]
+fn convolve_cols_simd(input: &Grid, profile: &[f32], out: &mut Grid, allow_avx2: bool) {
+    assert!(profile.len() % 2 == 1, "profile must be odd-length");
+    assert_eq!(input.shape(), out.shape(), "output shape mismatch");
+    let (w, h) = input.shape();
+    let c = profile.len() as i64 / 2;
+    let src = input.as_slice();
+    let dst = out.as_mut_slice();
+    let avx2 = allow_avx2 && x86::avx2_available();
+    for y in 0..h {
+        let out_row = &mut dst[y * w..(y + 1) * w];
+        let mut x = 0;
+        while x + TILE <= w {
+            // SAFETY: `x + TILE <= w` and the in-range `sy` filter keep
+            // every `src[sy·w + x .. +TILE]` load and the
+            // `out_row[x .. x + TILE]` store in bounds; AVX2 runs only
+            // when `avx2_available` reported it.
+            unsafe {
+                if avx2 {
+                    x86::col_tile_avx2(src, profile, out_row, x, y, w, h, c);
+                } else {
+                    x86::col_tile_sse2(src, profile, out_row, x, y, w, h, c);
                 }
-                x += TILE;
             }
-            for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
-                let mut a = 0.0f32;
-                for (k, &p) in profile.iter().enumerate() {
-                    let sy = y as i64 - (k as i64 - c);
-                    if sy < 0 || sy as usize >= h {
-                        continue;
-                    }
-                    a += src[sy as usize * w + xr] * p;
+            x += TILE;
+        }
+        for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
+            let mut a = 0.0f32;
+            for (k, &p) in profile.iter().enumerate() {
+                let sy = y as i64 - (k as i64 - c);
+                if sy < 0 || sy as usize >= h {
+                    continue;
                 }
-                *o = a;
+                a += src[sy as usize * w + xr] * p;
             }
+            *o = a;
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    convolve_cols_scalar(input, profile, out);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -543,9 +541,6 @@ mod tests {
         let mut out = Grid::filled(9, 9, 123.0);
         convolve_separable_into(&g, &profile, &mut tmp, &mut out);
         assert_eq!(out, reference);
-        let mut out2 = Grid::filled(9, 9, -7.0);
-        correlate_separable_into(&g, &profile, &mut tmp, &mut out2);
-        assert_eq!(out2, correlate_separable(&g, &profile));
     }
 
     #[test]

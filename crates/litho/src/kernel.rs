@@ -23,7 +23,7 @@
 //! the forward convolution and the gradient back-projection stay on the
 //! fast separable path.
 
-use crate::conv::{convolve_separable_into, correlate_separable_into};
+use crate::conv::convolve_separable_into;
 use crate::workspace::ConvScratch;
 use crate::LithoConfig;
 use ldmo_geom::Grid;
@@ -187,35 +187,6 @@ impl CoherentKernel {
         }
     }
 
-    /// Back-projection `g ⊗ h_k` used by the ILT gradient (`h_k` is
-    /// symmetric, so correlation equals convolution).
-    pub fn backproject(&self, g: &Grid) -> Grid {
-        let (w, h) = g.shape();
-        let mut scratch = ConvScratch::new(w, h);
-        let mut out = Grid::zeros(w, h);
-        self.backproject_into(g, &mut scratch, &mut out);
-        out
-    }
-
-    /// Buffer-reuse variant of [`CoherentKernel::backproject`]; see
-    /// [`CoherentKernel::field_into`].
-    pub fn backproject_into(&self, g: &Grid, scratch: &mut ConvScratch, out: &mut Grid) {
-        assert_eq!(g.shape(), out.shape(), "output shape mismatch");
-        for (i, c) in self.components.iter().enumerate() {
-            correlate_separable_into(g, &c.profile, &mut scratch.tmp, &mut scratch.part);
-            let a = out.as_mut_slice();
-            if i == 0 {
-                for (v, &p) in a.iter_mut().zip(scratch.part.as_slice()) {
-                    *v = c.amplitude * p;
-                }
-            } else {
-                for (v, &p) in a.iter_mut().zip(scratch.part.as_slice()) {
-                    *v += c.amplitude * p;
-                }
-            }
-        }
-    }
-
     /// The separable Gaussian components as `(amplitude, profile)` pairs:
     /// each profile is centered, odd-length and unit-sum. This is the raw
     /// material for external convolution implementations (benchmark
@@ -228,8 +199,8 @@ impl CoherentKernel {
     }
 
     /// Dense 2-D realization of the kernel (sum of outer products), for the
-    /// direct/FFT convolution reference paths and tests. Returns the buffer
-    /// and its (odd) side length.
+    /// direct convolution oracle ([`crate::convolve2d_direct`]) and its
+    /// bench rows. Returns the buffer and its (odd) side length.
     pub fn to_dense(&self) -> (Vec<f32>, usize) {
         let k = self
             .components
@@ -422,11 +393,19 @@ mod tests {
     }
 
     #[test]
-    fn backproject_equals_field_for_symmetric_kernels() {
-        let k = CoherentKernel::difference_of_gaussians(3.0, 6.0, 0.4, 1.0);
-        let mut g = Grid::zeros(48, 48);
-        g.set(20, 25, 1.0);
-        g.set(30, 10, -0.5);
-        assert_eq!(k.field(&g), k.backproject(&g));
+    fn every_profile_is_a_palindrome() {
+        // the ILT gradient back-projects through `field_into`: a correlation
+        // with h_k equals the convolution only because each profile equals
+        // its own flip
+        let bank = KernelBank::paper_bank(&LithoConfig::default());
+        let dog = CoherentKernel::difference_of_gaussians(3.0, 6.0, 0.4, 1.0);
+        for kernel in bank.kernels().iter().chain([&dog]) {
+            for (_, profile) in kernel.components() {
+                assert!(
+                    profile.iter().eq(profile.iter().rev()),
+                    "asymmetric profile {profile:?}"
+                );
+            }
+        }
     }
 }

@@ -11,7 +11,10 @@
 //!    low-pass behaviour of 193 nm projection optics: corner rounding,
 //!    pattern bridging below the minimum spacing, and proximity interaction
 //!    that decays to nothing beyond ~100 nm — exactly the effects the
-//!    paper's `nmin`/`nmax` classification (Eq. 6) encodes.
+//!    paper's `nmin`/`nmax` classification (Eq. 6) encodes. Every kernel is
+//!    a signed sum of separable Gaussians, so the optics need one
+//!    convolution, [`convolve_separable_into`]: vector passes on x86_64,
+//!    scalar elsewhere, bit-identical to each other ([`backend`]).
 //! 2. **Resist** — the constant-threshold sigmoid model of the paper's Eq. 2:
 //!    `T_i = sigmoid(θz (I_i − I_th))` with `θz = 120`, `I_th = 0.039`.
 //! 3. **Double patterning** — the printed image of two masks is
@@ -50,21 +53,16 @@ pub mod backend;
 mod components;
 mod conv;
 mod epe;
-mod fft;
 mod kernel;
 mod resist;
 mod violation;
 mod workspace;
 
 pub use aerial::{aerial_image, aerial_image_into, AerialImage};
-pub use backend::{BackendKind, LithoBackend};
+pub use backend::BackendKind;
 pub use components::{label_components, ComponentLabels};
-pub use conv::{
-    convolve2d_direct, convolve_separable, convolve_separable_into, correlate_separable,
-    correlate_separable_into,
-};
+pub use conv::{convolve2d_direct, convolve_separable, convolve_separable_into};
 pub use epe::{measure_epe, EpeCheckpoint, EpeReport, EpeSite};
-pub use fft::{convolve2d_fft, fft2d, ifft2d, Complex};
 pub use kernel::{CoherentKernel, KernelBank};
 pub use resist::{
     combine_double_pattern, combine_prints, combine_prints_into, resist_threshold,

@@ -1,22 +1,18 @@
-//! Opt-in heap self-profiling: a counting global allocator.
+//! A counting global allocator for allocation-free regression tests.
 //!
 //! [`CountingAlloc`] wraps the system allocator and keeps four atomics:
-//! allocation count, reallocation count, live bytes, and a resettable
-//! high-water mark. It grew out of the counting allocator in
-//! `crates/ilt/tests/alloc_free.rs` (which now uses this type), promoted
-//! so binaries can opt in and feed the `mem.*` gauges of the trace:
+//! allocation count, reallocation count, live bytes, and a high-water
+//! mark. A test binary installs it and asserts on the counts, as
+//! `crates/ilt/tests/alloc_free.rs` does for the ILT hot loop:
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static GLOBAL: ldmo_obs::alloc::CountingAlloc = ldmo_obs::alloc::CountingAlloc;
 //! ```
 //!
-//! Binaries that do not install it pay nothing and emit no `mem.*`
-//! gauges ([`installed`] stays false, and the sink skips publishing).
-//! The instrumentation itself is three relaxed atomic RMWs per
-//! allocation — cheap enough for the bench bins, and exactly zero on the
-//! ILT hot path, which performs no allocations at all (the invariant the
-//! original test guards).
+//! Binaries that do not install it pay nothing ([`installed`] stays
+//! false). The instrumentation itself is three relaxed atomic RMWs per
+//! allocation.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -28,8 +24,8 @@ static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// A `#[global_allocator]` wrapper over [`System`] that feeds the
-/// process-wide counters read by [`alloc_count`], [`current_bytes`] and
-/// [`peak_bytes`].
+/// process-wide counters read by [`alloc_event_count`], [`current_bytes`]
+/// and [`peak_bytes`].
 pub struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System`; the bookkeeping never
@@ -68,20 +64,10 @@ pub fn installed() -> bool {
     INSTALLED.load(Ordering::Relaxed)
 }
 
-/// Heap allocations performed so far (excludes reallocations).
-pub fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
-}
-
-/// Heap reallocations performed so far.
-pub fn realloc_count() -> u64 {
-    REALLOCS.load(Ordering::SeqCst)
-}
-
 /// Allocations plus reallocations — the quantity the zero-allocation
 /// hot-path regression tests assert on.
 pub fn alloc_event_count() -> u64 {
-    alloc_count() + realloc_count()
+    ALLOCS.load(Ordering::SeqCst) + REALLOCS.load(Ordering::SeqCst)
 }
 
 /// Live heap bytes right now (as seen by the counting allocator).
@@ -89,30 +75,7 @@ pub fn current_bytes() -> u64 {
     CURRENT_BYTES.load(Ordering::SeqCst)
 }
 
-/// High-water live-byte mark since process start or the last
-/// [`reset_peak`].
+/// High-water live-byte mark since process start.
 pub fn peak_bytes() -> u64 {
     PEAK_BYTES.load(Ordering::SeqCst)
-}
-
-/// Restarts the high-water mark at the current live-byte level, enabling
-/// per-stage peak attribution (each flow stage resets, runs, then reads
-/// [`peak_bytes`] as its own peak).
-pub fn reset_peak() {
-    PEAK_BYTES.store(CURRENT_BYTES.load(Ordering::SeqCst), Ordering::SeqCst);
-}
-
-/// Publishes the `mem.*` gauges (`mem.peak_bytes`, `mem.current_bytes`,
-/// `mem.allocs`, `mem.reallocs`) into the metric registry. A no-op unless
-/// a [`CountingAlloc`] is installed and the collector is enabled, so
-/// traces never carry all-zero memory gauges that merely mean
-/// "unprofiled". Called by the JSONL sink just before serialization.
-pub fn publish_gauges() {
-    if !installed() || !crate::enabled() {
-        return;
-    }
-    crate::gauge("mem.peak_bytes").set(peak_bytes() as f64);
-    crate::gauge("mem.current_bytes").set(current_bytes() as f64);
-    crate::gauge("mem.allocs").set(alloc_count() as f64);
-    crate::gauge("mem.reallocs").set(realloc_count() as f64);
 }

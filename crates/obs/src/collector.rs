@@ -7,9 +7,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Maximum numeric metadata fields per span; further [`Span::set`] calls
-/// are dropped silently. Sized for the widest span in the inventory:
-/// `flow.run` carries patterns/pool/backend/attempts/sel_us/opt_us plus
-/// peak_kb under memory profiling.
+/// are dropped silently. Sized with headroom for the widest spans in the
+/// inventory: `flow.run` carries patterns/pool/backend/attempts/sel_us/
+/// opt_us.
 pub const MAX_SPAN_META: usize = 8;
 
 /// Maximum span nesting depth tracked for parent attribution; deeper spans

@@ -29,8 +29,8 @@
 //! span-tree rollups, histogram percentile reconstruction, convergence
 //! summaries and trace diffing, powering the `ldmo trace` subcommand. The
 //! human-readable end-of-run summary ([`summary`]) is that read side
-//! applied to the trace just written. [`alloc`] adds an opt-in counting
-//! global allocator feeding `mem.*` gauges.
+//! applied to the trace just written. [`alloc`] adds a counting global
+//! allocator for allocation-free regression tests.
 //!
 //! Span naming, counter-vs-histogram guidance and the hot-path allocation
 //! rules are documented in DESIGN.md §8.
@@ -120,9 +120,10 @@ pub fn init_from_env() -> bool {
 // ---------------------------------------------------------------------------
 // Run info: a small key/value registry describing the process (git rev,
 // thread count, litho backend, …) that rides along in every flight-recorder
-// dump header. Populated by the setup calls that know the values —
-// `ldmo_par::cli_setup` sets `threads`, the litho backend setup sets
-// `backend` — so the obs crate stays dependency-free.
+// dump header. Populated by the startup code that knows the values —
+// `ldmo_par::cli_setup` sets `threads`, and the `ldmo` binary and the bench
+// bins' `live_setup` set `backend` from `ldmo_litho::backend::resolved_kind`
+// — so the obs crate stays dependency-free.
 // ---------------------------------------------------------------------------
 
 static RUN_INFO: OnceLock<Mutex<Vec<(&'static str, String)>>> = OnceLock::new();

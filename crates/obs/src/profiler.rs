@@ -139,14 +139,24 @@ fn sampler_loop(interval: Duration, stop: &AtomicBool) {
 /// `LDMO_SAMPLE_HZ` environment variable) and starts the sampler. Returns
 /// the guard to keep alive for the duration of the run, or `None` when
 /// sampling was not requested.
-pub fn cli_setup() -> Option<Sampler> {
+///
+/// # Errors
+///
+/// A `--sample-hz` value that is not a positive number, named in the
+/// message; no sampler starts.
+pub fn cli_setup() -> Result<Option<Sampler>, String> {
     let args: Vec<String> = std::env::args().collect();
     let mut hz: Option<f64> = None;
     for pair in args.windows(2) {
         if pair[0] == "--sample-hz" {
             match pair[1].parse::<f64>() {
                 Ok(v) if v > 0.0 => hz = Some(v),
-                _ => eprintln!("ignoring invalid --sample-hz value '{}'", pair[1]),
+                _ => {
+                    return Err(format!(
+                        "--sample-hz '{}' is not a positive number",
+                        pair[1]
+                    ))
+                }
             }
         }
     }
@@ -156,10 +166,10 @@ pub fn cli_setup() -> Option<Sampler> {
             .and_then(|v| v.parse::<f64>().ok())
             .filter(|v| *v > 0.0);
     }
-    let hz = hz?;
+    let Some(hz) = hz else { return Ok(None) };
     let sampler = start(hz);
     if sampler.is_some() {
         eprintln!("[profiler] sampling span stacks at {hz} Hz");
     }
-    sampler
+    Ok(sampler)
 }

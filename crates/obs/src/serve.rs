@@ -139,13 +139,9 @@ fn render_hist(out: &mut String, name: &str, h: &HistogramSnapshot) {
 }
 
 /// Renders every registered metric in the Prometheus text exposition
-/// format. Only *registered* metrics appear: a gauge nothing ever set —
-/// the `mem.*` family without an installed counting allocator — is
+/// format. Only *registered* metrics appear: a gauge nothing ever set is
 /// omitted entirely rather than exported as a phantom zero.
 pub fn prometheus_text() -> String {
-    // refresh mem.* first: registers them only when a CountingAlloc is
-    // actually installed and the collector is on
-    crate::alloc::publish_gauges();
     let mut out = String::from("# TYPE ldmo_up gauge\nldmo_up 1\n");
     for (name, value) in metrics::counters_snapshot() {
         let name = format!("ldmo_{}_total", sanitize(name));

@@ -15,10 +15,6 @@ use std::path::Path;
 /// `gauge`, `hist`. Span metadata fields are flattened into the span
 /// object; non-finite numbers are emitted as `null`.
 pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
-    // opt-in memory self-profiling: refresh the mem.* gauges so every
-    // flushed trace carries the run's high-water mark (no-op without an
-    // installed CountingAlloc)
-    crate::alloc::publish_gauges();
     let mut lines = 0usize;
     let spans = collector::events_snapshot();
     let records = collector::records_snapshot();

@@ -48,12 +48,8 @@ pub struct SnapshotDelta {
 }
 
 impl MetricsSnapshot {
-    /// Takes a snapshot of every registered metric right now. The mem.*
-    /// gauges are refreshed first ([`crate::alloc::publish_gauges`]), a
-    /// no-op unless a counting allocator is installed — so they are
-    /// *omitted*, not zero-reported, in unprofiled processes.
+    /// Takes a snapshot of every registered metric right now.
     pub fn take() -> MetricsSnapshot {
-        crate::alloc::publish_gauges();
         MetricsSnapshot {
             seq: SNAPSHOT_SEQ.fetch_add(1, Ordering::Relaxed) + 1,
             unix_ms: std::time::SystemTime::now()

@@ -551,14 +551,19 @@ pub fn set_global_threads(threads: usize) {
 /// resizes the global pool accordingly; without the flag the pool keeps
 /// its default (`LDMO_THREADS` or `available_parallelism`). Returns the
 /// resulting global thread count.
-pub fn cli_setup() -> usize {
+///
+/// # Errors
+///
+/// A `--threads` value that is not a positive integer, named in the
+/// message; the pool is left as it was.
+pub fn cli_setup() -> Result<usize, String> {
     let args: Vec<String> = std::env::args().collect();
     let mut requested = None;
     for pair in args.windows(2) {
         if pair[0] == "--threads" {
             match pair[1].parse::<usize>() {
                 Ok(n) if n >= 1 => requested = Some(n),
-                _ => eprintln!("ignoring invalid --threads value '{}'", pair[1]),
+                _ => return Err(format!("--threads '{}' is not a positive integer", pair[1])),
             }
         }
     }
@@ -567,7 +572,7 @@ pub fn cli_setup() -> usize {
     }
     let threads = global_threads();
     ldmo_obs::set_run_info("threads", threads.to_string());
-    threads
+    Ok(threads)
 }
 
 #[cfg(test)]

@@ -30,20 +30,21 @@ use ldmo::ilt::{Budget, IltConfig, IltSession};
 use ldmo::layout::classify::{classify_patterns, ClassifyConfig};
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::{io as layout_io, Layout};
+use ldmo::obs::{profiler::Sampler, serve::MetricsServer};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     ldmo::guard::ops::install_crash_hooks();
     let trace_out = ldmo::obs::trace_setup();
-    ldmo::par::cli_setup();
-    ldmo::litho::backend::cli_setup();
-    // live-ops guards: the /metrics endpoint and the sampling profiler
-    // stay up for the whole run and shut down when main returns
-    let _metrics = ldmo::obs::serve::cli_setup();
-    let _sampler = ldmo::obs::profiler::cli_setup();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match run(&args) {
+    // the live-ops guards stay up for the whole run and shut down when
+    // main returns
+    let (_live, result) = match global_setup() {
+        Ok(live) => (Some(live), run(&args)),
+        Err(e) => (None, Err(e)),
+    };
+    let result = match result {
         // a clean run must also land its trace — a failed trace write is
         // a real error (exit 6), not a stderr footnote
         Ok(()) => finish_trace(trace_out.as_deref()),
@@ -62,6 +63,19 @@ fn main() -> ExitCode {
             ExitCode::from(e.exit_code())
         }
     }
+}
+
+/// Applies the global flags every subcommand accepts: `--threads` sizes
+/// the worker pool, `--sample-hz` starts the sampling profiler and
+/// `--metrics-addr` the /metrics endpoint, whose guards are returned for
+/// the caller to hold. Also records the litho backend in the run info.
+/// A malformed `--threads` or `--sample-hz` is a usage error, reported
+/// before any work; an address that cannot be bound only warns.
+fn global_setup() -> Result<(Option<Sampler>, Option<MetricsServer>), LdmoError> {
+    ldmo::par::cli_setup().map_err(LdmoError::usage)?;
+    ldmo::obs::set_run_info("backend", ldmo::litho::backend::resolved_kind().as_str());
+    let sampler = ldmo::obs::profiler::cli_setup().map_err(LdmoError::usage)?;
+    Ok((sampler, ldmo::obs::serve::cli_setup()))
 }
 
 fn run(args: &[String]) -> Result<(), LdmoError> {
@@ -150,9 +164,6 @@ fn print_usage() {
          with 'ldmo trace flame'); crashes and typed-error exits dump the\n\
          flight-recorder ring to flight_<pid>.jsonl (LDMO_FLIGHT_DIR, or\n\
          LDMO_FLIGHT=0 to disable)\n\n\
-         --backend {{auto,scalar,simd}} (or LDMO_BACKEND=..) picks\n\
-         the litho convolution backend (DESIGN.md §13); all backends are\n\
-         bit-identical, 'auto' resolves to the fastest available\n\n\
          LDMO_FAULTS=SPEC installs a deterministic fault-injection plan\n\
          (see DESIGN.md §11); exit codes: 2 usage, 3 parse, 4 model, 5 I/O,\n\
          6 trace, 7 bad fault spec, 8 degraded"
@@ -503,7 +514,7 @@ fn cmd_trace(args: &[String]) -> Result<(), LdmoError> {
             }
             // global flags handled by the setup calls in main(); each
             // consumes one value argument
-            "--trace-out" | "--threads" | "--backend" | "--metrics-addr" | "--sample-hz" => i += 1,
+            "--trace-out" | "--threads" | "--metrics-addr" | "--sample-hz" => i += 1,
             other if other.starts_with("--") => {
                 return Err(LdmoError::usage(format!("unknown trace option '{other}'")));
             }

@@ -112,6 +112,41 @@ fn generate_and_train_reject_bad_numbers() {
 }
 
 #[test]
+fn malformed_global_flags_exit_2_before_any_work() {
+    let dir = temp_dir("bad_global_flags");
+    let gen = ldmo()
+        .args(["generate", "--seed", "7", "--count", "1", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("runs");
+    assert!(gen.status.success(), "generate failed");
+    let layout = dir.join("layout_7_0.lay");
+    for (flag, value) in [("--threads", "0"), ("--threads", "x"), ("--sample-hz", "x")] {
+        let out = ldmo()
+            .arg("info")
+            .arg(&layout)
+            .args([flag, value])
+            .output()
+            .expect("runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} {value}: usage errors exit 2"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} '{value}'")),
+            "{flag} {value}: stderr: {err}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: stdout: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+}
+
+#[test]
 fn unknown_subcommand_fails_with_message() {
     let out = ldmo().arg("frobnicate").output().expect("runs");
     assert_eq!(out.status.code(), Some(2), "usage errors exit 2");
