@@ -50,7 +50,8 @@ pub struct Dataset {
     pub raw_scores: Vec<f64>,
     /// Z-score-normalized labels.
     pub labels: Vec<f32>,
-    /// The fitted normalizer (needed to invert predictions).
+    /// The normalizer fitted to `raw_scores`; augmentation reuses it so
+    /// the added samples share the original labels' scale.
     pub normalizer: Normalizer,
     /// The `(layout index, assignment)` provenance of each sample.
     pub provenance: Vec<(usize, MaskAssignment)>,

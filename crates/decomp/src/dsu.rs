@@ -7,16 +7,14 @@
 /// use ldmo_decomp::DisjointSets;
 ///
 /// let mut d = DisjointSets::new(4);
-/// d.union(0, 1);
-/// assert!(d.connected(0, 1));
-/// assert!(!d.connected(0, 2));
-/// assert_eq!(d.component_count(), 3);
+/// assert!(d.union(0, 1));
+/// assert_eq!(d.find(0), d.find(1));
+/// assert_ne!(d.find(0), d.find(2));
 /// ```
 #[derive(Debug, Clone)]
 pub struct DisjointSets {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    components: usize,
 }
 
 impl DisjointSets {
@@ -25,7 +23,6 @@ impl DisjointSets {
         DisjointSets {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            components: n,
         }
     }
 
@@ -65,7 +62,6 @@ impl DisjointSets {
         if ra == rb {
             return false;
         }
-        self.components -= 1;
         match self.rank[ra].cmp(&self.rank[rb]) {
             std::cmp::Ordering::Less => self.parent[ra] = rb,
             std::cmp::Ordering::Greater => self.parent[rb] = ra,
@@ -75,30 +71,6 @@ impl DisjointSets {
             }
         }
         true
-    }
-
-    /// Whether `a` and `b` share a set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
-    /// Current number of disjoint sets.
-    pub fn component_count(&self) -> usize {
-        self.components
-    }
-
-    /// Groups element indices by representative, in ascending order of the
-    /// smallest member.
-    pub fn groups(&mut self) -> Vec<Vec<usize>> {
-        let n = self.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for i in 0..n {
-            let r = self.find(i);
-            by_root.entry(r).or_default().push(i);
-        }
-        let mut groups: Vec<Vec<usize>> = by_root.into_values().collect();
-        groups.sort_by_key(|g| g[0]);
-        groups
     }
 }
 
@@ -110,7 +82,6 @@ mod tests {
     #[test]
     fn singletons_initially() {
         let mut d = DisjointSets::new(5);
-        assert_eq!(d.component_count(), 5);
         for i in 0..5 {
             assert_eq!(d.find(i), i);
         }
@@ -122,26 +93,15 @@ mod tests {
         assert!(d.union(0, 1));
         assert!(d.union(1, 2));
         assert!(!d.union(0, 2), "already connected");
-        assert_eq!(d.component_count(), 3);
-        assert!(d.connected(0, 2));
-        assert!(!d.connected(0, 3));
-    }
-
-    #[test]
-    fn groups_are_sorted_partitions() {
-        let mut d = DisjointSets::new(6);
-        d.union(4, 1);
-        d.union(2, 5);
-        let g = d.groups();
-        assert_eq!(g, vec![vec![0], vec![1, 4], vec![2, 5], vec![3]]);
+        assert_eq!(d.find(0), d.find(2));
+        assert_ne!(d.find(0), d.find(3));
     }
 
     #[test]
     fn empty_sets() {
-        let mut d = DisjointSets::new(0);
+        let d = DisjointSets::new(0);
         assert!(d.is_empty());
-        assert_eq!(d.component_count(), 0);
-        assert!(d.groups().is_empty());
+        assert_eq!(d.len(), 0);
     }
 
     proptest! {
@@ -151,25 +111,19 @@ mod tests {
             for (a, b) in &pairs {
                 d.union(*a, *b);
             }
+            for (a, b) in &pairs {
+                prop_assert_eq!(d.find(*a), d.find(*b));
+            }
             // connectivity must be an equivalence relation: check transitivity
             for x in 0..12 {
                 for y in 0..12 {
                     for z in 0..12 {
-                        if d.connected(x, y) && d.connected(y, z) {
-                            prop_assert!(d.connected(x, z));
+                        if d.find(x) == d.find(y) && d.find(y) == d.find(z) {
+                            prop_assert_eq!(d.find(x), d.find(z));
                         }
                     }
                 }
             }
-        }
-
-        #[test]
-        fn component_count_matches_groups(pairs in proptest::collection::vec((0usize..10, 0usize..10), 0..15)) {
-            let mut d = DisjointSets::new(10);
-            for (a, b) in &pairs {
-                d.union(*a, *b);
-            }
-            prop_assert_eq!(d.component_count(), d.groups().len());
         }
     }
 }

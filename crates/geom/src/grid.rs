@@ -300,22 +300,6 @@ impl Grid {
             + v11 * fx * fy
     }
 
-    /// Extracts the sub-grid covered by `rect` (clipped to bounds,
-    /// zero-filled where `rect` extends beyond the grid).
-    pub fn crop(&self, rect: &Rect) -> Grid {
-        let w = rect.width() as usize;
-        let h = rect.height() as usize;
-        let mut out = Grid::zeros(w, h);
-        for y in 0..h {
-            for x in 0..w {
-                let sx = i64::from(rect.x0) + x as i64;
-                let sy = i64::from(rect.y0) + y as i64;
-                out.data[y * w + x] = self.get_padded(sx, sy);
-            }
-        }
-        out
-    }
-
     /// The grid mirrored left-right.
     pub fn flip_horizontal(&self) -> Grid {
         let mut out = Grid::zeros(self.width, self.height);
@@ -462,16 +446,6 @@ mod tests {
         assert!((g.sample_bilinear(0.5, 0.0) - 0.5).abs() < 1e-6);
         assert!((g.sample_bilinear(0.0, 0.0) - 0.0).abs() < 1e-6);
         assert!((g.sample_bilinear(1.0, 0.0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn crop_with_padding() {
-        let mut g = Grid::zeros(4, 4);
-        g.set(0, 0, 5.0);
-        let c = g.crop(&Rect::new(-1, -1, 2, 2));
-        assert_eq!(c.shape(), (3, 3));
-        assert_eq!(c.get(0, 0), 0.0); // padded corner
-        assert_eq!(c.get(1, 1), 5.0); // original (0,0)
     }
 
     #[test]

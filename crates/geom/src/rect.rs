@@ -144,16 +144,6 @@ impl Rect {
         let dy = (other.y0 - self.y1).max(self.y0 - other.y1).max(0);
         f64::from(dx).hypot(f64::from(dy))
     }
-
-    /// Iterates over the four corner points, counter-clockwise from `(x0, y0)`.
-    pub fn corners(&self) -> [Point; 4] {
-        [
-            Point::new(self.x0, self.y0),
-            Point::new(self.x1, self.y0),
-            Point::new(self.x1, self.y1),
-            Point::new(self.x0, self.y1),
-        ]
-    }
 }
 
 impl fmt::Display for Rect {
@@ -234,20 +224,6 @@ mod tests {
     fn translate_and_expand() {
         let r = Rect::new(0, 0, 10, 10).translated(5, -2).expanded(1);
         assert_eq!(r, Rect::new(4, -3, 16, 9));
-    }
-
-    #[test]
-    fn corners_ccw() {
-        let r = Rect::new(1, 2, 3, 4);
-        assert_eq!(
-            r.corners(),
-            [
-                Point::new(1, 2),
-                Point::new(3, 2),
-                Point::new(3, 4),
-                Point::new(1, 4)
-            ]
-        );
     }
 
     proptest! {

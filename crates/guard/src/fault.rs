@@ -210,34 +210,6 @@ impl FaultPlan {
             slow_io: other.slow_io.or(self.slow_io),
         }
     }
-
-    /// Renders the plan back into the spec grammar (seeded plans render
-    /// their expanded coordinates).
-    pub fn to_spec(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(k) = self.nan_grad_at {
-            parts.push(format!("nan-grad@{k}"));
-        }
-        if let Some(j) = self.panic_at_task {
-            parts.push(format!("panic@{j}"));
-        }
-        match self.corrupt_model {
-            Some(ModelFault::Truncate { at }) => parts.push(format!("truncate-model@{at}")),
-            Some(ModelFault::FlipByte { at }) => parts.push(format!("flip-model@{at}")),
-            Some(ModelFault::NanWeight { index }) => parts.push(format!("nan-weight@{index}")),
-            None => {}
-        }
-        if let Some((task, d)) = self.stall {
-            parts.push(format!("stall@{task}:{}", d.as_millis()));
-        }
-        if let Some(k) = self.drop_conn_at {
-            parts.push(format!("drop-conn@{k}"));
-        }
-        if let Some((conn, d)) = self.slow_io {
-            parts.push(format!("slow-io@{conn}:{}", d.as_millis()));
-        }
-        parts.join(";")
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +370,6 @@ mod tests {
         assert_eq!(plan.stall, Some((0, Duration::from_millis(100))));
         assert_eq!(plan.drop_conn_at, Some(4));
         assert_eq!(plan.slow_io, Some((2, Duration::from_millis(25))));
-        assert_eq!(FaultPlan::from_spec(&plan.to_spec()), Ok(plan));
     }
 
     #[test]

@@ -434,12 +434,6 @@ impl<const K: usize> IltSession<K> {
         self.iterations_done
     }
 
-    /// L2 error observed at the start of the most recent iteration
-    /// (`NaN` before the first [`IltSession::step_one`]).
-    pub fn last_l2(&self) -> f64 {
-        self.last_l2
-    }
-
     /// Current guard verdict of this session (what the outcome's
     /// [`IltOutcome::health`] will be if the run stopped now).
     pub fn health(&self) -> OutcomeHealth {
@@ -1005,7 +999,6 @@ mod tests {
         let later = session.step_one();
         assert!(later < first, "L2 {first} -> {later}");
         assert_eq!(session.iterations(), 10);
-        assert!(session.last_l2().is_finite());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! session.
 //!
 //! The counting allocator that started life in this file is now the
-//! reusable `ldmo_obs::alloc::CountingAlloc` (the same machinery the
-//! `mem.*` trace gauges read), so this test doubles as proof that the
-//! memory self-profiling layer itself observes zero hot-path allocations.
+//! reusable `ldmo_obs::alloc::CountingAlloc`. The test runs with the trace
+//! collector enabled, so it doubles as proof that recording telemetry on
+//! the hot path allocates nothing either.
 //!
 //! This test lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`, which must not observe allocations from

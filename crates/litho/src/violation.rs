@@ -46,22 +46,6 @@ impl ViolationReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
-
-    /// Number of bridge violations.
-    pub fn bridges(&self) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| matches!(v, ViolationKind::Bridge { .. }))
-            .count()
-    }
-
-    /// Number of missing-pattern violations.
-    pub fn missing(&self) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| matches!(v, ViolationKind::Missing { .. }))
-            .count()
-    }
 }
 
 /// Detects bridge/missing violations of `printed` against the `targets`.
@@ -138,8 +122,7 @@ mod tests {
         let mut printed = Grid::zeros(24, 12);
         printed.fill_rect(&Rect::new(2, 2, 16, 8), 1.0); // one blob over both
         let r = detect_violations(&printed, &targets, 0.5, 1.0);
-        assert_eq!(r.bridges(), 1);
-        assert_eq!(r.violations[0], ViolationKind::Bridge { a: 0, b: 1 });
+        assert_eq!(r.violations, [ViolationKind::Bridge { a: 0, b: 1 }]);
     }
 
     #[test]
@@ -147,8 +130,7 @@ mod tests {
         let targets = [Rect::new(2, 2, 8, 8)];
         let printed = Grid::zeros(12, 12);
         let r = detect_violations(&printed, &targets, 0.5, 1.0);
-        assert_eq!(r.missing(), 1);
-        assert_eq!(r.violations[0], ViolationKind::Missing { pattern: 0 });
+        assert_eq!(r.violations, [ViolationKind::Missing { pattern: 0 }]);
     }
 
     #[test]
@@ -161,9 +143,14 @@ mod tests {
         let mut printed = Grid::zeros(24, 8);
         printed.fill_rect(&Rect::new(2, 2, 18, 6), 1.0);
         let r = detect_violations(&printed, &targets, 0.5, 1.0);
-        assert_eq!(r.bridges(), 2); // (0,1) and (0,2) against the first owner
-        assert!(r.violations.contains(&ViolationKind::Bridge { a: 0, b: 1 }));
-        assert!(r.violations.contains(&ViolationKind::Bridge { a: 0, b: 2 }));
+        // (0,1) and (0,2) against the first owner
+        assert_eq!(
+            r.violations,
+            [
+                ViolationKind::Bridge { a: 0, b: 1 },
+                ViolationKind::Bridge { a: 0, b: 2 }
+            ]
+        );
     }
 
     #[test]
@@ -176,8 +163,13 @@ mod tests {
         let mut printed = Grid::zeros(24, 8);
         printed.fill_rect(&Rect::new(2, 2, 12, 6), 1.0); // bridges 0-1, 2 missing
         let r = detect_violations(&printed, &targets, 0.5, 1.0);
-        assert_eq!(r.bridges(), 1);
-        assert_eq!(r.missing(), 1);
+        assert_eq!(
+            r.violations,
+            [
+                ViolationKind::Bridge { a: 0, b: 1 },
+                ViolationKind::Missing { pattern: 2 }
+            ]
+        );
         assert_eq!(r.count(), 2);
     }
 

@@ -176,7 +176,7 @@ impl Conv2d {
             for ky in 0..k {
                 for kx in 0..k {
                     let row = ((ci * k + ky) * k + kx) * oh * ow;
-                    for oy in 0..ow_range(oh) {
+                    for oy in 0..oh {
                         let iy = (oy * self.stride + ky) as i64 - self.padding as i64;
                         if iy < 0 || iy as usize >= h {
                             continue;
@@ -225,12 +225,6 @@ impl Conv2d {
     }
 }
 
-// helper so the inner loop in im2col reads naturally
-#[inline]
-fn ow_range(oh: usize) -> usize {
-    oh
-}
-
 impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         let [n, c, h, w] = x.dims4();
@@ -240,63 +234,36 @@ impl Layer for Conv2d {
         let k2 = self.in_channels * self.kernel * self.kernel;
         let pool = ldmo_par::global();
         let ohw = self.out_channels * oh * ow;
-        let cols = if pool.threads() == 1 || n == 1 {
-            let mut cols = Vec::with_capacity(n);
-            for ni in 0..n {
-                let col = self.im2col(x, ni, oh, ow);
-                let dst = &mut out.as_mut_slice()[ni * ohw..][..ohw];
-                matmul_acc(
-                    self.weight.value.as_slice(),
-                    &col,
-                    self.out_channels,
-                    k2,
-                    oh * ow,
-                    dst,
-                );
-                if let Some(b) = &self.bias {
-                    for oc in 0..self.out_channels {
-                        let bv = b.value.as_slice()[oc];
-                        for v in &mut dst[oc * oh * ow..(oc + 1) * oh * ow] {
-                            *v += bv;
-                        }
+        // samples are independent and write disjoint output slices:
+        // compute each slab on the pool, copy back in index order
+        let samples: Vec<usize> = (0..n).collect();
+        let slabs = pool.par_map(&samples, |&ni| {
+            let col = self.im2col(x, ni, oh, ow);
+            let mut slab = vec![0.0f32; ohw];
+            matmul_acc(
+                self.weight.value.as_slice(),
+                &col,
+                self.out_channels,
+                k2,
+                oh * ow,
+                &mut slab,
+            );
+            if let Some(b) = &self.bias {
+                for oc in 0..self.out_channels {
+                    let bv = b.value.as_slice()[oc];
+                    for v in &mut slab[oc * oh * ow..(oc + 1) * oh * ow] {
+                        *v += bv;
                     }
                 }
-                cols.push(col);
             }
-            cols
-        } else {
-            // samples are independent and write disjoint output slices:
-            // compute each slab on the pool, copy back in index order
-            let samples: Vec<usize> = (0..n).collect();
-            let slabs = pool.par_map(&samples, |&ni| {
-                let col = self.im2col(x, ni, oh, ow);
-                let mut slab = vec![0.0f32; ohw];
-                matmul_acc(
-                    self.weight.value.as_slice(),
-                    &col,
-                    self.out_channels,
-                    k2,
-                    oh * ow,
-                    &mut slab,
-                );
-                if let Some(b) = &self.bias {
-                    for oc in 0..self.out_channels {
-                        let bv = b.value.as_slice()[oc];
-                        for v in &mut slab[oc * oh * ow..(oc + 1) * oh * ow] {
-                            *v += bv;
-                        }
-                    }
-                }
-                (col, slab)
-            });
-            let os = out.as_mut_slice();
-            let mut cols = Vec::with_capacity(n);
-            for (ni, (col, slab)) in slabs.into_iter().enumerate() {
-                os[ni * ohw..(ni + 1) * ohw].copy_from_slice(&slab);
-                cols.push(col);
-            }
-            cols
-        };
+            (col, slab)
+        });
+        let os = out.as_mut_slice();
+        let mut cols = Vec::with_capacity(n);
+        for (ni, (col, slab)) in slabs.into_iter().enumerate() {
+            os[ni * ohw..(ni + 1) * ohw].copy_from_slice(&slab);
+            cols.push(col);
+        }
         self.cache = Some(ConvCache {
             input_shape: [n, c, h, w],
             cols,
@@ -312,106 +279,64 @@ impl Layer for Conv2d {
         let k2 = self.in_channels * self.kernel * self.kernel;
         let mut dx = Tensor::zeros(vec![n, c, h, w]);
         let pool = ldmo_par::global();
-        if pool.threads() == 1 || n == 1 {
-            for ni in 0..n {
-                let go = &grad_out.as_slice()[ni * self.out_channels * oh * ow..]
-                    [..self.out_channels * oh * ow];
-                // dW[oc, k2] += go[oc, ohw] · col[k2, ohw]ᵀ  — implemented as
-                // looping GEMM with B transposed: dW = go · colᵀ
-                {
-                    let dw = self.weight.grad.as_mut_slice();
-                    let col = &cache.cols[ni];
-                    for oc in 0..self.out_channels {
-                        let gorow = &go[oc * oh * ow..(oc + 1) * oh * ow];
-                        let dwrow = &mut dw[oc * k2..(oc + 1) * k2];
-                        for p in 0..k2 {
-                            let colrow = &col[p * oh * ow..(p + 1) * oh * ow];
-                            let mut acc = 0.0f32;
-                            for (g, cv) in gorow.iter().zip(colrow) {
-                                acc += g * cv;
-                            }
-                            dwrow[p] += acc;
-                        }
+        // per-sample partials are written by ASSIGNMENT inside the
+        // workers, then reduced here in ascending sample order: the
+        // element-wise addition sequence does not depend on which worker
+        // computed which partial, so gradients are bit-identical for any
+        // thread count (one thread is the pool's plain serial fold)
+        let samples: Vec<usize> = (0..n).collect();
+        let parts = pool.par_map(&samples, |&ni| {
+            let go = &grad_out.as_slice()[ni * self.out_channels * oh * ow..]
+                [..self.out_channels * oh * ow];
+            let col = &cache.cols[ni];
+            let mut dwp = vec![0.0f32; self.out_channels * k2];
+            for oc in 0..self.out_channels {
+                let gorow = &go[oc * oh * ow..(oc + 1) * oh * ow];
+                let dwrow = &mut dwp[oc * k2..(oc + 1) * k2];
+                for p in 0..k2 {
+                    let colrow = &col[p * oh * ow..(p + 1) * oh * ow];
+                    let mut acc = 0.0f32;
+                    for (g, cv) in gorow.iter().zip(colrow) {
+                        acc += g * cv;
                     }
+                    dwrow[p] = acc;
                 }
-                if let Some(b) = &mut self.bias {
-                    let db = b.grad.as_mut_slice();
-                    for oc in 0..self.out_channels {
-                        db[oc] += go[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
-                    }
-                }
-                // dcol[k2, ohw] = Wᵀ[k2, oc] · go[oc, ohw]
-                let mut dcol = vec![0.0f32; k2 * oh * ow];
-                matmul_at_acc(
-                    self.weight.value.as_slice(),
-                    go,
-                    k2,
-                    self.out_channels,
-                    oh * ow,
-                    &mut dcol,
-                );
-                let img = self.col2im(&dcol, cache.input_shape, oh, ow);
-                dx.as_mut_slice()[ni * c * h * w..(ni + 1) * c * h * w].copy_from_slice(&img);
             }
-        } else {
-            // per-sample partials are written by ASSIGNMENT inside the
-            // workers, then reduced here in ascending sample order: the
-            // element-wise addition sequence is exactly the serial loop's,
-            // so gradients are bit-identical for any thread count
-            let samples: Vec<usize> = (0..n).collect();
-            let parts = pool.par_map(&samples, |&ni| {
-                let go = &grad_out.as_slice()[ni * self.out_channels * oh * ow..]
-                    [..self.out_channels * oh * ow];
-                let col = &cache.cols[ni];
-                let mut dwp = vec![0.0f32; self.out_channels * k2];
-                for oc in 0..self.out_channels {
-                    let gorow = &go[oc * oh * ow..(oc + 1) * oh * ow];
-                    let dwrow = &mut dwp[oc * k2..(oc + 1) * k2];
-                    for p in 0..k2 {
-                        let colrow = &col[p * oh * ow..(p + 1) * oh * ow];
-                        let mut acc = 0.0f32;
-                        for (g, cv) in gorow.iter().zip(colrow) {
-                            acc += g * cv;
-                        }
-                        dwrow[p] = acc;
-                    }
-                }
-                let dbp = self.bias.is_some().then(|| {
-                    (0..self.out_channels)
-                        .map(|oc| go[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>())
-                        .collect::<Vec<f32>>()
-                });
-                let mut dcol = vec![0.0f32; k2 * oh * ow];
-                matmul_at_acc(
-                    self.weight.value.as_slice(),
-                    go,
-                    k2,
-                    self.out_channels,
-                    oh * ow,
-                    &mut dcol,
-                );
-                let img = self.col2im(&dcol, cache.input_shape, oh, ow);
-                (dwp, dbp, img)
+            let dbp = self.bias.is_some().then(|| {
+                (0..self.out_channels)
+                    .map(|oc| go[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>())
+                    .collect::<Vec<f32>>()
             });
-            let dw = self.weight.grad.as_mut_slice();
-            for (dwp, _, _) in &parts {
-                for (d, &p) in dw.iter_mut().zip(dwp) {
+            let mut dcol = vec![0.0f32; k2 * oh * ow];
+            matmul_at_acc(
+                self.weight.value.as_slice(),
+                go,
+                k2,
+                self.out_channels,
+                oh * ow,
+                &mut dcol,
+            );
+            let img = self.col2im(&dcol, cache.input_shape, oh, ow);
+            (dwp, dbp, img)
+        });
+        let dw = self.weight.grad.as_mut_slice();
+        for (dwp, _, _) in &parts {
+            for (d, &p) in dw.iter_mut().zip(dwp) {
+                *d += p;
+            }
+        }
+        if let Some(b) = &mut self.bias {
+            let db = b.grad.as_mut_slice();
+            for (_, dbp, _) in &parts {
+                let dbp = dbp.as_ref().expect("bias partial present");
+                for (d, &p) in db.iter_mut().zip(dbp) {
                     *d += p;
                 }
             }
-            if let Some(b) = &mut self.bias {
-                let db = b.grad.as_mut_slice();
-                for (_, dbp, _) in &parts {
-                    let dbp = dbp.as_ref().expect("bias partial present");
-                    for (d, &p) in db.iter_mut().zip(dbp) {
-                        *d += p;
-                    }
-                }
-            }
-            let dxs = dx.as_mut_slice();
-            for (ni, (_, _, img)) in parts.into_iter().enumerate() {
-                dxs[ni * c * h * w..(ni + 1) * c * h * w].copy_from_slice(&img);
-            }
+        }
+        let dxs = dx.as_mut_slice();
+        for (ni, (_, _, img)) in parts.into_iter().enumerate() {
+            dxs[ni * c * h * w..(ni + 1) * c * h * w].copy_from_slice(&img);
         }
         dx
     }
@@ -472,18 +397,6 @@ impl BatchNorm2d {
     /// Read access to the running variance (for serialization).
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
-    }
-
-    /// Overwrites the running statistics (for deserialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn set_running_stats(&mut self, mean: &[f32], var: &[f32]) {
-        assert_eq!(mean.len(), self.channels);
-        assert_eq!(var.len(), self.channels);
-        self.running_mean.copy_from_slice(mean);
-        self.running_var.copy_from_slice(var);
     }
 }
 

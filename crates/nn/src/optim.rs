@@ -19,15 +19,6 @@ pub struct LrSchedule {
 }
 
 impl LrSchedule {
-    /// A constant schedule (no decay).
-    pub fn constant(lr: f32) -> Self {
-        LrSchedule {
-            base_lr: lr,
-            step_epochs: usize::MAX,
-            gamma: 1.0,
-        }
-    }
-
     /// The learning rate for `epoch` (0-based).
     pub fn lr_at(&self, epoch: usize) -> f32 {
         if self.step_epochs == usize::MAX || self.step_epochs == 0 {
@@ -176,7 +167,6 @@ mod tests {
         assert_eq!(s.lr_at(9), 1.0);
         assert_eq!(s.lr_at(10), 0.5);
         assert_eq!(s.lr_at(25), 0.25);
-        assert_eq!(LrSchedule::constant(0.1).lr_at(1000), 0.1);
     }
 
     #[test]

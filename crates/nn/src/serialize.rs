@@ -181,7 +181,8 @@ mod tests {
     #[test]
     fn batchnorm_running_stats_roundtrip() {
         let mut bn = BatchNorm2d::new(2);
-        bn.set_running_stats(&[1.0, 2.0], &[3.0, 4.0]);
+        let mut stats = [vec![1.0, 2.0], vec![3.0, 4.0]].into_iter();
+        bn.visit_buffers(&mut |buf| *buf = stats.next().expect("mean, then var"));
         let mut buf = Vec::new();
         save_to(&mut bn, &mut buf).expect("save");
         let mut fresh = BatchNorm2d::new(2);

@@ -105,6 +105,9 @@ pub struct Trace {
     /// Convergence records the writer dropped because its buffer was full
     /// (`conv_dropped` of the `meta` line; summed over merged traces).
     pub conv_dropped: u64,
+    /// Span closes the writer dropped because its span store was full
+    /// (`spans_dropped` of the `meta` line; summed over merged traces).
+    pub spans_dropped: u64,
     /// Lines that failed to parse and were skipped (e.g. a line truncated
     /// by a crashed writer). Recovery, not silence: consumers surface it.
     pub skipped_lines: usize,
@@ -239,6 +242,7 @@ impl Trace {
                 }
                 Some("meta") => {
                     trace.conv_dropped += num_or(&value, "conv_dropped", 0.0) as u64;
+                    trace.spans_dropped += num_or(&value, "spans_dropped", 0.0) as u64;
                 }
                 // any future line types pass through silently: the reader
                 // is forward-compatible by construction
@@ -283,6 +287,7 @@ impl Trace {
         self.hists.extend(other.hists);
         self.samples.extend(other.samples);
         self.conv_dropped += other.conv_dropped;
+        self.spans_dropped += other.spans_dropped;
         self.skipped_lines += other.skipped_lines;
     }
 
@@ -710,6 +715,14 @@ pub fn render_summary(trace: &Trace) -> String {
                 fmt_us(row.max_us)
             );
         }
+    }
+    if trace.spans_dropped > 0 {
+        let _ = writeln!(
+            out,
+            "spans: {} recorded ({} dropped)",
+            trace.spans.len(),
+            trace.spans_dropped
+        );
     }
     if !trace.hists.is_empty() {
         let _ = writeln!(

@@ -21,6 +21,13 @@ const MAX_SPAN_DEPTH: usize = 32;
 /// records.
 const RECORD_CAPACITY: usize = 1 << 17;
 
+/// Capacity of the span-event store (about 7.9 MB of [`SpanEvent`]s).
+/// A daemon keeps the collector on for `/metrics` and nothing drains its
+/// spans, so closes past the cap are dropped and counted like convergence
+/// rows. Unlike the record buffer the store is not preallocated: a CI
+/// table1 trace closes about 120 spans.
+const SPAN_CAPACITY: usize = 1 << 15;
+
 /// A completed span, pushed to the collector when the [`Span`] guard drops.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanEvent {
@@ -58,7 +65,9 @@ pub struct ConvergenceRecord {
 pub(crate) struct Collector {
     epoch: Instant,
     next_span_id: AtomicU64,
+    /// At most [`SPAN_CAPACITY`] events; closes beyond it are counted.
     events: Mutex<Vec<SpanEvent>>,
+    dropped_spans: AtomicU64,
     /// Preallocated at [`crate::enable`]; pushes beyond capacity are
     /// dropped and counted so recording never reallocates.
     records: Mutex<Vec<ConvergenceRecord>>,
@@ -72,6 +81,7 @@ pub(crate) fn collector() -> &'static Collector {
         epoch: Instant::now(),
         next_span_id: AtomicU64::new(0),
         events: Mutex::new(Vec::with_capacity(4096)),
+        dropped_spans: AtomicU64::new(0),
         records: Mutex::new(Vec::with_capacity(RECORD_CAPACITY)),
         dropped_records: AtomicU64::new(0),
     })
@@ -80,6 +90,7 @@ pub(crate) fn collector() -> &'static Collector {
 pub(crate) fn reset() {
     let c = collector();
     c.events.lock().expect("events lock").clear();
+    c.dropped_spans.store(0, Ordering::SeqCst);
     c.records.lock().expect("records lock").clear();
     c.dropped_records.store(0, Ordering::SeqCst);
     c.next_span_id.store(0, Ordering::SeqCst);
@@ -89,12 +100,6 @@ impl Collector {
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
-}
-
-/// Microseconds since the collector epoch (process uptime as telemetry
-/// sees it).
-pub(crate) fn now_us() -> u64 {
-    collector().now_us()
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +443,12 @@ impl Drop for Span {
             dur_us,
             meta: self.meta,
         };
-        c.events.lock().expect("events lock").push(event);
+        let mut events = c.events.lock().expect("events lock");
+        if events.len() < SPAN_CAPACITY {
+            events.push(event);
+        } else {
+            c.dropped_spans.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -485,6 +495,11 @@ pub fn convergence(iteration: u32, l2: f64, step_norm: f64, epe_violations: i64)
 /// Convergence rows dropped because the preallocated buffer was full.
 pub fn dropped_records() -> u64 {
     collector().dropped_records.load(Ordering::SeqCst)
+}
+
+/// Span closes dropped because the span store was full.
+pub(crate) fn dropped_spans() -> u64 {
+    collector().dropped_spans.load(Ordering::SeqCst)
 }
 
 /// Capacity of the convergence-record buffer.

@@ -53,8 +53,7 @@ pub use collector::{
     SpanEvent, MAX_SPAN_META,
 };
 pub use metrics::{
-    counter, counters_snapshot, gauge, gauges_snapshot, histogram, histograms_snapshot, Counter,
-    Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BINS,
+    counter, gauge, histogram, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BINS,
 };
 pub use sink::{flush_jsonl, summary, write_jsonl};
 

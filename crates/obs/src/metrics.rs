@@ -89,7 +89,7 @@ pub fn counter(name: &'static str) -> Counter {
 }
 
 /// Snapshot of all counters as `(name, value)`, registration order.
-pub fn counters_snapshot() -> Vec<(&'static str, u64)> {
+pub(crate) fn counters_snapshot() -> Vec<(&'static str, u64)> {
     registry()
         .counters
         .lock()
@@ -130,7 +130,7 @@ pub fn gauge(name: &'static str) -> Gauge {
 }
 
 /// Snapshot of all gauges as `(name, value)`, registration order.
-pub fn gauges_snapshot() -> Vec<(&'static str, f64)> {
+pub(crate) fn gauges_snapshot() -> Vec<(&'static str, f64)> {
     registry()
         .gauges
         .lock()
@@ -276,7 +276,7 @@ pub fn histogram(name: &'static str) -> Histogram {
 }
 
 /// Snapshot of all histograms as `(name, snapshot)`, registration order.
-pub fn histograms_snapshot() -> Vec<(&'static str, HistogramSnapshot)> {
+pub(crate) fn histograms_snapshot() -> Vec<(&'static str, HistogramSnapshot)> {
     registry()
         .histograms
         .lock()

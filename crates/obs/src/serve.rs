@@ -7,10 +7,9 @@
 //!   counters as `ldmo_<name>_total`, gauges as `ldmo_<name>`, histograms
 //!   rendered from the log2 buckets with integer-exact `le` bounds.
 //!   Unregistered metrics are *omitted*, never zero-reported — a gauge
-//!   that was never set (e.g. `mem.*` without a counting allocator) does
-//!   not appear.
-//! - `GET /snapshot` — one [`crate::snapshot::MetricsSnapshot`] as JSON,
-//!   with a delta against the previous `/snapshot` request.
+//!   nothing ever set does not appear. The body renders one
+//!   [`MetricsSnapshot::take`], the same read the trace's metric lines
+//!   render.
 //! - `GET /spans` — the flight-recorder ring as JSONL (`Trace::parse`
 //!   compatible), newest-capacity window of span closes and convergence
 //!   rows.
@@ -24,8 +23,8 @@
 //! block or perturb the optimization hot path.
 
 use crate::http::{self, HttpServer};
-use crate::metrics::{self, HistogramSnapshot, HISTOGRAM_BINS};
-use crate::snapshot::Snapshotter;
+use crate::metrics::{HistogramSnapshot, HISTOGRAM_BINS};
+use crate::snapshot::MetricsSnapshot;
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -34,7 +33,6 @@ use std::time::Duration;
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 const INDEX: &str = "ldmo live-ops endpoint\n/metrics  Prometheus text exposition\n\
-                     /snapshot sequenced metrics snapshot + delta (JSON)\n\
                      /spans    flight-recorder ring (JSONL)\n";
 
 /// A running metrics server. The accept loop stops (and the thread joins)
@@ -50,13 +48,12 @@ pub type MetricsServer = HttpServer;
 /// Propagates bind and thread-spawn failures.
 pub fn start(addr: &str) -> io::Result<MetricsServer> {
     crate::enable();
-    let mut snapshotter = Snapshotter::new();
-    HttpServer::start(addr, "metrics", IO_TIMEOUT, move |mut stream, _| {
-        handle_conn(&mut stream, &mut snapshotter)
+    HttpServer::start(addr, "metrics", IO_TIMEOUT, |mut stream, _| {
+        handle_conn(&mut stream)
     })
 }
 
-fn handle_conn(stream: &mut TcpStream, snapshotter: &mut Snapshotter) -> io::Result<()> {
+fn handle_conn(stream: &mut TcpStream) -> io::Result<()> {
     let request = match http::read_request(stream) {
         Ok(request) => request,
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -72,12 +69,6 @@ fn handle_conn(stream: &mut TcpStream, snapshotter: &mut Snapshotter) -> io::Res
             "text/plain; version=0.0.4; charset=utf-8",
             prometheus_text(),
         ),
-        "/snapshot" => {
-            let (snapshot, delta) = snapshotter.take();
-            let mut body = snapshot.to_json_with(delta.as_ref());
-            body.push('\n');
-            ("application/json", body)
-        }
         "/spans" => {
             let mut body = Vec::new();
             crate::flight::dump_to(&mut body, "live")?;
@@ -142,16 +133,17 @@ fn render_hist(out: &mut String, name: &str, h: &HistogramSnapshot) {
 /// format. Only *registered* metrics appear: a gauge nothing ever set is
 /// omitted entirely rather than exported as a phantom zero.
 pub fn prometheus_text() -> String {
+    let snapshot = MetricsSnapshot::take();
     let mut out = String::from("# TYPE ldmo_up gauge\nldmo_up 1\n");
-    for (name, value) in metrics::counters_snapshot() {
+    for (name, value) in snapshot.counters {
         let name = format!("ldmo_{}_total", sanitize(name));
         out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
     }
-    for (name, value) in metrics::gauges_snapshot() {
+    for (name, value) in snapshot.gauges {
         let name = format!("ldmo_{}", sanitize(name));
         out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
     }
-    for (name, h) in metrics::histograms_snapshot() {
+    for (name, h) in snapshot.hists {
         render_hist(&mut out, &format!("ldmo_{}", sanitize(name)), &h);
     }
     out
@@ -180,7 +172,7 @@ pub fn cli_setup() -> Option<MetricsServer> {
     match start(&addr?) {
         Ok(server) => {
             eprintln!(
-                "[metrics] serving /metrics /snapshot /spans on http://{}",
+                "[metrics] serving /metrics /spans on http://{}",
                 server.addr()
             );
             Some(server)

@@ -4,7 +4,7 @@
 use crate::analyze::{self, Trace};
 use crate::collector::{self, ConvergenceRecord, SpanEvent};
 use crate::json;
-use crate::metrics;
+use crate::snapshot::MetricsSnapshot;
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -25,10 +25,11 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
     writeln!(
         w,
         "{{\"type\":\"meta\",\"version\":1,\"written_unix_ms\":{unix_ms},\
-         \"spans\":{},\"conv_records\":{},\"conv_dropped\":{}}}",
+         \"spans\":{},\"conv_records\":{},\"conv_dropped\":{},\"spans_dropped\":{}}}",
         spans.len(),
         records.len(),
-        collector::dropped_records()
+        collector::dropped_records(),
+        collector::dropped_spans()
     )?;
     lines += 1;
 
@@ -43,7 +44,8 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
         lines += 1;
     }
 
-    for (name, value) in metrics::counters_snapshot() {
+    let metrics = MetricsSnapshot::take();
+    for (name, value) in metrics.counters {
         writeln!(
             w,
             "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
@@ -51,7 +53,7 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
         )?;
         lines += 1;
     }
-    for (name, value) in metrics::gauges_snapshot() {
+    for (name, value) in metrics.gauges {
         writeln!(
             w,
             "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
@@ -60,7 +62,7 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
         )?;
         lines += 1;
     }
-    for (name, h) in metrics::histograms_snapshot() {
+    for (name, h) in metrics.hists {
         // sparse bucket encoding: [[bucket, count], ...]
         let bins: Vec<String> = h
             .bins

@@ -1,8 +1,8 @@
-//! Live-ops layer tests: snapshot delta correctness under concurrent
-//! increments, Prometheus rendering of point-mass and saturated
-//! histograms, and an end-to-end `/metrics` smoke test over a real TCP
-//! socket (including the gauge-omission rule: `mem.*` must not appear
-//! without an installed counting allocator).
+//! Live-ops layer tests: the counter difference between two registry
+//! reads under concurrent increments, Prometheus rendering of point-mass
+//! and saturated histograms, and an end-to-end `/metrics` smoke test over
+//! a real TCP socket (including the gauge-omission rule: nothing registers
+//! a `mem.*` gauge, so none may appear).
 
 use ldmo_obs as obs;
 use ldmo_obs::snapshot::MetricsSnapshot;
@@ -29,15 +29,14 @@ proptest! {
             t.join().expect("incrementer thread");
         }
         let after = MetricsSnapshot::take();
-        prop_assert!(after.seq > before.seq, "snapshot sequence must advance");
-        let delta = after.delta(&before);
-        let counted = delta
-            .counters
-            .iter()
-            .find(|(name, _)| *name == "liveops.prop")
-            .map(|(_, v)| *v)
-            .expect("counter registered");
-        prop_assert_eq!(counted, 4 * per_thread);
+        let prop = |snapshot: &MetricsSnapshot| {
+            snapshot
+                .counters
+                .iter()
+                .find(|(name, _)| *name == "liveops.prop")
+                .map_or(0, |(_, v)| *v)
+        };
+        prop_assert_eq!(prop(&after) - prop(&before), 4 * per_thread);
     }
 }
 
@@ -111,21 +110,6 @@ fn metrics_endpoint_serves_over_real_tcp() {
     assert!(
         !body.contains("ldmo_mem_"),
         "mem.* gauges must be omitted without a counting allocator:\n{body}"
-    );
-
-    let (status, body) = http_get(addr, "/snapshot");
-    assert!(status.contains("200"), "bad /snapshot status: {status}");
-    let value = obs::json::parse(body.trim()).expect("snapshot is valid JSON");
-    assert_eq!(
-        value.get("type").and_then(obs::json::Value::as_str),
-        Some("snapshot")
-    );
-    assert!(
-        value
-            .get("seq")
-            .and_then(obs::json::Value::as_f64)
-            .unwrap_or(0.0)
-            >= 1.0
     );
 
     let (status, _) = http_get(addr, "/spans");

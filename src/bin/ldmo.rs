@@ -158,7 +158,7 @@ fn print_usage() {
          --threads N (or LDMO_THREADS=N) to size the worker pool; results\n\
          are bit-identical for any thread count\n\n\
          live-ops: --metrics-addr HOST:PORT (or LDMO_METRICS_ADDR) serves\n\
-         /metrics (Prometheus), /snapshot (JSON) and /spans (JSONL) while\n\
+         /metrics (Prometheus) and /spans (JSONL) while\n\
          the run is in flight; --sample-hz N (or LDMO_SAMPLE_HZ) starts the\n\
          span-stack sampling profiler (samples land in the trace; analyze\n\
          with 'ldmo trace flame'); crashes and typed-error exits dump the\n\
