@@ -4,12 +4,14 @@
 //! the decomposition and vision substrates.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ldmo_chip::{halo_nm, ChipConfig, TileGrid};
 use ldmo_core::predictor::PrintabilityPredictor;
 use ldmo_decomp::covering::covering_array;
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_geom::{Grid, Rect};
 use ldmo_ilt::{GuardPolicy, IltConfig, IltSession};
 use ldmo_layout::cells;
+use ldmo_layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo_litho::{
     aerial_image, combine_prints, detect_violations, measure_epe, resist_threshold, sigmoid,
     simulate_print, AerialImage, CoherentKernel, KernelBank, LithoConfig,
@@ -24,12 +26,37 @@ fn cell_mask() -> (Grid, KernelBank, LithoConfig) {
     (mask, bank, cfg)
 }
 
+/// The target raster of an interior tile window of the tiled-chip
+/// workload's chip (the `ldmo chip` demo, seed 7, 4×2 blocks): tile 1
+/// spans a middle column, so its window carries the halo on both sides
+/// and is 494×359 px, a width that is not a multiple of the 32-wide
+/// convolution tile.
+fn chip_window_mask(bank: &KernelBank, cfg: &LithoConfig) -> Grid {
+    let chip = LayoutGenerator::new(GeneratorConfig::default(), 7)
+        .generate_chip(4, 2)
+        .expect("the demo chip generator places every block");
+    let grid = TileGrid::new(
+        chip.window(),
+        ChipConfig::default().tile_nm,
+        halo_nm(bank, cfg),
+    );
+    let mask = chip
+        .extract_window(grid.tile(1).window)
+        .rasterize_target(cfg.nm_per_px);
+    assert_eq!(mask.shape(), (494, 359), "chip window shape drifted");
+    mask
+}
+
 fn bench_litho(c: &mut Criterion) {
     let (mask, bank, cfg) = cell_mask();
+    let chip_mask = chip_window_mask(&bank, &cfg);
     let mut group = c.benchmark_group("litho");
     group.sample_size(20);
     group.bench_function("aerial_image_224", |b| {
         b.iter(|| aerial_image(&mask, &bank))
+    });
+    group.bench_function("aerial_image_494x359", |b| {
+        b.iter(|| aerial_image(&chip_mask, &bank))
     });
     let aerial = aerial_image(&mask, &bank);
     group.bench_function("resist_threshold_224", |b| {

@@ -33,6 +33,18 @@ fn step_one_is_allocation_free_after_warmup() {
             Rect::square(248, 248, 64),
         ],
     );
+    // 800 px wide: the widest profile's padded row (800 + 2·135 floats)
+    // outgrows a 1024-float stack buffer, well inside the 2048 px windows
+    // the daemon admits, so the row must come from the session's workspace
+    let wide = Layout::new(
+        Rect::new(0, 0, 1600, 448),
+        vec![
+            Rect::square(200, 120, 64),
+            Rect::square(600, 248, 64),
+            Rect::square(1000, 120, 64),
+            Rect::square(1400, 248, 64),
+        ],
+    );
     // The trace collector must also be allocation-free on the hot path:
     // records go into a preallocated buffer, metric handles are leaked
     // statics. Enabling it here makes the guard cover the instrumented
@@ -53,6 +65,7 @@ fn step_one_is_allocation_free_after_warmup() {
         backend::set_backend(kind);
         assert_step_allocation_free(IltSession::new(&layout, &[0, 1, 1, 0], &cfg), kind);
         assert_step_allocation_free(IltSession::<3>::prepare(&layout, &[0, 1, 2, 0], &cfg), kind);
+        assert_step_allocation_free(IltSession::new(&wide, &[0, 1, 0, 1], &cfg), kind);
     }
     backend::set_backend(prev);
     // the self-profiling counters themselves must have seen real traffic
@@ -61,6 +74,7 @@ fn step_one_is_allocation_free_after_warmup() {
 }
 
 fn assert_step_allocation_free<const K: usize>(mut session: IltSession<K>, kind: BackendKind) {
+    let (width, _) = session.current_print().shape();
     // warmup: the first iterations populate anything touched lazily
     // (including lazy metric registration in ldmo-obs and the SIMD
     // feature-detection cache)
@@ -73,7 +87,7 @@ fn assert_step_allocation_free<const K: usize>(mut session: IltSession<K>, kind:
     assert!(l2.is_finite());
     assert_eq!(
         allocated, 0,
-        "step_one of a {K}-mask session under backend '{kind}' performed {allocated} heap \
-         allocations; the hot path must reuse session buffers"
+        "step_one of a {K}-mask {width} px session under backend '{kind}' performed \
+         {allocated} heap allocations; the hot path must reuse session buffers"
     );
 }

@@ -5,7 +5,9 @@
 //! register-blocked scalar passes elsewhere. The vector passes are
 //! bit-identical to the scalar ones by construction: lanes run across
 //! output elements while each element keeps the scalar tap order
-//! (increasing `k`) and operation shape (`mul` then `add`, never fused).
+//! (increasing `k`), operation shape (`mul` then `add`, never fused) and
+//! skipped off-grid source rows. That holds through the overlapping last
+//! tile of a row and the AVX2 column pass's three-row blocks.
 //!
 //! [`set_backend`] is an in-process switch with no flag or environment
 //! variable behind it: tests and benches flip it to run the scalar

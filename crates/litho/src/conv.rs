@@ -58,15 +58,22 @@ pub fn convolve2d_direct(input: &Grid, kernel: &[f32], kw: usize, kh: usize) -> 
 /// Panics if `profile.len()` is even.
 pub fn convolve_separable(input: &Grid, profile: &[f32]) -> Grid {
     let (w, h) = input.shape();
+    let mut row = vec![0.0f32; padded_row_len(w)];
     let mut tmp = Grid::zeros(w, h);
     let mut out = Grid::zeros(w, h);
-    convolve_separable_into(input, profile, &mut tmp, &mut out);
+    convolve_separable_into(input, profile, &mut row, &mut tmp, &mut out);
     out
 }
 
-/// Buffer-reuse variant of [`convolve_separable`]: the row pass writes into
-/// `tmp`, the column pass into `out`. Neither buffer's prior contents
-/// matter; both are fully overwritten. Allocation-free.
+/// Buffer-reuse variant of [`convolve_separable`]: the row pass pads each
+/// source row in `row` and writes into `tmp`, the column pass writes into
+/// `out`. No buffer's prior contents matter; `tmp` and `out` are fully
+/// overwritten. Allocation-free.
+///
+/// `row` needs `3 · width` floats ([`crate::ConvScratch`] allocates that),
+/// which covers any profile: a tap farther than `width − 1` from the
+/// centre only ever reads padding, so the row pass skips it, which changes
+/// no bit (DESIGN.md §13).
 ///
 /// Runs the vector passes on x86_64 (AVX2 when the CPU reports it, SSE2
 /// otherwise) and the scalar passes elsewhere or when
@@ -75,9 +82,16 @@ pub fn convolve_separable(input: &Grid, profile: &[f32]) -> Grid {
 ///
 /// # Panics
 ///
-/// Panics if `profile.len()` is even or either buffer's shape differs from
-/// `input`'s.
-pub fn convolve_separable_into(input: &Grid, profile: &[f32], tmp: &mut Grid, out: &mut Grid) {
+/// Panics if `profile.len()` is even, `row` is shorter than the padded row
+/// (`width + 2 · min(radius, width − 1)` floats, at most `3 · width`), or
+/// either grid's shape differs from `input`'s.
+pub fn convolve_separable_into(
+    input: &Grid,
+    profile: &[f32],
+    row: &mut [f32],
+    tmp: &mut Grid,
+    out: &mut Grid,
+) {
     if ldmo_obs::enabled() {
         conv_pass_counter().incr();
     }
@@ -85,14 +99,20 @@ pub fn convolve_separable_into(input: &Grid, profile: &[f32], tmp: &mut Grid, ou
         #[cfg(target_arch = "x86_64")]
         BackendKind::Simd => {
             // AVX2 where the CPU reports it, SSE2 otherwise
-            convolve_rows_simd(input, profile, tmp, true);
+            convolve_rows_simd(input, profile, row, tmp, true);
             convolve_cols_simd(tmp, profile, out, true);
         }
         _ => {
-            convolve_rows_scalar(input, profile, tmp);
+            convolve_rows_scalar(input, profile, row, tmp);
             convolve_cols_scalar(tmp, profile, out);
         }
     }
+}
+
+/// Length of the padded-row scratch [`convolve_separable_into`] needs for
+/// rows of `width` pixels under any profile.
+pub(crate) fn padded_row_len(width: usize) -> usize {
+    3 * width
 }
 
 /// Telemetry: one count per separable convolution pass (row + column
@@ -108,31 +128,49 @@ fn conv_pass_counter() -> ldmo_obs::Counter {
 /// the output row is written exactly once instead of once per tap.
 const TILE: usize = 32;
 
-/// Stack capacity for the zero-padded source row of the row pass; rows
-/// needing more (width + 2·radius) fall back to one heap allocation.
-const PAD_STACK: usize = 1024;
+/// Output rows per sweep of the AVX2 column pass: each source row is loaded
+/// once for all of them (3 × 4 ymm accumulators).
+#[cfg(target_arch = "x86_64")]
+const ROWS: usize = 3;
+
+/// Prepares the zero-padded source row both row passes read: returns the
+/// first `w + 2r` floats of `row` with both `r`-wide margins zeroed, the
+/// profile trimmed to its `2r + 1` central taps, and `r`.
+///
+/// Out-of-range taps read an exact 0.0 instead of branching, which keeps
+/// every tile iteration branch-free. A tap farther than `w − 1` from the
+/// centre reads only padding for every output of the row, so it would add
+/// an exact ±0.0 to an accumulator that is never −0.0 (it starts at +0.0,
+/// and a round-to-nearest sum is −0.0 only when both addends are); the
+/// trim therefore changes no bit and bounds the row at `3w` floats.
+fn padded_row<'r, 'p>(
+    row: &'r mut [f32],
+    profile: &'p [f32],
+    w: usize,
+) -> (&'r mut [f32], &'p [f32], usize) {
+    let c = profile.len() / 2;
+    let r = c.min(w.saturating_sub(1));
+    assert!(
+        row.len() >= w + 2 * r,
+        "padded row scratch holds {} floats, needs {}",
+        row.len(),
+        w + 2 * r
+    );
+    let padded = &mut row[..w + 2 * r];
+    padded[..r].fill(0.0);
+    padded[r + w..].fill(0.0);
+    (padded, &profile[c - r..=c + r], r)
+}
 
 /// The scalar row pass of the register-blocked separable convolution — the
 /// reference the vector passes must reproduce bit-for-bit.
-fn convolve_rows_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
+fn convolve_rows_scalar(input: &Grid, profile: &[f32], row: &mut [f32], out: &mut Grid) {
     assert!(profile.len() % 2 == 1, "profile must be odd-length");
     assert_eq!(input.shape(), out.shape(), "output shape mismatch");
     let (w, h) = input.shape();
-    let k_len = profile.len();
-    let c = k_len / 2;
+    let (padded, profile, c) = padded_row(row, profile, w);
     let src = input.as_slice();
     let dst = out.as_mut_slice();
-    // zero-padded row: out-of-range taps read an exact 0.0 instead of
-    // branching, which keeps every tile iteration branch-free
-    let padded_len = w + 2 * c;
-    let mut stack_buf = [0.0f32; PAD_STACK];
-    let mut heap_buf = Vec::new();
-    let padded: &mut [f32] = if padded_len <= PAD_STACK {
-        &mut stack_buf[..padded_len]
-    } else {
-        heap_buf.resize(padded_len, 0.0);
-        &mut heap_buf
-    };
     for y in 0..h {
         padded[c..c + w].copy_from_slice(&src[y * w..(y + 1) * w]);
         let out_row = &mut dst[y * w..(y + 1) * w];
@@ -213,38 +251,59 @@ fn convolve_cols_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
 // identical per-element sequence and merely evaluate 4/8 adjacent j lanes
 // per instruction — `mulps`/`addps` are exact IEEE-754 single ops per lane,
 // and no FMA contraction is ever emitted — so every output bit matches the
-// scalar pass. The tile remainder and all degenerate shapes reuse the same
-// scalar epilogue loops.
+// scalar pass. Two blockings change which elements share a register, never
+// an element's sequence:
+//
+// - the last tile of a row starts at `w − TILE` and overlaps its neighbour,
+//   so the overlapped columns are computed twice by the same sequence and
+//   written twice with the same bits (rows narrower than TILE run the
+//   scalar passes);
+// - the AVX2 column pass sweeps ROWS output rows at once, walking source
+//   rows downward from the block's reach and adding each to every row
+//   whose tap `k = y + r + c − s` is in range. A falling `s` is a rising
+//   `k`, and the rows skipped are exactly the out-of-range ones the
+//   one-row pass skips.
 // ---------------------------------------------------------------------------
 
-/// The SIMD row pass: vectorized 32-wide tiles with a scalar epilogue.
+/// Left edges of the TILE-wide output tiles covering a row of `w` pixels:
+/// whole tiles from 0, then, when `w` is not a multiple of TILE, one last
+/// tile at `w − TILE` that overlaps its neighbour. Every yielded `x` has
+/// `x + TILE ≤ w`, so a row narrower than TILE yields none.
+#[cfg(target_arch = "x86_64")]
+fn tile_starts(w: usize) -> impl Iterator<Item = usize> {
+    let overlapping = w.checked_sub(TILE).filter(|_| !w.is_multiple_of(TILE));
+    (0..w / TILE).map(|t| t * TILE).chain(overlapping)
+}
+
+/// The SIMD row pass: vectorized 32-wide tiles, the last one overlapping.
 /// The tiles are AVX2 when `allow_avx2` is set and the CPU reports AVX2,
 /// SSE2 otherwise; clearing it lets the differential suite force SSE2.
+/// Rows narrower than one tile run [`convolve_rows_scalar`].
 #[cfg(target_arch = "x86_64")]
-fn convolve_rows_simd(input: &Grid, profile: &[f32], out: &mut Grid, allow_avx2: bool) {
+fn convolve_rows_simd(
+    input: &Grid,
+    profile: &[f32],
+    row: &mut [f32],
+    out: &mut Grid,
+    allow_avx2: bool,
+) {
     assert!(profile.len() % 2 == 1, "profile must be odd-length");
     assert_eq!(input.shape(), out.shape(), "output shape mismatch");
     let (w, h) = input.shape();
-    let c = profile.len() / 2;
+    if w < TILE {
+        return convolve_rows_scalar(input, profile, row, out);
+    }
+    let (padded, profile, c) = padded_row(row, profile, w);
     let src = input.as_slice();
     let dst = out.as_mut_slice();
-    let padded_len = w + 2 * c;
-    let mut stack_buf = [0.0f32; PAD_STACK];
-    let mut heap_buf = Vec::new();
-    let padded: &mut [f32] = if padded_len <= PAD_STACK {
-        &mut stack_buf[..padded_len]
-    } else {
-        heap_buf.resize(padded_len, 0.0);
-        &mut heap_buf
-    };
     let avx2 = allow_avx2 && x86::avx2_available();
     for y in 0..h {
         padded[c..c + w].copy_from_slice(&src[y * w..(y + 1) * w]);
         let out_row = &mut dst[y * w..(y + 1) * w];
-        let mut x = 0;
-        while x + TILE <= w {
-            // SAFETY: `x + TILE <= w` keeps every load of
-            // `padded[x + 2c - k .. +TILE]` (k ≤ 2c) and every store of
+        for x in tile_starts(w) {
+            // SAFETY: `tile_starts` yields only `x + TILE <= w`, which
+            // keeps every load of `padded[x + 2c - k .. +TILE]` (k ≤ 2c,
+            // `padded.len() == w + 2c`) and every store of
             // `out_row[x .. x + TILE]` in bounds; AVX2 runs only when
             // `avx2_available` reported it.
             unsafe {
@@ -254,55 +313,52 @@ fn convolve_rows_simd(input: &Grid, profile: &[f32], out: &mut Grid, allow_avx2:
                     x86::row_tile_sse2(padded, profile, out_row, x, c);
                 }
             }
-            x += TILE;
-        }
-        for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
-            let mut a = 0.0f32;
-            for (k, &p) in profile.iter().enumerate() {
-                a += padded[xr + 2 * c - k] * p;
-            }
-            *o = a;
         }
     }
 }
 
-/// The SIMD column pass; see [`convolve_rows_simd`].
+/// The SIMD column pass: AVX2 sweeps [`ROWS`] output rows per 32-wide tile
+/// (the last `h % ROWS` rows one at a time), SSE2 one row, since three
+/// would need 24 xmm accumulators. Tiles overlap at the right edge as in
+/// [`convolve_rows_simd`]; grids narrower than one tile run
+/// [`convolve_cols_scalar`].
 #[cfg(target_arch = "x86_64")]
 fn convolve_cols_simd(input: &Grid, profile: &[f32], out: &mut Grid, allow_avx2: bool) {
     assert!(profile.len() % 2 == 1, "profile must be odd-length");
     assert_eq!(input.shape(), out.shape(), "output shape mismatch");
     let (w, h) = input.shape();
-    let c = profile.len() as i64 / 2;
+    if w < TILE {
+        return convolve_cols_scalar(input, profile, out);
+    }
     let src = input.as_slice();
     let dst = out.as_mut_slice();
-    let avx2 = allow_avx2 && x86::avx2_available();
-    for y in 0..h {
-        let out_row = &mut dst[y * w..(y + 1) * w];
-        let mut x = 0;
-        while x + TILE <= w {
-            // SAFETY: `x + TILE <= w` and the in-range `sy` filter keep
-            // every `src[sy·w + x .. +TILE]` load and the
-            // `out_row[x .. x + TILE]` store in bounds; AVX2 runs only
-            // when `avx2_available` reported it.
-            unsafe {
-                if avx2 {
-                    x86::col_tile_avx2(src, profile, out_row, x, y, w, h, c);
-                } else {
-                    x86::col_tile_sse2(src, profile, out_row, x, y, w, h, c);
-                }
+    if allow_avx2 && x86::avx2_available() {
+        let blocked = h - h % ROWS;
+        for y in (0..blocked).step_by(ROWS) {
+            for x in tile_starts(w) {
+                // SAFETY: `x + TILE <= w` (from `tile_starts`) and
+                // `y + ROWS <= h` keep every `src[s·w + x .. +TILE]` load
+                // (`s < h`) and every store to rows `y .. y + ROWS` in
+                // bounds; AVX2 was reported.
+                unsafe { x86::col_block_avx2::<ROWS>(src, profile, dst, x, y, w, h) }
             }
-            x += TILE;
         }
-        for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
-            let mut a = 0.0f32;
-            for (k, &p) in profile.iter().enumerate() {
-                let sy = y as i64 - (k as i64 - c);
-                if sy < 0 || sy as usize >= h {
-                    continue;
-                }
-                a += src[sy as usize * w + xr] * p;
+        for y in blocked..h {
+            for x in tile_starts(w) {
+                // SAFETY: as above with one row: `y + 1 <= h`.
+                unsafe { x86::col_block_avx2::<1>(src, profile, dst, x, y, w, h) }
             }
-            *o = a;
+        }
+    } else {
+        let c = profile.len() as i64 / 2;
+        for y in 0..h {
+            let out_row = &mut dst[y * w..(y + 1) * w];
+            for x in tile_starts(w) {
+                // SAFETY: `x + TILE <= w` (from `tile_starts`) and the
+                // in-range `sy` filter keep every `src[sy·w + x .. +TILE]`
+                // load and the `out_row[x .. x + TILE]` store in bounds.
+                unsafe { x86::col_tile_sse2(src, profile, out_row, x, y, w, h, c) }
+            }
         }
     }
 }
@@ -380,39 +436,51 @@ mod x86 {
         }
     }
 
-    /// One 32-wide column-pass output tile at `out_row[x..x+TILE]`, AVX2.
+    /// One column-pass block of `R` output rows × 32 columns at rows
+    /// `y .. y + R`, columns `x .. x + TILE` of `dst`, AVX2 (R × 4 ymm
+    /// accumulators). Each source row `s` in the block's reach is loaded
+    /// once and added to every row `r` whose tap `k = y + r + c − s` lies
+    /// in the profile; `s` falls, so each row's `k` rises.
     ///
     /// # Safety
     ///
-    /// `x + TILE <= w`, `src.len() == w * h`, and the host supports AVX2.
+    /// `x + TILE <= w`, `y + R <= h`, `src.len() == dst.len() == w * h`,
+    /// and the host supports AVX2.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn col_tile_avx2(
+    pub(super) unsafe fn col_block_avx2<const R: usize>(
         src: &[f32],
         profile: &[f32],
-        out_row: &mut [f32],
+        dst: &mut [f32],
         x: usize,
         y: usize,
         w: usize,
         h: usize,
-        c: i64,
     ) {
-        let mut acc = [_mm256_setzero_ps(); TILE / 8];
-        for (k, &p) in profile.iter().enumerate() {
-            let sy = y as i64 - (k as i64 - c);
-            if sy < 0 || sy as usize >= h {
-                continue;
-            }
-            let pv = _mm256_set1_ps(p);
-            let base = src.as_ptr().add(sy as usize * w + x);
-            for (i, a) in acc.iter_mut().enumerate() {
-                let s = _mm256_loadu_ps(base.add(8 * i));
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(s, pv));
+        let c = profile.len() / 2;
+        let mut acc = [[_mm256_setzero_ps(); TILE / 8]; R];
+        // the block's reach, rows `y − c ..= y + R − 1 + c` clipped to the
+        // grid (a half-open range: an inclusive one costs ~10% here)
+        let (top, end) = (y.saturating_sub(c), (y + R + c).min(h));
+        for s in (top..end).rev() {
+            let base = src.as_ptr().add(s * w + x);
+            let v: [__m256; TILE / 8] = std::array::from_fn(|i| _mm256_loadu_ps(base.add(8 * i)));
+            for (r, row_acc) in acc.iter_mut().enumerate() {
+                // past the profile when `s` lies outside this row's reach:
+                // above it `k > 2c`, below it the subtraction wraps
+                let k = (y + r + c).wrapping_sub(s);
+                if k < profile.len() {
+                    let pv = _mm256_set1_ps(profile[k]);
+                    for (a, &vi) in row_acc.iter_mut().zip(&v) {
+                        *a = _mm256_add_ps(*a, _mm256_mul_ps(vi, pv));
+                    }
+                }
             }
         }
-        let dst = out_row.as_mut_ptr().add(x);
-        for (i, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(dst.add(8 * i), *a);
+        for (r, row_acc) in acc.iter().enumerate() {
+            let out = dst.as_mut_ptr().add((y + r) * w + x);
+            for (i, a) in row_acc.iter().enumerate() {
+                _mm256_storeu_ps(out.add(8 * i), *a);
+            }
         }
     }
 
@@ -536,10 +604,12 @@ mod tests {
         g.set(4, 4, 1.0);
         g.set(0, 8, -2.0);
         let reference = convolve_separable(&g, &profile);
-        // garbage in the buffers must not leak into the result
+        // garbage in the buffers, the padded row's margins included, must
+        // not leak into the result
+        let mut row = vec![f32::NAN; padded_row_len(9)];
         let mut tmp = Grid::filled(9, 9, f32::NAN);
         let mut out = Grid::filled(9, 9, 123.0);
-        convolve_separable_into(&g, &profile, &mut tmp, &mut out);
+        convolve_separable_into(&g, &profile, &mut row, &mut tmp, &mut out);
         assert_eq!(out, reference);
     }
 
@@ -547,9 +617,10 @@ mod tests {
     #[should_panic(expected = "output shape mismatch")]
     fn into_variant_rejects_wrong_shape() {
         let g = Grid::zeros(4, 4);
+        let mut row = vec![0.0; padded_row_len(4)];
         let mut tmp = Grid::zeros(4, 4);
         let mut out = Grid::zeros(5, 4);
-        convolve_separable_into(&g, &[1.0], &mut tmp, &mut out);
+        convolve_separable_into(&g, &[1.0], &mut row, &mut tmp, &mut out);
     }
 
     proptest! {

@@ -10,27 +10,28 @@
 //! then pin the analytic contract of every pass.
 
 use super::{convolve_cols_scalar, convolve_rows_scalar};
-use crate::{KernelBank, LithoConfig};
+use crate::{ConvScratch, KernelBank, LithoConfig};
 use ldmo_geom::{Grid, Rect};
 use proptest::prelude::*;
 
-/// One separable convolution: row pass into `tmp`, column pass into `out`.
-type Pass = fn(&Grid, &[f32], &mut Grid, &mut Grid);
+/// One separable convolution: row pass through the padded `row` into
+/// `tmp`, column pass into `out`.
+type Pass = fn(&Grid, &[f32], &mut [f32], &mut Grid, &mut Grid);
 
-fn scalar(input: &Grid, profile: &[f32], tmp: &mut Grid, out: &mut Grid) {
-    convolve_rows_scalar(input, profile, tmp);
+fn scalar(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &mut Grid) {
+    convolve_rows_scalar(input, profile, row, tmp);
     convolve_cols_scalar(tmp, profile, out);
 }
 
 #[cfg(target_arch = "x86_64")]
-fn sse2(input: &Grid, profile: &[f32], tmp: &mut Grid, out: &mut Grid) {
-    super::convolve_rows_simd(input, profile, tmp, false);
+fn sse2(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &mut Grid) {
+    super::convolve_rows_simd(input, profile, row, tmp, false);
     super::convolve_cols_simd(tmp, profile, out, false);
 }
 
 #[cfg(target_arch = "x86_64")]
-fn avx2(input: &Grid, profile: &[f32], tmp: &mut Grid, out: &mut Grid) {
-    super::convolve_rows_simd(input, profile, tmp, true);
+fn avx2(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &mut Grid) {
+    super::convolve_rows_simd(input, profile, row, tmp, true);
     super::convolve_cols_simd(tmp, profile, out, true);
 }
 
@@ -58,14 +59,17 @@ fn all_passes() -> Vec<(&'static str, Pass)> {
 
 fn run(pass: Pass, input: &Grid, profile: &[f32]) -> Grid {
     let (w, h) = input.shape();
-    let mut tmp = Grid::zeros(w, h);
+    // the workspace's own scratch, so the suite also covers its row sizing
+    let mut scratch = ConvScratch::new(w, h);
     let mut out = Grid::zeros(w, h);
-    pass(input, profile, &mut tmp, &mut out);
+    pass(input, profile, &mut scratch.row, &mut scratch.tmp, &mut out);
     out
 }
 
 /// Small odd profiles exercising symmetric, asymmetric, negative-lobe and
-/// single-tap cases (the bank's own profiles are all odd-length).
+/// single-tap cases, then every component profile of the paper bank: the
+/// real optics, whose widest (271 taps) sets the tiling halo and is wider
+/// than most fixtures, so the row pass trims its far taps.
 fn test_profiles() -> Vec<Vec<f32>> {
     let mut profiles = vec![
         vec![1.0],
@@ -73,13 +77,10 @@ fn test_profiles() -> Vec<Vec<f32>> {
         vec![0.1, 0.2, 0.4, 0.2, 0.1],
         vec![0.05, -0.15, 0.3, 0.55, 0.2, -0.1, 0.05],
     ];
-    // a real optical profile from the paper bank's kernels
     let bank = KernelBank::paper_bank(&LithoConfig::default());
-    let (_, profile) = bank.kernels()[0]
-        .components()
-        .next()
-        .expect("bank kernels have components");
-    profiles.push(profile.to_vec());
+    for kernel in bank.kernels() {
+        profiles.extend(kernel.components().map(|(_, profile)| profile.to_vec()));
+    }
     profiles
 }
 
@@ -131,8 +132,9 @@ fn assert_conforms(input: &Grid, profile: &[f32], ctx: &str) {
     }
 }
 
-/// Grid shapes covering even, odd, mixed-parity, non-square, tile-remainder
-/// (not multiples of the 32-wide register block) and degenerate 1×N / N×1.
+/// Grid shapes covering even, odd, mixed-parity, non-square, an overlapping
+/// last tile (widths above 32 that are not multiples of the 32-wide
+/// register block), narrower than one tile, and degenerate 1×N / N×1.
 const SHAPES: [(usize, usize); 8] = [
     (64, 64),
     (33, 47),
@@ -168,13 +170,59 @@ fn straight_edge_conforms_on_all_backends() {
 
 #[test]
 fn dense_contacts_conform_on_all_backends() {
-    for &(w, h) in &[(64usize, 64usize), (33, 47), (96, 40)] {
+    // the last four are the workloads' windows: the 224 px flow and serve
+    // window, the golden chip's 359×224 tiles and the tiled chip's 359×359
+    // and 494×359 windows. With SHAPES they cover `w % 32` of 0, 1, 7 and
+    // 14, and `h % 3` of 0, 1 and 2.
+    for &(w, h) in &[
+        (64usize, 64usize),
+        (33, 47),
+        (96, 40),
+        (224, 224),
+        (359, 224),
+        (359, 359),
+        (494, 359),
+    ] {
         for profile in test_profiles() {
             assert_conforms(
                 &dense_contacts(w, h),
                 &profile,
                 &format!("dense contacts {w}x{h}"),
             );
+        }
+    }
+}
+
+#[test]
+fn trimmed_far_taps_change_no_bit_on_all_backends() {
+    // the row pass drops taps farther than w − 1 from the centre, which
+    // only read padding. A zero frame as wide as the radius on both sides
+    // keeps every tap, so the framed result's interior must match the
+    // unframed one bit for bit
+    for profile in test_profiles() {
+        let c = profile.len() / 2;
+        for &(w, h) in &[(3usize, 3usize), (33, 47), (64, 1)] {
+            let input = straight_edge(w, h);
+            let mut framed = Grid::zeros(w + 2 * c, h);
+            for y in 0..h {
+                for x in 0..w {
+                    framed.set(x + c, y, input.get(x, y));
+                }
+            }
+            for (name, pass) in all_passes() {
+                let out = run(pass, &input, &profile);
+                let framed_out = run(pass, &framed, &profile);
+                for y in 0..h {
+                    for x in 0..w {
+                        assert_eq!(
+                            out.get(x, y).to_bits(),
+                            framed_out.get(x + c, y).to_bits(),
+                            "{name}, {} taps, {w}x{h}: framed run differs at ({x},{y})",
+                            profile.len()
+                        );
+                    }
+                }
+            }
         }
     }
 }

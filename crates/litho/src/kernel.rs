@@ -173,7 +173,13 @@ impl CoherentKernel {
         // first component writes, the rest accumulate: skips a full-grid
         // zero-fill per call on the single-component (plain Gaussian) case
         for (i, c) in self.components.iter().enumerate() {
-            convolve_separable_into(mask, &c.profile, &mut scratch.tmp, &mut scratch.part);
+            convolve_separable_into(
+                mask,
+                &c.profile,
+                &mut scratch.row,
+                &mut scratch.tmp,
+                &mut scratch.part,
+            );
             let a = out.as_mut_slice();
             if i == 0 {
                 for (v, &p) in a.iter_mut().zip(scratch.part.as_slice()) {

@@ -22,10 +22,13 @@
 
 use ldmo_geom::Grid;
 
-/// Scratch grids for separable convolution ([`crate::convolve_separable_into`])
+/// Scratch for separable convolution ([`crate::convolve_separable_into`])
 /// and kernel evaluation ([`crate::CoherentKernel::field_into`]).
 #[derive(Debug, Clone)]
 pub struct ConvScratch {
+    /// Zero-padded source row of the row pass: `3 · width` floats, enough
+    /// for any profile, so no window width sends the pass to the heap.
+    pub row: Vec<f32>,
     /// Row-pass intermediate of a separable convolution.
     pub tmp: Grid,
     /// Per-component separable result, accumulated into a kernel's field.
@@ -36,6 +39,7 @@ impl ConvScratch {
     /// Allocates scratch for `width × height` grids.
     pub fn new(width: usize, height: usize) -> Self {
         ConvScratch {
+            row: vec![0.0; crate::conv::padded_row_len(width)],
             tmp: Grid::zeros(width, height),
             part: Grid::zeros(width, height),
         }
@@ -110,6 +114,7 @@ mod tests {
         let ws = LithoWorkspace::new(7, 3);
         assert_eq!(ws.shape(), (7, 3));
         assert_eq!(ws.conv.tmp.shape(), (7, 3));
+        assert_eq!(ws.conv.row.len(), 21);
         assert_eq!(ws.grad.back.shape(), (7, 3));
     }
 }

@@ -12,7 +12,7 @@ use ldmo_ilt::{forward_multi, l2_gradient_multi, optimize, IltConfig};
 use ldmo_layout::Layout;
 use ldmo_litho::{
     combine_double_pattern, convolve_separable, convolve_separable_into, measure_epe,
-    simulate_print, KernelBank,
+    simulate_print, ConvScratch, KernelBank,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,9 +157,11 @@ proptest! {
         let input = Grid::from_vec(15, 11, vals);
         let taps = &taps9[..2 * half + 1];
         let expected = convolve_separable(&input, taps);
-        let mut tmp = Grid::filled(15, 11, garbage);
+        let mut scratch = ConvScratch::new(15, 11);
+        scratch.row.fill(garbage);
+        scratch.tmp = Grid::filled(15, 11, garbage);
         let mut out = Grid::filled(15, 11, garbage);
-        convolve_separable_into(&input, taps, &mut tmp, &mut out);
+        convolve_separable_into(&input, taps, &mut scratch.row, &mut scratch.tmp, &mut out);
         prop_assert_eq!(&expected, &out);
     }
 }
