@@ -13,6 +13,8 @@ use ldmo_bench::{eval_suite, fast_mode, trained_predictor};
 use ldmo_core::dataset::SamplerKind;
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo_decomp::DecompConfig;
+use ldmo_guard::cli::{Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::IltConfig;
 use ldmo_layout::{cells, Layout};
 use std::time::Duration;
@@ -50,9 +52,11 @@ fn run_suite(flow: &mut LdmoFlow, suite: &[(String, ldmo_layout::Layout)]) -> (u
     (epe, time)
 }
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("ablation", &["json-out"], &[], 0)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
     let suite = suite();
     let mut report = BenchReport::new("ablation");
     println!("ABLATIONS over {} evaluation layouts\n", suite.len());
@@ -161,6 +165,6 @@ fn main() {
             epe as f64,
         );
     }
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

@@ -1,8 +1,12 @@
 //! Probe: step size vs residual EPE at the 29-iteration budget for good
 //! and bad decompositions.
+//! Usage: `calibrate_step [SIGMA [RING [MRC]]]`, the primary kernel sigma
+//! (nm, default 40), ring amplitude (0) and MRC expansion (nm, 28).
 use ldmo_bench::report::{maybe_write, BenchReport};
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_geom::Rect;
+use ldmo_guard::cli::{parse_number, Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::{optimize, IltConfig};
 use ldmo_layout::{cells, Layout};
 
@@ -19,13 +23,15 @@ fn quad(gap: i32) -> Layout {
     )
 }
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
-    let args: Vec<String> = std::env::args().collect();
-    let sigma: f64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40.0);
-    let ring: f64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0.0);
-    let mrc: i32 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(28);
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("calibrate_step", &["json-out"], &[], 3)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
+    let pos = |i: usize| args.positional.get(i).map(String::as_str);
+    let sigma: f64 = pos(0).map_or(Ok(40.0), |t| parse_number("SIGMA", t))?;
+    let ring: f64 = pos(1).map_or(Ok(0.0), |t| parse_number("RING", t))?;
+    let mrc: i32 = pos(2).map_or(Ok(28), |t| parse_number("MRC", t))?;
     let mut cfg = IltConfig::default();
     cfg.litho.sigma_primary = sigma;
     cfg.litho.ring_sigma = sigma * 2.0;
@@ -109,6 +115,6 @@ fn main() {
             .collect();
         eprintln!("  {name}: candidate EPEs {epes:?}");
     }
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

@@ -12,12 +12,16 @@
 use ldmo_bench::fast_mode;
 use ldmo_bench::report::{maybe_write, BenchReport};
 use ldmo_decomp::{generate_candidates, DecompConfig};
+use ldmo_guard::cli::{Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::{optimize, IltConfig};
 use ldmo_layout::cells;
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("fig1b", &["json-out"], &[], 0)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
     let layout = cells::cell("AOI211_X1").expect("known cell");
     let candidates = generate_candidates(&layout, &DecompConfig::default());
     let take = candidates.len().min(3);
@@ -89,6 +93,6 @@ fn main() {
         "\nfinal EPE counts: {finals:?}; winner: {}; winner trailed mid-run: {trailed}",
         series[winner].0
     );
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

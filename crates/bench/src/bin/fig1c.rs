@@ -12,12 +12,16 @@ use ldmo_bench::report::{maybe_write, BenchReport};
 use ldmo_bench::{fast_mode, testcases};
 use ldmo_core::baselines::{unified_flow, UnifiedConfig};
 use ldmo_decomp::{generate_candidates, DecompConfig};
+use ldmo_guard::cli::{Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::IltConfig;
 use std::time::Duration;
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("fig1c", &["json-out"], &[], 0)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
     let mut ilt = IltConfig::default();
     if fast_mode() {
         ilt.max_iterations = 8;
@@ -63,6 +67,6 @@ fn main() {
         report.push_value(format!("{label}/ds"), "s", ds.as_secs_f64());
         report.push_value(format!("{label}/mo"), "s", mo.as_secs_f64());
     }
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

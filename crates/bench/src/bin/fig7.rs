@@ -14,12 +14,16 @@ use ldmo_bench::{fast_mode, trained_predictor};
 use ldmo_core::baselines::{two_stage_bfs, two_stage_suald, unified_flow, UnifiedConfig};
 use ldmo_core::dataset::SamplerKind;
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo_guard::cli::{Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::IltConfig;
 use ldmo_layout::cells;
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("fig7", &["json-out"], &[], 0)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
     let mut ilt = IltConfig::default();
     if fast_mode() {
         ilt.max_iterations = 8;
@@ -92,6 +96,6 @@ fn main() {
         );
     }
     eprintln!("\nprinted-image PGMs written to bench_out/");
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

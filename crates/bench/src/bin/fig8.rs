@@ -15,6 +15,8 @@ use ldmo_bench::report::{maybe_write, BenchReport};
 use ldmo_bench::{eval_suite, fast_mode, trained_predictor};
 use ldmo_core::dataset::SamplerKind;
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo_guard::cli::{Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::IltConfig;
 use ldmo_layout::{cells, Layout};
 use std::time::Duration;
@@ -30,9 +32,11 @@ fn suite() -> Vec<(String, Layout)> {
     s
 }
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("fig8", &["json-out"], &[], 0)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
     let mut ilt = IltConfig::default();
     if fast_mode() {
         ilt.max_iterations = 8;
@@ -97,6 +101,6 @@ fn main() {
         );
     }
     println!("\n(paper: random sampling ≈ 2× the EPE count at ≈ equal runtime)");
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

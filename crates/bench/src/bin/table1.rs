@@ -20,6 +20,8 @@ use ldmo_bench::{fast_mode, testcases, trained_predictor};
 use ldmo_core::baselines::{two_stage_bfs, two_stage_suald, unified_flow, UnifiedConfig};
 use ldmo_core::dataset::SamplerKind;
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo_guard::cli::{Args, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_ilt::IltConfig;
 use std::time::Duration;
 
@@ -29,9 +31,11 @@ struct Row {
     time: [Duration; 4],
 }
 
-fn main() {
-    let trace_out = ldmo_obs::trace_setup();
-    let _live = ldmo_bench::live_setup();
+fn main() -> std::process::ExitCode {
+    ldmo_bench::run_main(&[Spec::new("table1", &["json-out"], &[], 0)], run)
+}
+
+fn run(args: &Args) -> Result<(), LdmoError> {
     let fast = fast_mode();
     let mut ilt = IltConfig::default();
     if fast {
@@ -143,6 +147,6 @@ fn main() {
             r.meta.push(("epe".into(), row.epe[i] as f64));
         }
     }
-    maybe_write(&report);
-    ldmo_obs::trace_finish(trace_out.as_deref());
+    maybe_write(&report, args.value("json-out"));
+    Ok(())
 }

@@ -11,7 +11,8 @@
 //!
 //! Every binary also accepts `--json-out PATH` to emit a machine-readable
 //! `BENCH_<name>.json` report ([`report`]) consumed by the
-//! `ldmo bench-report` aggregator and the CI perf gate.
+//! `ldmo bench-report` aggregator and the CI perf gate. The bins and the
+//! `ldmo` CLI share one start-up, [`run_main`]; an undeclared flag exits 2.
 
 pub mod report;
 
@@ -20,55 +21,91 @@ use ldmo_core::predictor::PrintabilityPredictor;
 use ldmo_core::sampling::SamplingConfig;
 use ldmo_core::trainer::{train, TrainConfig};
 use ldmo_decomp::is_dpl_compatible;
+use ldmo_guard::cli::{self, Args, Globals, Spec};
+use ldmo_guard::LdmoError;
 use ldmo_layout::cells;
 use ldmo_layout::classify::ClassifyConfig;
 use ldmo_layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo_layout::Layout;
-use std::path::PathBuf;
+use ldmo_obs::{profiler::Sampler, serve::MetricsServer};
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// Whether fast (smoke-test) mode is requested via `LDMO_FAST=1`.
 pub fn fast_mode() -> bool {
     std::env::var("LDMO_FAST").is_ok_and(|v| v == "1")
 }
 
-/// The live-ops guards a bench binary holds for the duration of its run:
-/// the `/metrics` endpoint server and the sampling profiler, both `None`
-/// unless requested (`--metrics-addr` / `--sample-hz` or their env
-/// equivalents). Dropping this stops both.
-pub struct LiveOps {
-    /// The metrics endpoint server guard.
-    pub server: Option<ldmo_obs::serve::MetricsServer>,
-    /// The sampling-profiler guard.
-    pub sampler: Option<ldmo_obs::profiler::Sampler>,
+/// Runs a binary's `body` under the start-up all workspace binaries share:
+/// parse the command line against `specs` (a usage error exits 2 before
+/// anything starts), install the crash hooks and any `LDMO_FAULTS` plan
+/// (a malformed spec exits 7), enable tracing, size the worker pool, put
+/// `threads` and `backend` into the run info, and start the profiler and
+/// the `/metrics` endpoint when asked (a bind failure only warns). Then
+/// the trace is written (a failed write fails a clean run, exit 6), and
+/// a failed run leaves a flight-recorder dump. Errors print as `error: …`
+/// and exit with [`LdmoError::exit_code`].
+pub fn run_main(specs: &[Spec], body: impl FnOnce(&Args) -> Result<(), LdmoError>) -> ExitCode {
+    let result = cli::parse_env(specs).and_then(|args| {
+        // the sampler and the endpoint stay up until the trace has landed
+        let _live = start(&args.globals)?;
+        let trace_out = args.globals.trace_out.as_deref();
+        body(&args).map_or_else(
+            |e| {
+                if let Err(trace) = finish_trace(trace_out) {
+                    eprintln!("error: {trace}");
+                }
+                let _ = ldmo_guard::ops::dump_on_error(&e);
+                Err(e)
+            },
+            |()| finish_trace(trace_out),
+        )
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(e.exit_code())
+        }
+    }
 }
 
-/// One-call setup for the bench bins, mirroring the `ldmo` CLI: installs
-/// the crash hooks (panic → trace flush + flight dump), sizes the worker
-/// pool (`--threads`), records the litho backend in the run info, then
-/// starts the metrics endpoint and the sampling profiler when the CLI or
-/// environment asks for them. Call after [`ldmo_obs::trace_setup`] so the
-/// crash path knows the trace destination; keep the returned guard alive
-/// until the run ends. A malformed `--threads` or `--sample-hz` exits 2.
-pub fn live_setup() -> LiveOps {
+fn start(globals: &Globals) -> Result<(Option<Sampler>, Option<MetricsServer>), LdmoError> {
     ldmo_guard::ops::install_crash_hooks();
-    // bench bins honor LDMO_FAULTS like the ldmo CLI does — chaos runs
-    // against the real workloads are how the flight recorder is exercised
-    // in CI; a malformed spec is a hard error (exit 7), not a silent no-op
-    if let Err(e) = ldmo_guard::fault::init_from_env() {
-        eprintln!("error: {e}");
-        std::process::exit(7);
+    ldmo_guard::fault::init_from_env()?;
+    if let Some(path) = &globals.trace_out {
+        ldmo_obs::trace_setup(path);
     }
-    let sampler = ldmo_par::cli_setup()
-        .and_then(|_| ldmo_obs::profiler::cli_setup())
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        });
+    if let Some(threads) = globals.threads {
+        ldmo_par::set_global_threads(threads);
+    }
+    ldmo_obs::set_run_info("threads", ldmo_par::global_threads().to_string());
     ldmo_obs::set_run_info("backend", ldmo_litho::backend::resolved_kind().as_str());
-    LiveOps {
-        server: ldmo_obs::serve::cli_setup(),
-        sampler,
-    }
+    let sampler = globals.sample_hz.and_then(|hz| {
+        let sampler = ldmo_obs::profiler::start(hz)?;
+        eprintln!("[profiler] sampling span stacks at {hz} Hz");
+        Some(sampler)
+    });
+    let server = globals.metrics_addr.as_deref().and_then(|addr| {
+        ldmo_obs::serve::start(addr)
+            .inspect(|s| eprintln!("[metrics] serving /metrics /spans on http://{}", s.addr()))
+            .inspect_err(|e| eprintln!("[metrics] could not bind metrics endpoint: {e}"))
+            .ok()
+    });
+    Ok((sampler, server))
+}
+
+/// Writes the JSONL trace to `out` when tracing is on and prints the span
+/// summary to stderr.
+fn finish_trace(out: Option<&Path>) -> Result<(), LdmoError> {
+    let Some(path) = out else { return Ok(()) };
+    let lines = ldmo_obs::flush_jsonl(path).map_err(|e| LdmoError::Trace {
+        context: path.display().to_string(),
+        detail: e.to_string(),
+    })?;
+    eprintln!("[trace] {lines} events written to {}", path.display());
+    eprint!("{}", ldmo_obs::summary());
+    Ok(())
 }
 
 /// The 13 Table-I testcases: the 8 NanGate-like cell templates plus 5

@@ -316,21 +316,13 @@ fn resolve_against_workspace(target: PathBuf) -> PathBuf {
     }
 }
 
-/// Scans `std::env::args` for `--json-out PATH` (the shared CLI convention
-/// of the bench bins and criterion benches). Relative paths resolve against
-/// the workspace root, not the executable's CWD.
-pub fn json_out_arg() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .rfind(|pair| pair[0] == "--json-out")
-        .map(|pair| resolve_against_workspace(PathBuf::from(&pair[1])))
-}
-
-/// Writes `report` when `--json-out` was passed, reporting the outcome on
-/// stderr. Silent no-op otherwise — the bins call this unconditionally at
-/// the end of the run.
-pub fn maybe_write(report: &BenchReport) {
-    let Some(target) = json_out_arg() else { return };
+/// Writes `report` to `out`, a bin's `--json-out PATH` (relative paths
+/// resolve against the workspace root), reporting the outcome on stderr.
+/// A no-op without a path, so the bins call it unconditionally at the end
+/// of the run.
+pub fn maybe_write(report: &BenchReport, out: Option<&str>) {
+    let Some(out) = out else { return };
+    let target = resolve_against_workspace(PathBuf::from(out));
     match report.write(&target) {
         Ok(path) => eprintln!("[bench] report written to {}", path.display()),
         Err(e) => eprintln!("[bench] could not write {}: {e}", target.display()),

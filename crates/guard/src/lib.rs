@@ -20,6 +20,8 @@
 //! - **Error taxonomy** — [`LdmoError`] is the workspace-wide typed error
 //!   that replaces panics on parse/model/trace I/O paths and maps to
 //!   stable nonzero CLI exit codes.
+//! - **Command line** — [`cli`] is the one argv parser of the workspace's
+//!   binaries: each declares its flags, and anything else is a usage error.
 //! - **Fault injection** — [`fault`] hosts a seed-driven [`FaultPlan`]
 //!   (from `LDMO_FAULTS=spec` or test construction) that injects NaN
 //!   gradients, worker panics, corrupt model bytes, and slow-candidate
@@ -33,6 +35,7 @@
 //! `tests/determinism_golden.rs` and `tests/chaos.rs`.
 
 pub mod budget;
+pub mod cli;
 pub mod error;
 pub mod fault;
 pub mod ops;

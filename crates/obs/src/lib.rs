@@ -18,9 +18,9 @@
 //!
 //! When the collector is disabled (the default) every recording call is a
 //! single relaxed atomic load plus a branch, so instrumented hot paths stay
-//! measurably free. Enable with [`enable`], `LDMO_TRACE=1`, or
-//! [`trace_setup`] (which also understands the `--trace-out PATH` CLI
-//! convention used by the bench bins and the `ldmo` CLI).
+//! measurably free. Enable with [`enable`], or with [`trace_setup`],
+//! which the binaries call with the path their `--trace-out PATH` (or
+//! `LDMO_TRACE=1`) asked for.
 //!
 //! The collector drains into a machine-readable JSONL event stream
 //! ([`flush_jsonl`], one JSON object per line). [`json`] carries a
@@ -107,22 +107,13 @@ pub fn reset() {
     profiler::reset();
 }
 
-/// Enables the collector when the environment asks for it
-/// (`LDMO_TRACE=1`). Returns whether tracing is now enabled.
-pub fn init_from_env() -> bool {
-    if std::env::var("LDMO_TRACE").is_ok_and(|v| v == "1") {
-        enable();
-    }
-    enabled()
-}
-
 // ---------------------------------------------------------------------------
 // Run info: a small key/value registry describing the process (git rev,
 // thread count, litho backend, …) that rides along in every flight-recorder
-// dump header. Populated by the startup code that knows the values —
-// `ldmo_par::cli_setup` sets `threads`, and the `ldmo` binary and the bench
-// bins' `live_setup` set `backend` from `ldmo_litho::backend::resolved_kind`
-// — so the obs crate stays dependency-free.
+// dump header. Populated by the code that knows the values — the binaries'
+// shared start-up (`ldmo_bench::run_main`) sets `threads` and `backend`,
+// and `ldmo_guard::ops::install_crash_hooks` sets `git_rev` — so the obs
+// crate stays dependency-free.
 // ---------------------------------------------------------------------------
 
 static RUN_INFO: OnceLock<Mutex<Vec<(&'static str, String)>>> = OnceLock::new();
@@ -148,26 +139,18 @@ pub fn run_info_snapshot() -> Vec<(&'static str, String)> {
 }
 
 /// The trace output path registered by [`trace_setup`], if any — what the
-/// crash path flushes to ([`emergency_flush`]).
-static TRACE_PATH: OnceLock<Mutex<Option<PathBuf>>> = OnceLock::new();
-
-fn trace_path() -> &'static Mutex<Option<PathBuf>> {
-    TRACE_PATH.get_or_init(|| Mutex::new(None))
-}
-
-/// The JSONL path the current process traces to (`None` when tracing is
-/// off or streaming to stdout).
-pub fn trace_out_path() -> Option<PathBuf> {
-    trace_path().lock().expect("trace path lock").clone()
-}
+/// crash path flushes to ([`emergency_flush`]). `None` when tracing is off
+/// or streams to stdout.
+static TRACE_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Crash-time best effort, called from the `ldmo-guard` panic hook: flush
-/// the JSONL trace to the registered [`trace_out_path`] (so a crashed run
+/// the JSONL trace to the path [`trace_setup`] registered (so a crashed run
 /// leaves a terminated trace, not a truncated tail) and dump the flight
 /// ring. Every failure is swallowed — this runs while the process is
 /// already dying.
 pub fn emergency_flush(reason: &str) {
-    if let Some(path) = trace_out_path() {
+    let path = TRACE_PATH.lock().expect("trace path lock").clone();
+    if let Some(path) = path {
         match flush_jsonl(&path) {
             Ok(lines) => eprintln!(
                 "[trace] {reason}: {lines} events flushed to {}",
@@ -179,45 +162,13 @@ pub fn emergency_flush(reason: &str) {
     flight::dump(reason);
 }
 
-/// One-call CLI setup shared by the `ldmo` binary and the bench bins.
-///
-/// Tracing is requested by either a `--trace-out PATH` argument (scanned
-/// from `std::env::args`) or `LDMO_TRACE=1` in the environment; with the
-/// env var alone the output path falls back to `LDMO_TRACE_OUT` and then to
-/// `ldmo_trace.jsonl`. Returns the JSONL output path when tracing was
-/// enabled, for a matching [`trace_finish`] at the end of the run. The
-/// path is also registered for the crash path ([`emergency_flush`]).
-pub fn trace_setup() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out: Option<PathBuf> = None;
-    for pair in args.windows(2) {
-        if pair[0] == "--trace-out" {
-            out = Some(PathBuf::from(&pair[1]));
-        }
+/// Enables the collector and registers `out` as the JSONL trace
+/// destination of the crash path ([`emergency_flush`]); `-` (stdout) is
+/// not registered. The binaries call it with their parsed `--trace-out`
+/// and write the trace with [`flush_jsonl`] when the run ends.
+pub fn trace_setup(out: &Path) {
+    enable();
+    if out.as_os_str() != "-" {
+        *TRACE_PATH.lock().expect("trace path lock") = Some(out.to_path_buf());
     }
-    if out.is_none() && std::env::var("LDMO_TRACE").is_ok_and(|v| v == "1") {
-        let path = std::env::var("LDMO_TRACE_OUT").unwrap_or_else(|_| "ldmo_trace.jsonl".into());
-        out = Some(PathBuf::from(path));
-    }
-    if let Some(path) = &out {
-        enable();
-        if path.as_os_str() != "-" {
-            *trace_path().lock().expect("trace path lock") = Some(path.clone());
-        }
-    }
-    out
-}
-
-/// Writes the JSONL trace to `out` (when tracing was set up) and prints the
-/// end-of-run summary to stderr. `--trace-out -` streams the JSONL to
-/// stdout (diagnostics stay on stderr, so piped JSON stays clean). Errors
-/// are reported to stderr, never panicked — telemetry must not take down a
-/// finished run.
-pub fn trace_finish(out: Option<&Path>) {
-    let Some(path) = out else { return };
-    match flush_jsonl(path) {
-        Ok(lines) => eprintln!("[trace] {lines} events written to {}", path.display()),
-        Err(e) => eprintln!("[trace] could not write {}: {e}", path.display()),
-    }
-    eprint!("{}", summary());
 }

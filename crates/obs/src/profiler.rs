@@ -133,43 +133,3 @@ fn sampler_loop(interval: Duration, stop: &AtomicBool) {
         }
     }
 }
-
-/// One-call CLI setup shared by the `ldmo` binary and the bench bins:
-/// scans `std::env::args` for `--sample-hz N` (falling back to the
-/// `LDMO_SAMPLE_HZ` environment variable) and starts the sampler. Returns
-/// the guard to keep alive for the duration of the run, or `None` when
-/// sampling was not requested.
-///
-/// # Errors
-///
-/// A `--sample-hz` value that is not a positive number, named in the
-/// message; no sampler starts.
-pub fn cli_setup() -> Result<Option<Sampler>, String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut hz: Option<f64> = None;
-    for pair in args.windows(2) {
-        if pair[0] == "--sample-hz" {
-            match pair[1].parse::<f64>() {
-                Ok(v) if v > 0.0 => hz = Some(v),
-                _ => {
-                    return Err(format!(
-                        "--sample-hz '{}' is not a positive number",
-                        pair[1]
-                    ))
-                }
-            }
-        }
-    }
-    if hz.is_none() {
-        hz = std::env::var("LDMO_SAMPLE_HZ")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|v| *v > 0.0);
-    }
-    let Some(hz) = hz else { return Ok(None) };
-    let sampler = start(hz);
-    if sampler.is_some() {
-        eprintln!("[profiler] sampling span stacks at {hz} Hz");
-    }
-    Ok(sampler)
-}

@@ -148,38 +148,3 @@ pub fn prometheus_text() -> String {
     }
     out
 }
-
-/// One-call CLI setup shared by the `ldmo` binary and the bench bins:
-/// scans `std::env::args` for `--metrics-addr HOST:PORT` (falling back to
-/// the `LDMO_METRICS_ADDR` environment variable) and starts the server.
-/// Returns the guard to keep alive for the duration of the run, or `None`
-/// when no address was requested. A bind failure is reported on stderr
-/// but does not abort the run — losing the ops feed must not lose the
-/// optimization.
-pub fn cli_setup() -> Option<MetricsServer> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut addr: Option<String> = None;
-    for pair in args.windows(2) {
-        if pair[0] == "--metrics-addr" {
-            addr = Some(pair[1].clone());
-        }
-    }
-    if addr.is_none() {
-        addr = std::env::var("LDMO_METRICS_ADDR")
-            .ok()
-            .filter(|a| !a.is_empty());
-    }
-    match start(&addr?) {
-        Ok(server) => {
-            eprintln!(
-                "[metrics] serving /metrics /spans on http://{}",
-                server.addr()
-            );
-            Some(server)
-        }
-        Err(e) => {
-            eprintln!("[metrics] could not bind metrics endpoint: {e}");
-            None
-        }
-    }
-}

@@ -546,35 +546,6 @@ pub fn set_global_threads(threads: usize) {
     ldmo_obs::set_run_info("threads", global_threads().to_string());
 }
 
-/// One-call CLI setup shared by the `ldmo` binary and the bench bins:
-/// scans `std::env::args` for `--threads N` (last occurrence wins) and
-/// resizes the global pool accordingly; without the flag the pool keeps
-/// its default (`LDMO_THREADS` or `available_parallelism`). Returns the
-/// resulting global thread count.
-///
-/// # Errors
-///
-/// A `--threads` value that is not a positive integer, named in the
-/// message; the pool is left as it was.
-pub fn cli_setup() -> Result<usize, String> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut requested = None;
-    for pair in args.windows(2) {
-        if pair[0] == "--threads" {
-            match pair[1].parse::<usize>() {
-                Ok(n) if n >= 1 => requested = Some(n),
-                _ => return Err(format!("--threads '{}' is not a positive integer", pair[1])),
-            }
-        }
-    }
-    if let Some(n) = requested {
-        set_global_threads(n);
-    }
-    let threads = global_threads();
-    ldmo_obs::set_run_info("threads", threads.to_string());
-    Ok(threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

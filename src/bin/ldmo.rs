@@ -14,9 +14,11 @@
 //! ldmo bench-report bench_out/                        aggregate BENCH_*.json
 //! ```
 //!
-//! Errors exit with the stable codes of [`LdmoError::exit_code`]:
-//! 2 usage, 3 parse, 4 model, 5 I/O, 6 trace, 7 bad `LDMO_FAULTS` spec,
-//! 8 degraded result.
+//! Each subcommand declares its flags in [`SUBCOMMANDS`]; an undeclared
+//! flag, a valued flag with no value, `--flag=value` or an extra
+//! positional is a usage error. Errors exit with the stable codes of
+//! [`LdmoError::exit_code`]: 2 usage, 3 parse, 4 model, 5 I/O, 6 trace,
+//! 7 bad `LDMO_FAULTS` spec, 8 degraded result.
 
 use ldmo::chip::{run_chip, ChipConfig};
 use ldmo::core::dataset::{build_dataset, DatasetConfig, SamplerKind};
@@ -25,96 +27,56 @@ use ldmo::core::predictor::PrintabilityPredictor;
 use ldmo::core::sampling::SamplingConfig;
 use ldmo::core::trainer::{train, TrainConfig};
 use ldmo::decomp::{generate_candidates, is_dpl_compatible, DecompConfig};
+use ldmo::guard::cli::{Args, Spec};
 use ldmo::guard::LdmoError;
 use ldmo::ilt::{Budget, IltConfig, IltSession};
 use ldmo::layout::classify::{classify_patterns, ClassifyConfig};
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::{io as layout_io, Layout};
-use ldmo::obs::{profiler::Sampler, serve::MetricsServer};
 use std::path::Path;
 use std::process::ExitCode;
 
+/// Each subcommand's declared command line: valued flags, switches, and
+/// how many positionals it takes. `help` is first, so a bare `ldmo`
+/// prints the usage.
+#[rustfmt::skip]
+const SUBCOMMANDS: &[Spec] = &[
+    Spec::new("help", &[], &[], 0),
+    Spec::new("generate", &["seed", "count", "out"], &[], 0),
+    Spec::new("info", &[], &[], 1),
+    Spec::new("decompose", &[], &[], 1),
+    Spec::new("optimize", &["assignment", "masks", "out"], &[], 1),
+    Spec::new("flow", &["predictor"], &[], 1),
+    Spec::new("chip", &["tiles", "seed", "tile-size", "tile-iters", "tile-candidates",
+                        "tile-budget-iters", "tile-budget-ms", "out"], &[], 1),
+    Spec::new("train", &["pool", "out"], &[], 0),
+    Spec::new("trace", &["threshold", "out"], &["reconcile"], usize::MAX),
+    Spec::new("bench-report", &[], &[], 1),
+    Spec::new("serve", &["addr", "queue", "batch", "deadline-ms", "cache", "iters",
+                         "candidates"], &[], 0),
+    Spec::new("client", &["addr", "clients", "requests", "seed", "retries", "deadline-ms",
+                          "iters", "candidates"], &["shutdown"], 0),
+];
+
 fn main() -> ExitCode {
-    ldmo::guard::ops::install_crash_hooks();
-    let trace_out = ldmo::obs::trace_setup();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // the live-ops guards stay up for the whole run and shut down when
-    // main returns
-    let (_live, result) = match global_setup() {
-        Ok(live) => (Some(live), run(&args)),
-        Err(e) => (None, Err(e)),
-    };
-    let result = match result {
-        // a clean run must also land its trace — a failed trace write is
-        // a real error (exit 6), not a stderr footnote
-        Ok(()) => finish_trace(trace_out.as_deref()),
-        Err(e) => {
-            // best-effort flush so a failing run still leaves its trace,
-            // plus a flight-recorder dump saying why it died
-            ldmo::obs::trace_finish(trace_out.as_deref());
-            let _ = ldmo::guard::ops::dump_on_error(&e);
-            Err(e)
-        }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
-}
-
-/// Applies the global flags every subcommand accepts: `--threads` sizes
-/// the worker pool, `--sample-hz` starts the sampling profiler and
-/// `--metrics-addr` the /metrics endpoint, whose guards are returned for
-/// the caller to hold. Also records the litho backend in the run info.
-/// A malformed `--threads` or `--sample-hz` is a usage error, reported
-/// before any work; an address that cannot be bound only warns.
-fn global_setup() -> Result<(Option<Sampler>, Option<MetricsServer>), LdmoError> {
-    ldmo::par::cli_setup().map_err(LdmoError::usage)?;
-    ldmo::obs::set_run_info("backend", ldmo::litho::backend::resolved_kind().as_str());
-    let sampler = ldmo::obs::profiler::cli_setup().map_err(LdmoError::usage)?;
-    Ok((sampler, ldmo::obs::serve::cli_setup()))
-}
-
-fn run(args: &[String]) -> Result<(), LdmoError> {
-    // install any LDMO_FAULTS chaos plan before work starts; a malformed
-    // spec is a hard error (exit 7), not something to silently ignore
-    ldmo::guard::fault::init_from_env()?;
-    match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("decompose") => cmd_decompose(&args[1..]),
-        Some("optimize") => cmd_optimize(&args[1..]),
-        Some("flow") => cmd_flow(&args[1..]),
-        Some("chip") => cmd_chip(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("bench-report") => cmd_bench_report(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        Some("help") | None => {
+    ldmo::bench::run_main(SUBCOMMANDS, |args| match args.command() {
+        "generate" => cmd_generate(args),
+        "info" => cmd_info(args),
+        "decompose" => cmd_decompose(args),
+        "optimize" => cmd_optimize(args),
+        "flow" => cmd_flow(args),
+        "chip" => cmd_chip(args),
+        "train" => cmd_train(args),
+        "trace" => cmd_trace(args),
+        "bench-report" => cmd_bench_report(args),
+        "serve" => cmd_serve(args),
+        "client" => cmd_client(args),
+        // "help", which a bare `ldmo` selects too
+        _ => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(LdmoError::usage(format!(
-            "unknown subcommand '{other}' (try 'ldmo help')"
-        ))),
-    }
-}
-
-/// Strict end-of-run trace flush: unlike [`ldmo::obs::trace_finish`] this
-/// surfaces a failed JSONL write as [`LdmoError::Trace`] (exit 6).
-fn finish_trace(out: Option<&Path>) -> Result<(), LdmoError> {
-    let Some(path) = out else { return Ok(()) };
-    let lines = ldmo::obs::flush_jsonl(path).map_err(|e| LdmoError::Trace {
-        context: path.display().to_string(),
-        detail: e.to_string(),
-    })?;
-    eprintln!("[trace] {lines} events written to {}", path.display());
-    eprint!("{}", ldmo::obs::summary());
-    Ok(())
+    })
 }
 
 fn print_usage() {
@@ -156,7 +118,9 @@ fn print_usage() {
          every subcommand accepts --trace-out FILE (or LDMO_TRACE=1) to write\n\
          an ldmo-obs JSONL trace and print a span summary to stderr, and\n\
          --threads N (or LDMO_THREADS=N) to size the worker pool; results\n\
-         are bit-identical for any thread count\n\n\
+         are bit-identical for any thread count. Flags take their value as\n\
+         the next argument (--seed 7, not --seed=7); an unknown flag, a\n\
+         missing value or an extra argument exits 2 before any work\n\n\
          live-ops: --metrics-addr HOST:PORT (or LDMO_METRICS_ADDR) serves\n\
          /metrics (Prometheus) and /spans (JSONL) while\n\
          the run is in flight; --sample-hz N (or LDMO_SAMPLE_HZ) starts the\n\
@@ -170,28 +134,6 @@ fn print_usage() {
     );
 }
 
-/// Reads `--flag value` style options; returns the positional arguments.
-fn split_options(args: &[String]) -> (Vec<&str>, std::collections::HashMap<&str, &str>) {
-    let mut positional = Vec::new();
-    let mut options = std::collections::HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(flag) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                options.insert(flag, args[i + 1].as_str());
-                i += 2;
-            } else {
-                options.insert(flag, "");
-                i += 1;
-            }
-        } else {
-            positional.push(args[i].as_str());
-            i += 1;
-        }
-    }
-    (positional, options)
-}
-
 fn load_layout(path: &str) -> Result<Layout, LdmoError> {
     layout_io::load(path).map_err(|e| LdmoError::from(e).with_context(format!("layout '{path}'")))
 }
@@ -201,16 +143,13 @@ fn io_error(context: impl Into<String>) -> impl FnOnce(std::io::Error) -> LdmoEr
     move |source| LdmoError::Io { context, source }
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), LdmoError> {
-    let (_, opts) = split_options(args);
-    let seed: u64 = opts.get("seed").map_or(Ok(1), |s| parse_flag(s, "seed"))?;
-    let count: usize = opts
-        .get("count")
-        .map_or(Ok(1), |s| parse_flag(s, "count"))?;
+fn cmd_generate(args: &Args) -> Result<(), LdmoError> {
+    let seed: u64 = args.number("seed")?.unwrap_or(1);
+    let count: usize = args.number("count")?.unwrap_or(1);
     if count == 0 {
         return Err(LdmoError::usage("--count must be at least 1"));
     }
-    let out = opts.get("out").copied().unwrap_or(".");
+    let out = args.value("out").unwrap_or(".");
     std::fs::create_dir_all(out).map_err(io_error(format!("directory '{out}'")))?;
     let mut generator = LayoutGenerator::new(GeneratorConfig::default(), seed);
     for (i, layout) in generator.generate_dataset(count).into_iter().enumerate() {
@@ -222,9 +161,9 @@ fn cmd_generate(args: &[String]) -> Result<(), LdmoError> {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), LdmoError> {
-    let (pos, _) = split_options(args);
-    let path = pos
+fn cmd_info(args: &Args) -> Result<(), LdmoError> {
+    let path = args
+        .positional
         .first()
         .ok_or(LdmoError::usage("usage: ldmo info FILE"))?;
     let layout = load_layout(path)?;
@@ -245,9 +184,9 @@ fn cmd_info(args: &[String]) -> Result<(), LdmoError> {
     Ok(())
 }
 
-fn cmd_decompose(args: &[String]) -> Result<(), LdmoError> {
-    let (pos, _) = split_options(args);
-    let path = pos
+fn cmd_decompose(args: &Args) -> Result<(), LdmoError> {
+    let path = args
+        .positional
         .first()
         .ok_or(LdmoError::usage("usage: ldmo decompose FILE"))?;
     let layout = load_layout(path)?;
@@ -272,13 +211,12 @@ fn parse_assignment(text: &str) -> Result<Vec<u8>, LdmoError> {
         .collect()
 }
 
-fn cmd_optimize(args: &[String]) -> Result<(), LdmoError> {
-    let (pos, opts) = split_options(args);
-    let path = pos.first().ok_or(LdmoError::usage(
+fn cmd_optimize(args: &Args) -> Result<(), LdmoError> {
+    let path = args.positional.first().ok_or(LdmoError::usage(
         "usage: ldmo optimize FILE --assignment 0,1,..",
     ))?;
     let layout = load_layout(path)?;
-    let assignment = parse_assignment(opts.get("assignment").ok_or(LdmoError::usage(
+    let assignment = parse_assignment(args.value("assignment").ok_or(LdmoError::usage(
         "missing --assignment (e.g. --assignment 0,1,0)",
     ))?)?;
     if assignment.len() != layout.len() {
@@ -290,7 +228,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), LdmoError> {
     }
     // validated before any rasterizing: a bad mask count or an out-of-range
     // mask index is a usage error, not an engine assertion
-    let masks = match opts.get("masks") {
+    let masks = match args.value("masks") {
         None => 2,
         Some(text) => text
             .parse::<u8>()
@@ -304,7 +242,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), LdmoError> {
             masks - 1
         )));
     }
-    let prefix = opts.get("out").copied();
+    let prefix = args.value("out");
     match masks {
         1 => optimize_and_report::<1>(&layout, &assignment, prefix),
         2 => optimize_and_report::<2>(&layout, &assignment, prefix),
@@ -337,13 +275,12 @@ fn optimize_and_report<const K: usize>(
     Ok(())
 }
 
-fn cmd_flow(args: &[String]) -> Result<(), LdmoError> {
-    let (pos, opts) = split_options(args);
-    let path = pos.first().ok_or(LdmoError::usage(
+fn cmd_flow(args: &Args) -> Result<(), LdmoError> {
+    let path = args.positional.first().ok_or(LdmoError::usage(
         "usage: ldmo flow FILE [--predictor W.bin]",
     ))?;
     let layout = load_layout(path)?;
-    let strategy = match opts.get("predictor") {
+    let strategy = match args.value("predictor") {
         Some(weights) => {
             let mut predictor = PrintabilityPredictor::lite(7);
             predictor
@@ -375,13 +312,6 @@ fn cmd_flow(args: &[String]) -> Result<(), LdmoError> {
     Ok(())
 }
 
-/// Parses one numeric `--flag` value, reporting the flag name on failure.
-fn parse_flag<T: std::str::FromStr>(value: &str, flag: &str) -> Result<T, LdmoError> {
-    value
-        .parse()
-        .map_err(|_| LdmoError::usage(format!("--{flag} '{value}' is not a valid number")))
-}
-
 /// Parses a `COLSxROWS` grid spec such as `4x2`.
 fn parse_grid(spec: &str) -> Result<(usize, usize), LdmoError> {
     let bad = || LdmoError::usage(format!("--tiles '{spec}' is not COLSxROWS (e.g. 4x2)"));
@@ -394,18 +324,14 @@ fn parse_grid(spec: &str) -> Result<(usize, usize), LdmoError> {
     Ok((cols, rows))
 }
 
-fn cmd_chip(args: &[String]) -> Result<(), LdmoError> {
-    let (pos, opts) = split_options(args);
-    let layout = match pos.first() {
+fn cmd_chip(args: &Args) -> Result<(), LdmoError> {
+    let layout = match args.positional.first() {
         Some(path) => load_layout(path)?,
         None => {
             // no file: synthesize a demo chip as a COLSxROWS grid of
             // independently generated DRC-clean blocks
-            let (cols, rows) = parse_grid(opts.get("tiles").copied().unwrap_or("2x2"))?;
-            let seed: u64 = match opts.get("seed") {
-                Some(s) => parse_flag(s, "seed")?,
-                None => 7,
-            };
+            let (cols, rows) = parse_grid(args.value("tiles").unwrap_or("2x2"))?;
+            let seed: u64 = args.number("seed")?.unwrap_or(7);
             let mut generator = LayoutGenerator::new(GeneratorConfig::default(), seed);
             let chip = generator
                 .generate_chip(cols, rows)
@@ -422,27 +348,24 @@ fn cmd_chip(args: &[String]) -> Result<(), LdmoError> {
         }
     };
     let mut cfg = ChipConfig::default();
-    if let Some(v) = opts.get("tile-size") {
-        cfg.tile_nm = parse_flag(v, "tile-size")?;
+    if let Some(nm) = args.number("tile-size")? {
+        cfg.tile_nm = nm;
         if cfg.tile_nm <= 0 {
             return Err(LdmoError::usage("--tile-size must be positive (nm)"));
         }
     }
-    if let Some(v) = opts.get("tile-iters") {
-        cfg.ilt.max_iterations = parse_flag(v, "tile-iters")?;
+    if let Some(n) = args.number("tile-iters")? {
+        cfg.ilt.max_iterations = n;
     }
-    if let Some(v) = opts.get("tile-candidates") {
-        cfg.decomp.max_candidates = parse_flag(v, "tile-candidates")?;
+    if let Some(n) = args.number("tile-candidates")? {
+        cfg.decomp.max_candidates = n;
     }
-    if let Some(v) = opts.get("tile-budget-iters") {
-        cfg.ilt.budget = Budget::iterations(parse_flag(v, "tile-budget-iters")?);
+    if let Some(n) = args.number("tile-budget-iters")? {
+        cfg.ilt.budget = Budget::iterations(n);
     }
-    if let Some(v) = opts.get("tile-budget-ms") {
+    if let Some(ms) = args.number("tile-budget-ms")? {
         // composes with --tile-budget-iters: both bounds apply
-        cfg.ilt.budget.max_wall = Some(std::time::Duration::from_millis(parse_flag(
-            v,
-            "tile-budget-ms",
-        )?));
+        cfg.ilt.budget.max_wall = Some(std::time::Duration::from_millis(ms));
     }
     let out = run_chip(&layout, &cfg);
     let empty = out.tiles.iter().filter(|t| t.patterns == 0).count();
@@ -476,7 +399,7 @@ fn cmd_chip(args: &[String]) -> Result<(), LdmoError> {
         out.timing.tiles.as_secs_f64(),
         out.timing.stitch.as_secs_f64()
     );
-    if let Some(prefix) = opts.get("out") {
+    if let Some(prefix) = args.value("out") {
         for (i, m) in out.masks.iter().enumerate() {
             let mask_path = format!("{prefix}_mask{i}.pgm");
             std::fs::write(&mask_path, m.to_pgm())
@@ -492,50 +415,41 @@ fn trace_error(context: impl Into<String>) -> impl FnOnce(String) -> LdmoError {
     move |detail| LdmoError::Trace { context, detail }
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), LdmoError> {
+fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
     use ldmo::obs::analyze::{diff, render_diff, render_flame, render_summary, Trace};
-    // parsed by hand: `--reconcile` is a boolean flag, which the generic
-    // `split_options` would greedily treat as `--flag value`
-    let mut pos: Vec<&str> = Vec::new();
-    let mut reconcile = false;
-    let mut threshold: Option<&str> = None;
-    let mut folded_out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--reconcile" => reconcile = true,
-            "--threshold" => {
-                threshold = args.get(i + 1).map(String::as_str);
-                i += 1;
-            }
-            "--out" => {
-                folded_out = args.get(i + 1).map(String::as_str);
-                i += 1;
-            }
-            // global flags handled by the setup calls in main(); each
-            // consumes one value argument
-            "--trace-out" | "--threads" | "--metrics-addr" | "--sample-hz" => i += 1,
-            other if other.starts_with("--") => {
-                return Err(LdmoError::usage(format!("unknown trace option '{other}'")));
-            }
-            other => pos.push(other),
+    let (verb, files) = match args.positional.split_first() {
+        Some((verb, files)) => (verb.as_str(), files),
+        None => ("", &[][..]),
+    };
+    let reconcile = args.switch("reconcile");
+    let (threshold, folded_out) = (args.number::<f64>("threshold")?, args.value("out"));
+    for (flag, given, owner) in [
+        ("--reconcile", reconcile, "summarize"),
+        ("--threshold", threshold.is_some(), "diff"),
+        ("--out", folded_out.is_some(), "flame"),
+    ] {
+        if given && verb != owner {
+            return Err(LdmoError::usage(format!(
+                "trace: {flag} belongs to 'ldmo trace {owner}'"
+            )));
         }
-        i += 1;
     }
-    match pos.first().copied() {
-        Some("summarize") => {
-            let files = &pos[1..];
-            if files.is_empty() {
-                return Err(LdmoError::usage(
-                    "usage: ldmo trace summarize [--reconcile] FILE..",
-                ));
-            }
-            let mut merged = Trace::default();
-            for file in files {
-                let trace =
-                    Trace::load(Path::new(file)).map_err(trace_error(format!("trace '{file}'")))?;
-                merged.merge(trace);
-            }
+    let load = |file: &String| {
+        Trace::load(Path::new(file)).map_err(trace_error(format!("trace '{file}'")))
+    };
+    let merged = || {
+        if files.is_empty() {
+            return Err(LdmoError::usage(format!("usage: ldmo trace {verb} FILE..")));
+        }
+        let mut merged = Trace::default();
+        for file in files {
+            merged.merge(load(file)?);
+        }
+        Ok(merged)
+    };
+    match verb {
+        "summarize" => {
+            let merged = merged()?;
             print!("{}", render_summary(&merged));
             if reconcile {
                 let checked = merged
@@ -547,31 +461,20 @@ fn cmd_trace(args: &[String]) -> Result<(), LdmoError> {
             }
             Ok(())
         }
-        Some("diff") => {
-            let (old_file, new_file) = match (pos.get(1), pos.get(2)) {
-                (Some(o), Some(n)) => (*o, *n),
-                _ => {
-                    return Err(LdmoError::usage(
-                        "usage: ldmo trace diff OLD NEW [--threshold R]",
-                    ))
-                }
+        "diff" => {
+            if let Some(extra) = files.get(2) {
+                return Err(LdmoError::usage(format!("trace: unexpected argument '{extra}'")));
+            }
+            let [old_file, new_file] = files else {
+                return Err(LdmoError::usage("usage: ldmo trace diff OLD NEW [--threshold R]"));
             };
-            let threshold: f64 = match threshold {
-                Some(t) => t
-                    .parse()
-                    .map_err(|_| LdmoError::usage(format!("--threshold '{t}' is not a number")))?,
-                None => 1.5,
-            };
+            let threshold = threshold.unwrap_or(1.5);
             if threshold <= 1.0 {
                 return Err(LdmoError::usage(
                     "--threshold must be > 1.0 (it is a growth ratio)",
                 ));
             }
-            let old = Trace::load(Path::new(old_file))
-                .map_err(trace_error(format!("trace '{old_file}'")))?;
-            let new = Trace::load(Path::new(new_file))
-                .map_err(trace_error(format!("trace '{new_file}'")))?;
-            let rows = diff(&old, &new, threshold);
+            let rows = diff(&load(old_file)?, &load(new_file)?, threshold);
             print!("{}", render_diff(&rows, 40));
             if rows.iter().any(|r| r.regressed) {
                 return Err(LdmoError::Degraded {
@@ -581,19 +484,8 @@ fn cmd_trace(args: &[String]) -> Result<(), LdmoError> {
             }
             Ok(())
         }
-        Some("flame") => {
-            let files = &pos[1..];
-            if files.is_empty() {
-                return Err(LdmoError::usage(
-                    "usage: ldmo trace flame FILE.. [--out FOLDED.txt]",
-                ));
-            }
-            let mut merged = Trace::default();
-            for file in files {
-                let trace =
-                    Trace::load(Path::new(file)).map_err(trace_error(format!("trace '{file}'")))?;
-                merged.merge(trace);
-            }
+        "flame" => {
+            let merged = merged()?;
             print!("{}", render_flame(&merged, 40));
             if let Some(out) = folded_out {
                 // collapsed-stack format, consumable by standard
@@ -610,10 +502,9 @@ fn cmd_trace(args: &[String]) -> Result<(), LdmoError> {
     }
 }
 
-fn cmd_bench_report(args: &[String]) -> Result<(), LdmoError> {
+fn cmd_bench_report(args: &Args) -> Result<(), LdmoError> {
     use ldmo::bench::report::BenchReport;
-    let (pos, _) = split_options(args);
-    let dir = pos.first().copied().unwrap_or("bench_out");
+    let dir = args.positional.first().map_or("bench_out", String::as_str);
     let reports = BenchReport::load_dir(Path::new(dir))
         .map_err(trace_error(format!("bench reports in '{dir}'")))?;
     if reports.is_empty() {
@@ -667,13 +558,12 @@ fn cmd_bench_report(args: &[String]) -> Result<(), LdmoError> {
     Ok(())
 }
 
-fn cmd_train(args: &[String]) -> Result<(), LdmoError> {
-    let (_, opts) = split_options(args);
-    let pool: usize = opts.get("pool").map_or(Ok(24), |s| parse_flag(s, "pool"))?;
+fn cmd_train(args: &Args) -> Result<(), LdmoError> {
+    let pool: usize = args.number("pool")?.unwrap_or(24);
     if pool == 0 {
         return Err(LdmoError::usage("--pool must be at least 1"));
     }
-    let out = opts.get("out").copied().unwrap_or("predictor.bin");
+    let out = args.value("out").unwrap_or("predictor.bin");
     let mut generator = LayoutGenerator::new(GeneratorConfig::default(), 2020);
     let layouts = generator.generate_dataset(pool);
     println!("labeling (this runs one full ILT per sampled decomposition) …");
@@ -698,38 +588,36 @@ fn cmd_train(args: &[String]) -> Result<(), LdmoError> {
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), LdmoError> {
+fn cmd_serve(args: &Args) -> Result<(), LdmoError> {
     use ldmo::serve::{ServeConfig, Server};
-    let (_, opts) = split_options(args);
     let mut cfg = ServeConfig {
-        addr: opts.get("addr").copied().unwrap_or("127.0.0.1:9185").into(),
+        addr: args.value("addr").unwrap_or("127.0.0.1:9185").into(),
         ..ServeConfig::default()
     };
-    if let Some(v) = opts.get("queue") {
-        cfg.queue_capacity = parse_flag(v, "queue")?;
+    if let Some(n) = args.number("queue")? {
+        cfg.queue_capacity = n;
         if cfg.queue_capacity == 0 {
             return Err(LdmoError::usage("--queue must be positive"));
         }
     }
-    if let Some(v) = opts.get("batch") {
-        cfg.batch_max = parse_flag(v, "batch")?;
+    if let Some(n) = args.number("batch")? {
+        cfg.batch_max = n;
         if cfg.batch_max == 0 {
             return Err(LdmoError::usage("--batch must be positive"));
         }
     }
-    if let Some(v) = opts.get("deadline-ms") {
-        let ms: u64 = parse_flag(v, "deadline-ms")?;
+    if let Some(ms) = args.number("deadline-ms")? {
         // 0 disables the default deadline entirely
         cfg.default_deadline = (ms > 0).then(|| std::time::Duration::from_millis(ms));
     }
-    if let Some(v) = opts.get("cache") {
-        cfg.cache_path = Some(std::path::PathBuf::from(v));
+    if let Some(path) = args.value("cache") {
+        cfg.cache_path = Some(std::path::PathBuf::from(path));
     }
-    if let Some(v) = opts.get("iters") {
-        cfg.pipeline.ilt.max_iterations = parse_flag(v, "iters")?;
+    if let Some(n) = args.number("iters")? {
+        cfg.pipeline.ilt.max_iterations = n;
     }
-    if let Some(v) = opts.get("candidates") {
-        cfg.pipeline.decomp.max_candidates = parse_flag(v, "candidates")?;
+    if let Some(n) = args.number("candidates")? {
+        cfg.pipeline.decomp.max_candidates = n;
     }
     let bind = cfg.addr.clone();
     let server = Server::start(cfg).map_err(io_error(format!("bind '{bind}'")))?;
@@ -756,42 +644,19 @@ fn cmd_serve(args: &[String]) -> Result<(), LdmoError> {
     Ok(())
 }
 
-fn cmd_client(args: &[String]) -> Result<(), LdmoError> {
+fn cmd_client(args: &Args) -> Result<(), LdmoError> {
     use ldmo::serve::{client, ClientConfig};
-    // `--shutdown` is a boolean flag; strip it before the greedy
-    // `--flag value` parser (same idiom as `ldmo trace --reconcile`)
-    let shutdown = args.iter().any(|a| a == "--shutdown");
-    let rest: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "--shutdown")
-        .cloned()
-        .collect();
-    let (_, opts) = split_options(&rest);
-    let mut cfg = ClientConfig::default();
-    if let Some(v) = opts.get("addr") {
-        cfg.addr = (*v).into();
-    }
-    if let Some(v) = opts.get("clients") {
-        cfg.clients = parse_flag(v, "clients")?;
-    }
-    if let Some(v) = opts.get("requests") {
-        cfg.requests = parse_flag(v, "requests")?;
-    }
-    if let Some(v) = opts.get("seed") {
-        cfg.seed = parse_flag(v, "seed")?;
-    }
-    if let Some(v) = opts.get("retries") {
-        cfg.max_retries = parse_flag(v, "retries")?;
-    }
-    if let Some(v) = opts.get("deadline-ms") {
-        cfg.deadline_ms = Some(parse_flag(v, "deadline-ms")?);
-    }
-    if let Some(v) = opts.get("iters") {
-        cfg.max_iterations = Some(parse_flag(v, "iters")?);
-    }
-    if let Some(v) = opts.get("candidates") {
-        cfg.max_candidates = Some(parse_flag(v, "candidates")?);
-    }
+    let defaults = ClientConfig::default();
+    let cfg = ClientConfig {
+        addr: args.value("addr").map_or(defaults.addr, Into::into),
+        clients: args.number("clients")?.unwrap_or(defaults.clients),
+        requests: args.number("requests")?.unwrap_or(defaults.requests),
+        seed: args.number("seed")?.unwrap_or(defaults.seed),
+        max_retries: args.number("retries")?.unwrap_or(defaults.max_retries),
+        deadline_ms: args.number("deadline-ms")?.or(defaults.deadline_ms),
+        max_iterations: args.number("iters")?.or(defaults.max_iterations),
+        max_candidates: args.number("candidates")?.or(defaults.max_candidates),
+    };
     let report = client::run_soak(&cfg);
     println!(
         "soak: {} sent, {} ok, {} degraded, {} cached, {} retried, \
@@ -806,7 +671,7 @@ fn cmd_client(args: &[String]) -> Result<(), LdmoError> {
         report.rejected,
         report.conn_retries
     );
-    if shutdown {
+    if args.switch("shutdown") {
         match client::shutdown(&cfg.addr) {
             Ok(_) => println!("drain requested"),
             Err(e) => eprintln!("drain request failed: {e}"),

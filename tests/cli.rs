@@ -344,3 +344,135 @@ fn wellformed_fault_spec_is_accepted() {
         .expect("runs");
     assert!(out.status.success());
 }
+
+/// Runs `ldmo` on the whitespace-separated `line` in the directory `dir`.
+fn ldmo_in(dir: &std::path::Path, line: &str) -> std::process::Output {
+    let args = line.split_whitespace();
+    ldmo().current_dir(dir).args(args).output().expect("runs")
+}
+
+#[test]
+fn every_subcommand_rejects_a_malformed_command_line_before_any_work() {
+    // (a command line that parses, a misspelt flag, a valued flag it
+    // declares): each row yields four malformed command lines
+    let rows = [
+        ("generate --count 2", "--sed 3", "--out"),
+        ("info L.lay", "--thread 2", "--threads"),
+        ("decompose L.lay", "--candidates 2", "--trace-out"),
+        ("optimize L.lay --assignment 0", "--mask 2", "--out"),
+        ("flow L.lay", "--predicter w.bin", "--predictor"),
+        ("chip C.lay", "--tile-sise 1", "--out"),
+        ("train --pool 1", "--pol 2", "--out"),
+        ("trace diff a.jsonl b.jsonl", "--treshold 2", "--threshold"),
+        ("bench-report bench_out", "--json-out x", "--metrics-addr"),
+        ("serve", "--queu 2", "--queue"),
+        ("client --requests 0", "--shutdwn", "--addr"),
+    ];
+    let mut cases: Vec<(String, &str)> = vec![
+        ("generate --seed 3 --out".into(), "--out"),
+        ("generate --seed=3 --count 2 --out d".into(), "--seed=3"),
+        ("chip --tile-iter 1".into(), "--tile-iter"),
+    ];
+    let equals: Vec<String> = rows.iter().map(|(_, _, v)| format!("{v}=1")).collect();
+    for ((base, misspelt, valued), equals) in rows.iter().zip(&equals) {
+        let flag = misspelt.split(' ').next().expect("a flag");
+        cases.push((format!("{base} {misspelt}"), flag));
+        cases.push((format!("{base} {valued}"), valued));
+        cases.push((format!("{base} {equals}"), equals));
+        cases.push((format!("{base} w.bin"), "'w.bin'"));
+    }
+    let dir = temp_dir("malformed_command_lines");
+    for (line, token) in &cases {
+        let out = ldmo_in(&dir, line);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: stderr: {err}");
+        assert!(err.contains(token), "{line}: stderr: {err}");
+        assert!(out.stdout.is_empty(), "{line}: stdout: {:?}", out.stdout);
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("temp dir").collect();
+        assert!(written.is_empty(), "{line} wrote {written:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn switches_and_global_flags_parse_anywhere_on_every_subcommand() {
+    let dir = temp_dir("switches_and_globals");
+    let run = |line: &str| ldmo_in(&dir, line);
+    let chip = run("chip --tiles 1x1 --tile-iters 1 --trace-out chip.jsonl");
+    assert!(chip.status.success(), "chip failed");
+    for line in [
+        "trace summarize --reconcile chip.jsonl",
+        "trace summarize chip.jsonl --reconcile",
+    ] {
+        let out = run(line);
+        assert!(out.status.success(), "{line} failed");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("reconcile: 1 "));
+    }
+    for line in [
+        "client --shutdown --requests 0 --addr 127.0.0.1:1",
+        "client --requests 0 --addr 127.0.0.1:1 --shutdown",
+    ] {
+        let out = run(line);
+        assert!(out.status.success(), "{line} failed");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("drain request failed"));
+    }
+    // each line gets past the parser and then succeeds or fails on its
+    // own terms, with every global flag applied
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+    let taken = taken.local_addr().expect("addr");
+    for (line, code) in [
+        ("help".to_owned(), 0),
+        ("generate --out .".into(), 0),
+        ("info missing.lay".into(), 5),
+        ("decompose missing.lay".into(), 5),
+        ("optimize missing.lay --assignment 0".into(), 5),
+        ("flow missing.lay".into(), 5),
+        ("chip missing.lay".into(), 5),
+        ("train --pool 0".into(), 2),
+        ("trace summarize missing.jsonl".into(), 6),
+        ("bench-report missing".into(), 6),
+        (format!("serve --addr {taken}"), 5),
+        ("client --requests 0 --addr 127.0.0.1:1".into(), 0),
+    ] {
+        let (command, rest) = line.split_once(' ').unwrap_or((&line, ""));
+        let out = run(&format!(
+            "{command} --threads 2 --sample-hz 50 --trace-out g.jsonl {rest} \
+             --metrics-addr 127.0.0.1:0"
+        ));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{line}: stderr: {err}");
+        for started in ["[profiler] sampling", "[metrics] serving", "to g.jsonl"] {
+            assert!(err.contains(started), "{line}: stderr: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn global_flags_fall_back_to_the_environment() {
+    let dir = temp_dir("global_env");
+    let env = [
+        ("LDMO_TRACE", "1"),
+        ("LDMO_TRACE_OUT", "env.jsonl"),
+        ("LDMO_METRICS_ADDR", "127.0.0.1:0"),
+        ("LDMO_SAMPLE_HZ", "x"),
+    ];
+    let help = |args: &[&str]| {
+        let out = ldmo().current_dir(&dir).envs(env).args(args).output();
+        let out = out.expect("runs");
+        assert!(out.status.success(), "{args:?} failed");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    let err = help(&["help"]);
+    assert!(dir.join("env.jsonl").exists(), "stderr: {err}");
+    assert!(err.contains("[metrics] serving"), "stderr: {err}");
+    assert!(
+        !err.contains("[profiler]"),
+        "a malformed rate is ignored: {err}"
+    );
+    // a flag wins over its environment twin
+    let err = help(&["help", "--trace-out", "flag.jsonl", "--sample-hz", "50"]);
+    assert!(dir.join("flag.jsonl").exists(), "stderr: {err}");
+    assert!(err.contains("[profiler] sampling span stacks at 50 Hz"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
