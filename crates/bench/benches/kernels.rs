@@ -321,15 +321,13 @@ fn bench_ilt(c: &mut Criterion) {
     };
     let mut unguarded = IltSession::new(&layout, assignment, &unguarded_cfg);
     group.bench_function("step_guard_off", |b| b.iter(|| unguarded.step_one()));
-    // full live-ops iteration: collector on, flight ring recording and the
-    // sampling profiler running at 97 Hz — the perf gate holds this within
-    // 5% of step_workspace (scrapes and samples must not perturb the hot
-    // path)
+    // live-ops iteration: the collector on, recording every span close and
+    // convergence row into its stores (the record the flight dump and
+    // `/spans` read) — the perf gate holds this within 5% of
+    // step_workspace
     ldmo_obs::enable();
-    let sampler = ldmo_obs::profiler::start(97.0);
     let mut liveops = IltSession::new(&layout, assignment, &cfg);
     group.bench_function("step_liveops", |b| b.iter(|| liveops.step_one()));
-    drop(sampler);
     ldmo_obs::disable();
     group.finish();
 }

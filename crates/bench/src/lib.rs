@@ -27,7 +27,7 @@ use ldmo_layout::cells;
 use ldmo_layout::classify::ClassifyConfig;
 use ldmo_layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo_layout::Layout;
-use ldmo_obs::{profiler::Sampler, serve::MetricsServer};
+use ldmo_obs::serve::MetricsServer;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -40,15 +40,15 @@ pub fn fast_mode() -> bool {
 /// parse the command line against `specs` (a usage error exits 2 before
 /// anything starts), install the crash hooks and any `LDMO_FAULTS` plan
 /// (a malformed spec exits 7), enable tracing, size the worker pool, put
-/// `threads` and `backend` into the run info, and start the profiler and
-/// the `/metrics` endpoint when asked (a bind failure only warns). Then
+/// `threads` and `backend` into the run info, and start the `/metrics`
+/// endpoint when asked (a bind failure only warns). Then
 /// the trace is written (a failed write fails a clean run, exit 6), and
 /// a failed run leaves a flight-recorder dump. Errors print as `error: …`
 /// and exit with [`LdmoError::exit_code`].
 pub fn run_main(specs: &[Spec], body: impl FnOnce(&Args) -> Result<(), LdmoError>) -> ExitCode {
     let result = cli::parse_env(specs).and_then(|args| {
-        // the sampler and the endpoint stay up until the trace has landed
-        let _live = start(&args.globals)?;
+        // the endpoint stays up until the trace has landed
+        let _server = start(&args.globals)?;
         let trace_out = args.globals.trace_out.as_deref();
         body(&args).map_or_else(
             |e| {
@@ -70,7 +70,7 @@ pub fn run_main(specs: &[Spec], body: impl FnOnce(&Args) -> Result<(), LdmoError
     }
 }
 
-fn start(globals: &Globals) -> Result<(Option<Sampler>, Option<MetricsServer>), LdmoError> {
+fn start(globals: &Globals) -> Result<Option<MetricsServer>, LdmoError> {
     ldmo_guard::ops::install_crash_hooks();
     ldmo_guard::fault::init_from_env()?;
     if let Some(path) = &globals.trace_out {
@@ -81,18 +81,12 @@ fn start(globals: &Globals) -> Result<(Option<Sampler>, Option<MetricsServer>), 
     }
     ldmo_obs::set_run_info("threads", ldmo_par::global_threads().to_string());
     ldmo_obs::set_run_info("backend", ldmo_litho::backend::resolved_kind().as_str());
-    let sampler = globals.sample_hz.and_then(|hz| {
-        let sampler = ldmo_obs::profiler::start(hz)?;
-        eprintln!("[profiler] sampling span stacks at {hz} Hz");
-        Some(sampler)
-    });
-    let server = globals.metrics_addr.as_deref().and_then(|addr| {
+    Ok(globals.metrics_addr.as_deref().and_then(|addr| {
         ldmo_obs::serve::start(addr)
             .inspect(|s| eprintln!("[metrics] serving /metrics /spans on http://{}", s.addr()))
             .inspect_err(|e| eprintln!("[metrics] could not bind metrics endpoint: {e}"))
             .ok()
-    });
-    Ok((sampler, server))
+    }))
 }
 
 /// Writes the JSONL trace to `out` when tracing is on and prints the span

@@ -17,6 +17,7 @@
 //! match rows between a fresh run and a committed baseline. Conventions are
 //! documented in DESIGN.md §12.
 
+use ldmo_guard::LdmoError;
 use ldmo_obs::json::{self, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -257,14 +258,27 @@ impl BenchReport {
     }
 
     /// Loads every `BENCH_*.json` in `dir`, sorted by report name.
-    pub fn load_dir(dir: &Path) -> Result<Vec<BenchReport>, String> {
-        let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    ///
+    /// # Errors
+    ///
+    /// An I/O error naming `dir` when it cannot be listed; a trace error
+    /// naming the file when a report in it does not load.
+    pub fn load_dir(dir: &Path) -> Result<Vec<BenchReport>, LdmoError> {
+        let context = || format!("bench reports in '{}'", dir.display());
+        let io_error = |source| LdmoError::Io {
+            context: context(),
+            source,
+        };
         let mut reports = Vec::new();
-        for entry in entries {
-            let path = entry.map_err(|e| e.to_string())?.path();
+        for entry in std::fs::read_dir(dir).map_err(io_error)? {
+            let path = entry.map_err(io_error)?.path();
             let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
             if name.starts_with("BENCH_") && name.ends_with(".json") {
-                reports.push(BenchReport::load(&path)?);
+                let report = BenchReport::load(&path).map_err(|detail| LdmoError::Trace {
+                    context: context(),
+                    detail,
+                })?;
+                reports.push(report);
             }
         }
         reports.sort_by(|a, b| a.name.cmp(&b.name));

@@ -21,7 +21,7 @@ use std::path::PathBuf;
 use std::str::FromStr;
 
 /// The valued flags every command takes: the start-up applies them.
-const GLOBAL_FLAGS: [&str; 4] = ["threads", "trace-out", "metrics-addr", "sample-hz"];
+const GLOBAL_FLAGS: [&str; 3] = ["threads", "trace-out", "metrics-addr"];
 
 /// One command's declared command line.
 #[derive(Debug)]
@@ -62,8 +62,6 @@ pub struct Globals {
     pub trace_out: Option<PathBuf>,
     /// `--metrics-addr HOST:PORT`, else a non-empty `LDMO_METRICS_ADDR`.
     pub metrics_addr: Option<String>,
-    /// `--sample-hz N`, else a positive `LDMO_SAMPLE_HZ`.
-    pub sample_hz: Option<f64>,
 }
 
 /// One parsed command line.
@@ -200,12 +198,6 @@ pub fn parse_env<'a>(specs: &'a [Spec<'a>]) -> Result<Args<'a>, LdmoError> {
             .map(PathBuf::from),
         metrics_addr: given("metrics-addr")
             .or_else(|| env("LDMO_METRICS_ADDR").filter(|a| !a.is_empty())),
-        sample_hz: match given("sample-hz") {
-            Some(v) => Some(positive(&v).ok_or_else(|| {
-                LdmoError::usage(format!("--sample-hz '{v}' is not a positive number"))
-            })?),
-            None => env("LDMO_SAMPLE_HZ").as_deref().and_then(positive),
-        },
     };
     Ok(Args {
         spec,
@@ -213,8 +205,4 @@ pub fn parse_env<'a>(specs: &'a [Spec<'a>]) -> Result<Args<'a>, LdmoError> {
         positional,
         flags,
     })
-}
-
-fn positive(text: &str) -> Option<f64> {
-    text.parse().ok().filter(|v: &f64| *v > 0.0)
 }

@@ -20,7 +20,7 @@ static HOOK: Once = Once::new();
 /// Installs the telemetry panic hook (idempotent): on panic, the
 /// previous hook runs first (keeping the default message and backtrace),
 /// then the JSONL trace is flushed to its registered path and the flight
-/// ring is dumped. The flush itself is wrapped in `catch_unwind` — a
+/// dump is written. The flush itself is wrapped in `catch_unwind` — a
 /// second panic inside a panic hook would abort the process, and
 /// telemetry must never turn a recoverable worker panic into an abort.
 pub fn install_crash_hooks() {
@@ -47,17 +47,18 @@ pub fn install_crash_hooks() {
     });
 }
 
-/// Dumps the flight ring with `reason`, returning the dump path when a
-/// dump was written (ring active and file creatable). Safe to call from
-/// degraded-mode paths mid-run — it only reads atomics.
+/// Writes the flight dump with `reason`, returning the dump path when a
+/// dump was written (collector enabled and file creatable). Safe to call
+/// from degraded-mode paths mid-run — it only copies the collector's
+/// newest spans and rows.
 pub fn dump_flight(reason: &str) -> Option<std::path::PathBuf> {
     ldmo_obs::flight::dump(reason)
 }
 
-/// Flight-recorder dump for a typed-error exit: dumps the ring with the
+/// Flight-recorder dump for a typed-error exit: writes the dump with the
 /// error's variant name as the reason, so the dump header says *why* the
 /// process died. The trace itself is the caller's job (`ldmo` already
-/// flushes it on the error path) — only the ring is captured here.
+/// flushes it on the error path) — only the dump is written here.
 pub fn dump_on_error(e: &LdmoError) -> Option<std::path::PathBuf> {
     let reason = match e {
         LdmoError::Usage { .. } => "error-usage",

@@ -451,8 +451,8 @@ impl<const K: usize> IltSession<K> {
             self.degraded = Some(reason);
             ldmo_obs::incr("guard.degraded");
             if matches!(reason, DegradeReason::DivergenceLimit) {
-                // rollback budget exhausted: capture the flight ring while
-                // the divergent tail is still in it
+                // rollback budget exhausted: write the flight dump while
+                // the divergent tail is the newest window
                 let _ = ldmo_guard::ops::dump_flight("divergence-limit");
             }
         }

@@ -8,7 +8,9 @@
 //!
 //! - **Span rollups** ([`Trace::rollup`]): spans aggregated by their
 //!   name path with call counts, total and *self* time (total minus the
-//!   time attributed to child aggregates).
+//!   time attributed to child aggregates). `ldmo trace flame` orders them
+//!   by self time ([`Trace::hotspots`]) and folds them into collapsed
+//!   stacks ([`Trace::folded`]).
 //! - **Percentiles** ([`HistogramSnapshot::percentile`]): p50/p90/p99
 //!   reconstructed from the log2 buckets, correct to within one bucket
 //!   (< 2×; see DESIGN.md §12 for the error-bound statement).
@@ -78,15 +80,6 @@ pub struct TraceHist {
     pub snapshot: HistogramSnapshot,
 }
 
-/// One folded profiler sample read back from a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSample {
-    /// Root-first span-name path (the `;`-separated folded stack split).
-    pub stack: Vec<String>,
-    /// Number of samples observed on this exact path.
-    pub count: u64,
-}
-
 /// A fully parsed trace file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
@@ -100,8 +93,6 @@ pub struct Trace {
     pub gauges: Vec<(String, f64)>,
     /// Histograms, file order.
     pub hists: Vec<TraceHist>,
-    /// Folded sampling-profiler stacks, file order.
-    pub samples: Vec<TraceSample>,
     /// Convergence records the writer dropped because its buffer was full
     /// (`conv_dropped` of the `meta` line; summed over merged traces).
     pub conv_dropped: u64,
@@ -224,22 +215,6 @@ impl Trace {
                         },
                     });
                 }
-                Some("sample") => {
-                    let stack: Vec<String> = value
-                        .get("stack")
-                        .and_then(Value::as_str)
-                        .unwrap_or("")
-                        .split(';')
-                        .filter(|f| !f.is_empty())
-                        .map(str::to_owned)
-                        .collect();
-                    if !stack.is_empty() {
-                        trace.samples.push(TraceSample {
-                            stack,
-                            count: num_or(&value, "count", 0.0) as u64,
-                        });
-                    }
-                }
                 Some("meta") => {
                     trace.conv_dropped += num_or(&value, "conv_dropped", 0.0) as u64;
                     trace.spans_dropped += num_or(&value, "spans_dropped", 0.0) as u64;
@@ -285,7 +260,6 @@ impl Trace {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
         self.hists.extend(other.hists);
-        self.samples.extend(other.samples);
         self.conv_dropped += other.conv_dropped;
         self.spans_dropped += other.spans_dropped;
         self.skipped_lines += other.skipped_lines;
@@ -474,72 +448,24 @@ impl Trace {
         Ok(checked)
     }
 
-    /// Aggregates the profiler samples per span name: `self` counts
-    /// samples whose *leaf* frame is the name (time spent there), `total`
-    /// counts samples whose stack contains the name anywhere (time spent
-    /// there or below). Rows are ordered by self count descending.
-    pub fn flame(&self) -> Vec<FlameRow> {
-        let mut index: HashMap<&str, usize> = HashMap::new();
-        let mut rows: Vec<FlameRow> = Vec::new();
-        for sample in &self.samples {
-            let mut seen: Vec<&str> = Vec::new();
-            for frame in &sample.stack {
-                if seen.contains(&frame.as_str()) {
-                    continue; // recursive frames count once per sample
-                }
-                seen.push(frame);
-                let i = *index.entry(frame).or_insert_with(|| {
-                    rows.push(FlameRow {
-                        name: frame.clone(),
-                        self_count: 0,
-                        total_count: 0,
-                    });
-                    rows.len() - 1
-                });
-                rows[i].total_count += sample.count;
-            }
-            if let Some(leaf) = sample.stack.last() {
-                rows[index[leaf.as_str()]].self_count += sample.count;
-            }
-        }
-        rows.sort_by(|a, b| {
-            b.self_count
-                .cmp(&a.self_count)
-                .then_with(|| b.total_count.cmp(&a.total_count))
-                .then_with(|| a.name.cmp(&b.name))
-        });
+    /// The [`Trace::rollup`] rows ordered by self time, largest first
+    /// (ties by path): where the traced wall time went, per span path.
+    pub fn hotspots(&self) -> Vec<RollupRow> {
+        let mut rows = self.rollup();
+        rows.sort_by(|a, b| b.self_us.cmp(&a.self_us).then_with(|| a.path.cmp(&b.path)));
         rows
     }
 
-    /// Collapsed-stack output — one `path;to;frame count` line per folded
-    /// stack, the format standard flamegraph tooling consumes. Identical
-    /// stacks from merged traces are combined.
+    /// Collapsed-stack output: one `path;to;leaf SELF_US` line per span
+    /// path with nonzero self time, in [`Trace::hotspots`] order — the
+    /// format standard flamegraph tooling consumes, weighted in
+    /// microseconds. Identical paths from merged traces are one line.
     pub fn folded(&self) -> String {
-        let mut merged: HashMap<String, u64> = HashMap::new();
-        for sample in &self.samples {
-            *merged.entry(sample.stack.join(";")).or_insert(0) += sample.count;
-        }
-        let mut lines: Vec<(String, u64)> = merged.into_iter().collect();
-        lines.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         let mut out = String::new();
-        for (stack, count) in lines {
-            let _ = writeln!(out, "{stack} {count}");
+        for row in self.hotspots().iter().filter(|r| r.self_us > 0) {
+            let _ = writeln!(out, "{} {}", row.path.join(";"), row.self_us);
         }
         out
-    }
-
-    /// `(attributed, total)` sample counts: a sample is *attributed* when
-    /// every frame on its stack resolved to a known span name (no `?`
-    /// placeholder from a torn mirror read).
-    pub fn sample_attribution(&self) -> (u64, u64) {
-        let total: u64 = self.samples.iter().map(|s| s.count).sum();
-        let attributed: u64 = self
-            .samples
-            .iter()
-            .filter(|s| s.stack.iter().all(|f| f != "?"))
-            .map(|s| s.count)
-            .sum();
-        (attributed, total)
     }
 }
 
@@ -558,18 +484,6 @@ pub struct RollupRow {
     pub min_us: u64,
     /// Longest single instance.
     pub max_us: u64,
-}
-
-/// One per-span-name profiler hotspot row (see [`Trace::flame`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlameRow {
-    /// Span name (`layer.operation`; `?` for frames the sampler could not
-    /// resolve).
-    pub name: String,
-    /// Samples whose innermost frame was this span — time spent *in* it.
-    pub self_count: u64,
-    /// Samples with this span anywhere on the stack — time in it or below.
-    pub total_count: u64,
 }
 
 /// One collapsed ILT convergence trajectory (see
@@ -835,45 +749,44 @@ pub fn render_diff(rows: &[DiffRow], max_rows: usize) -> String {
     out
 }
 
-/// Renders the sampling-profiler hotspot table for `ldmo trace flame`:
-/// per-span self/total sample counts and percentages, then the
-/// attribution line (share of samples whose whole stack resolved to
-/// known span names). `max_rows` bounds the table.
+/// Renders the hotspot table of `ldmo trace flame`: the span paths of
+/// [`Trace::hotspots`] with their self and total time, each also as a
+/// share of the trace's summed self time, and their call counts.
+/// `max_rows` bounds the table.
 pub fn render_flame(trace: &Trace, max_rows: usize) -> String {
-    let rows = trace.flame();
-    let (attributed, total) = trace.sample_attribution();
+    let rows = trace.hotspots();
     let mut out = String::new();
-    if total == 0 {
-        let _ = writeln!(
-            out,
-            "no profiler samples in trace (run with --sample-hz N to record them)"
-        );
+    if rows.is_empty() {
+        let _ = writeln!(out, "no spans in trace");
         return out;
     }
-    let pct = |count: u64| 100.0 * count as f64 / total as f64;
+    let all_self: u64 = rows.iter().map(|r| r.self_us).sum();
+    let pct = |us: u64| 100.0 * us as f64 / all_self.max(1) as f64;
     let _ = writeln!(
         out,
-        "{:<36} {:>9} {:>7} {:>9} {:>7}",
-        "span", "self", "self%", "total", "total%"
+        "{:>10} {:>7} {:>10} {:>7} {:>7}  span path",
+        "self", "self%", "total", "total%", "calls"
     );
     for row in rows.iter().take(max_rows) {
         let _ = writeln!(
             out,
-            "{:<36} {:>9} {:>6.1}% {:>9} {:>6.1}%",
-            row.name,
-            row.self_count,
-            pct(row.self_count),
-            row.total_count,
-            pct(row.total_count)
+            "{:>10} {:>6.1}% {:>10} {:>6.1}% {:>7}  {}",
+            fmt_us(row.self_us),
+            pct(row.self_us),
+            fmt_us(row.total_us),
+            pct(row.total_us),
+            row.calls,
+            row.path.join(";")
         );
     }
     if rows.len() > max_rows {
-        let _ = writeln!(out, "  … and {} more spans", rows.len() - max_rows);
+        let _ = writeln!(out, "  … and {} more span paths", rows.len() - max_rows);
     }
     let _ = writeln!(
         out,
-        "{total} samples, {:.1}% attributed to known span paths",
-        pct(attributed)
+        "{} span path(s), {} self time in all",
+        rows.len(),
+        fmt_us(all_self)
     );
     out
 }

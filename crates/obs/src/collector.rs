@@ -1,9 +1,13 @@
 //! The global collector: span events, the per-thread span stack, and the
-//! fixed-capacity convergence-record buffer.
+//! convergence-record buffer. The span store and the record buffer are
+//! the one record of spans and rows: the JSONL trace, the flight dump and
+//! `/spans` all read them. Each keeps its newest entries up to its cap and
+//! counts the ones it evicted.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Maximum numeric metadata fields per span; further [`Span::set`] calls
@@ -23,9 +27,8 @@ const RECORD_CAPACITY: usize = 1 << 17;
 
 /// Capacity of the span-event store (about 7.9 MB of [`SpanEvent`]s).
 /// A daemon keeps the collector on for `/metrics` and nothing drains its
-/// spans, so closes past the cap are dropped and counted like convergence
-/// rows. Unlike the record buffer the store is not preallocated: a CI
-/// table1 trace closes about 120 spans.
+/// spans, so the cap is what bounds it. Unlike the record buffer the
+/// store is not preallocated: a CI table1 trace closes about 120 spans.
 const SPAN_CAPACITY: usize = 1 << 15;
 
 /// A completed span, pushed to the collector when the [`Span`] guard drops.
@@ -62,16 +65,55 @@ pub struct ConvergenceRecord {
     pub epe_violations: i64,
 }
 
+/// The newest entries of one stream, oldest first. A push at the cap
+/// evicts the oldest entry and counts it, so a store that nothing drains
+/// stays bounded and still holds the latest activity.
+struct Newest<T> {
+    cap: usize,
+    entries: VecDeque<T>,
+    evicted: u64,
+}
+
+impl<T: Copy> Newest<T> {
+    /// An empty store of at most `cap` entries with room for `prealloc`
+    /// of them; once `cap` slots exist, a push never allocates.
+    fn new(cap: usize, prealloc: usize) -> Self {
+        Newest {
+            cap,
+            entries: VecDeque::with_capacity(prealloc),
+            evicted: 0,
+        }
+    }
+
+    fn push(&mut self, entry: T) {
+        if self.entries.len() == self.cap {
+            self.entries.pop_front();
+            self.evicted += 1;
+        }
+        self.entries.push_back(entry);
+    }
+
+    /// The newest `n` entries, oldest first, and how many were pushed
+    /// since the last clear.
+    fn newest(&self, n: usize) -> (Vec<T>, u64) {
+        let skip = self.entries.len().saturating_sub(n);
+        let pushed = self.entries.len() as u64 + self.evicted;
+        (self.entries.range(skip..).copied().collect(), pushed)
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.evicted = 0;
+    }
+}
+
 pub(crate) struct Collector {
     epoch: Instant,
     next_span_id: AtomicU64,
-    /// At most [`SPAN_CAPACITY`] events; closes beyond it are counted.
-    events: Mutex<Vec<SpanEvent>>,
-    dropped_spans: AtomicU64,
-    /// Preallocated at [`crate::enable`]; pushes beyond capacity are
-    /// dropped and counted so recording never reallocates.
-    records: Mutex<Vec<ConvergenceRecord>>,
-    dropped_records: AtomicU64,
+    spans: Mutex<Newest<SpanEvent>>,
+    /// Preallocated at [`crate::enable`], so recording a row never
+    /// allocates.
+    records: Mutex<Newest<ConvergenceRecord>>,
 }
 
 static COLLECTOR: OnceLock<Collector> = OnceLock::new();
@@ -80,19 +122,22 @@ pub(crate) fn collector() -> &'static Collector {
     COLLECTOR.get_or_init(|| Collector {
         epoch: Instant::now(),
         next_span_id: AtomicU64::new(0),
-        events: Mutex::new(Vec::with_capacity(4096)),
-        dropped_spans: AtomicU64::new(0),
-        records: Mutex::new(Vec::with_capacity(RECORD_CAPACITY)),
-        dropped_records: AtomicU64::new(0),
+        spans: Mutex::new(Newest::new(SPAN_CAPACITY, 4096)),
+        records: Mutex::new(Newest::new(RECORD_CAPACITY, RECORD_CAPACITY)),
     })
+}
+
+/// Locks a store. Every step of a push or a clear leaves the store
+/// valid, so a panic cannot leave it half-written, and the crash path
+/// must still read it: poisoning is ignored.
+fn lock<T>(store: &Mutex<T>) -> MutexGuard<'_, T> {
+    store.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 pub(crate) fn reset() {
     let c = collector();
-    c.events.lock().expect("events lock").clear();
-    c.dropped_spans.store(0, Ordering::SeqCst);
-    c.records.lock().expect("records lock").clear();
-    c.dropped_records.store(0, Ordering::SeqCst);
+    lock(&c.spans).clear();
+    lock(&c.records).clear();
     c.next_span_id.store(0, Ordering::SeqCst);
 }
 
@@ -102,135 +147,6 @@ impl Collector {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Span-name intern table: maps `&'static str` span names to small integer
-// keys (index + 1; 0 = "no name"). The flight ring and the sampler mirror
-// store keys, never pointers, so a torn or stale read can at worst resolve
-// to a *different registered name* — it can never be dereferenced as a
-// dangling pointer. Registration locks and may allocate; the set of span
-// names is small and static, so this happens a bounded number of times.
-// ---------------------------------------------------------------------------
-
-static NAME_TABLE: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-
-fn name_table() -> &'static Mutex<Vec<&'static str>> {
-    NAME_TABLE.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-pub(crate) fn intern_name(name: &'static str) -> usize {
-    let mut table = name_table().lock().expect("name table lock");
-    if let Some(i) = table
-        .iter()
-        .position(|&n| std::ptr::eq(n, name) || n == name)
-    {
-        return i + 1;
-    }
-    table.push(name);
-    table.len()
-}
-
-/// Resolves an intern key back to its span name (`None` for 0 or
-/// out-of-range keys — the caller renders those as unknown).
-pub(crate) fn resolve_name(key: usize) -> Option<&'static str> {
-    if key == 0 {
-        return None;
-    }
-    name_table()
-        .lock()
-        .expect("name table lock")
-        .get(key - 1)
-        .copied()
-}
-
-// ---------------------------------------------------------------------------
-// Sampler stack mirror: when profiling is on, each thread mirrors its span
-// stack into a shared, atomically-readable shadow so the sampler thread
-// can snapshot any thread's current span path without stopping it. The
-// mirror is maintained only while `MIRROR` is set (profiler running), so
-// unprofiled runs pay a single relaxed load per span open/close. Frames
-// hold intern keys; the sampler reads `depth` then the frames with relaxed
-// loads — a concurrent push/pop can yield an off-by-one-sample stale
-// frame, which resolves to a recently valid name (sampling is statistical,
-// DESIGN.md §14 states the tolerance).
-// ---------------------------------------------------------------------------
-
-pub(crate) struct SharedStack {
-    depth: AtomicUsize,
-    frames: [AtomicUsize; MAX_SPAN_DEPTH],
-    retired: AtomicBool,
-}
-
-impl SharedStack {
-    fn new() -> Self {
-        SharedStack {
-            depth: AtomicUsize::new(0),
-            frames: std::array::from_fn(|_| AtomicUsize::new(0)),
-            retired: AtomicBool::new(false),
-        }
-    }
-
-    /// Snapshot of the thread's current span path as intern keys,
-    /// root-first. Empty when the thread is between spans.
-    pub(crate) fn sample(&self) -> Vec<usize> {
-        let depth = self.depth.load(Ordering::Acquire).min(MAX_SPAN_DEPTH);
-        (0..depth)
-            .map(|i| self.frames[i].load(Ordering::Relaxed))
-            .collect()
-    }
-
-    pub(crate) fn retired(&self) -> bool {
-        self.retired.load(Ordering::Relaxed)
-    }
-}
-
-static STACK_REGISTRY: OnceLock<Mutex<Vec<Arc<SharedStack>>>> = OnceLock::new();
-static MIRROR: AtomicBool = AtomicBool::new(false);
-
-fn stack_registry() -> &'static Mutex<Vec<Arc<SharedStack>>> {
-    STACK_REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Turns the per-thread stack mirroring on or off (profiler start/stop).
-pub(crate) fn set_mirror(on: bool) {
-    MIRROR.store(on, Ordering::SeqCst);
-}
-
-#[inline]
-pub(crate) fn mirror_active() -> bool {
-    MIRROR.load(Ordering::Relaxed)
-}
-
-/// Registered, live shared stacks; retired entries (exited threads) are
-/// pruned as a side effect.
-pub(crate) fn sampler_stacks() -> Vec<Arc<SharedStack>> {
-    let mut registry = stack_registry().lock().expect("stack registry lock");
-    registry.retain(|s| !s.retired());
-    registry.clone()
-}
-
-/// Ensures the calling thread has a shared span stack the sampling
-/// profiler can observe. Worker pools call this once per worker at spawn;
-/// span opens also ensure it lazily while profiling is on. Idempotent and
-/// cheap after the first call.
-pub fn register_sampler_thread() {
-    SPAN_STACK.with(|s| {
-        ensure_shared(&mut s.borrow_mut());
-    });
-}
-
-fn ensure_shared(stack: &mut SpanStack) -> Arc<SharedStack> {
-    if let Some(shared) = &stack.shared {
-        return Arc::clone(shared);
-    }
-    let shared = Arc::new(SharedStack::new());
-    stack_registry()
-        .lock()
-        .expect("stack registry lock")
-        .push(Arc::clone(&shared));
-    stack.shared = Some(Arc::clone(&shared));
-    shared
-}
-
 struct SpanStack {
     ids: [u64; MAX_SPAN_DEPTH],
     depth: usize,
@@ -238,17 +154,6 @@ struct SpanStack {
     /// span that was open on the thread that dispatched to them, so spans
     /// opened inside parallel regions stay attached to the root tree.
     adopted: u64,
-    /// This thread's sampler-visible stack mirror (created on demand).
-    shared: Option<Arc<SharedStack>>,
-}
-
-impl Drop for SpanStack {
-    fn drop(&mut self) {
-        // thread exit: retire the mirror so the sampler stops reading it
-        if let Some(shared) = &self.shared {
-            shared.retired.store(true, Ordering::Relaxed);
-        }
-    }
 }
 
 thread_local! {
@@ -257,7 +162,6 @@ thread_local! {
             ids: [0; MAX_SPAN_DEPTH],
             depth: 0,
             adopted: 0,
-            shared: None,
         })
     };
 }
@@ -302,12 +206,10 @@ pub struct Span {
     id: u64,
     parent: u64,
     name: &'static str,
-    name_key: usize,
     start: Instant,
     start_us: u64,
     meta: [Option<(&'static str, f64)>; MAX_SPAN_META],
     active: bool,
-    mirrored: bool,
 }
 
 /// Opens a span named `name` under the current thread's innermost span.
@@ -321,25 +223,15 @@ pub fn span(name: &'static str) -> Span {
             id: 0,
             parent: 0,
             name,
-            name_key: 0,
             start,
             start_us: 0,
             meta: [None; MAX_SPAN_META],
             active: false,
-            mirrored: false,
         };
     }
     let c = collector();
     let id = c.next_span_id.fetch_add(1, Ordering::Relaxed) + 1;
     let parent = current_span();
-    // the intern key feeds the flight ring and the sampler mirror; only
-    // computed when at least one of them can observe it
-    let name_key = if crate::flight::active() || mirror_active() {
-        intern_name(name)
-    } else {
-        0
-    };
-    let mut mirrored = false;
     SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
         if s.depth < MAX_SPAN_DEPTH {
@@ -347,28 +239,15 @@ pub fn span(name: &'static str) -> Span {
             s.ids[d] = id;
         }
         s.depth += 1;
-        if mirror_active() {
-            let shared = ensure_shared(&mut s);
-            let d = shared.depth.load(Ordering::Relaxed);
-            if d < MAX_SPAN_DEPTH {
-                shared.frames[d].store(name_key, Ordering::Relaxed);
-            }
-            shared.depth.store(d + 1, Ordering::Release);
-            // each span pops exactly what it pushed, even if the profiler
-            // stops (or starts) while it is open
-            mirrored = true;
-        }
     });
     Span {
         id,
         parent,
         name,
-        name_key,
         start,
         start_us: c.now_us(),
         meta: [None; MAX_SPAN_META],
         active: true,
-        mirrored,
     }
 }
 
@@ -414,50 +293,26 @@ impl Drop for Span {
         }
         SPAN_STACK.with(|s| {
             let mut s = s.borrow_mut();
-            if s.depth > 0 {
-                s.depth -= 1;
-            }
-            if self.mirrored {
-                if let Some(shared) = &s.shared {
-                    let d = shared.depth.load(Ordering::Relaxed);
-                    shared.depth.store(d.saturating_sub(1), Ordering::Release);
-                }
-            }
+            s.depth = s.depth.saturating_sub(1);
         });
-        let c = collector();
-        let dur_us = self.start.elapsed().as_micros() as u64;
-        if crate::flight::active() {
-            let key = if self.name_key != 0 {
-                self.name_key
-            } else {
-                // flight recording turned on after this span opened
-                intern_name(self.name)
-            };
-            crate::flight::record_span(self.id, self.parent, key, self.start_us, dur_us);
-        }
         let event = SpanEvent {
             id: self.id,
             parent: self.parent,
             name: self.name,
             start_us: self.start_us,
-            dur_us,
+            dur_us: self.start.elapsed().as_micros() as u64,
             meta: self.meta,
         };
-        let mut events = c.events.lock().expect("events lock");
-        if events.len() < SPAN_CAPACITY {
-            events.push(event);
-        } else {
-            c.dropped_spans.fetch_add(1, Ordering::Relaxed);
-        }
+        lock(&collector().spans).push(event);
     }
 }
 
 /// Records one ILT convergence row under the current span.
 ///
 /// Allocation-free once the collector is enabled: the row is copied into a
-/// buffer preallocated by [`crate::enable`]; at capacity the row is dropped
-/// and counted in [`dropped_records`]. A no-op (one relaxed load) when the
-/// collector is disabled.
+/// buffer preallocated by [`crate::enable`]; at capacity the oldest row is
+/// evicted and counted in [`dropped_records`]. A no-op (one relaxed load)
+/// when the collector is disabled.
 ///
 /// `step_norm = NaN` and `epe_violations = -1` mean "not measured".
 #[inline]
@@ -474,45 +329,43 @@ pub fn convergence(iteration: u32, l2: f64, step_norm: f64, epe_violations: i64)
         step_norm,
         epe_violations,
     };
-    if crate::flight::active() {
-        crate::flight::record_conv(
-            record.span,
-            record.t_us,
-            iteration,
-            l2,
-            step_norm,
-            epe_violations,
-        );
-    }
-    let mut records = c.records.lock().expect("records lock");
-    if records.len() < records.capacity() {
-        records.push(record);
-    } else {
-        c.dropped_records.fetch_add(1, Ordering::Relaxed);
-    }
+    lock(&c.records).push(record);
 }
 
-/// Convergence rows dropped because the preallocated buffer was full.
+/// Convergence rows evicted because the buffer was full.
 pub fn dropped_records() -> u64 {
-    collector().dropped_records.load(Ordering::SeqCst)
+    lock(&collector().records).evicted
 }
 
-/// Span closes dropped because the span store was full.
+/// Span closes evicted because the span store was full.
 pub(crate) fn dropped_spans() -> u64 {
-    collector().dropped_spans.load(Ordering::SeqCst)
+    lock(&collector().spans).evicted
 }
 
 /// Capacity of the convergence-record buffer.
 pub fn convergence_capacity() -> usize {
-    collector().records.lock().expect("records lock").capacity()
+    RECORD_CAPACITY
 }
 
-/// A copy of all completed span events (test/sink access).
+/// A copy of the kept span events, oldest close first (test/sink access).
 pub fn events_snapshot() -> Vec<SpanEvent> {
-    collector().events.lock().expect("events lock").clone()
+    newest_spans(SPAN_CAPACITY).0
 }
 
-/// A copy of all convergence records (test/sink access).
+/// A copy of the kept convergence records, oldest first (test/sink
+/// access).
 pub fn records_snapshot() -> Vec<ConvergenceRecord> {
-    collector().records.lock().expect("records lock").clone()
+    newest_records(RECORD_CAPACITY).0
+}
+
+/// The newest `n` span closes, oldest first, and the number of closes
+/// recorded since the last reset.
+pub(crate) fn newest_spans(n: usize) -> (Vec<SpanEvent>, u64) {
+    lock(&collector().spans).newest(n)
+}
+
+/// The newest `n` convergence rows, oldest first, and the number of rows
+/// recorded since the last reset.
+pub(crate) fn newest_records(n: usize) -> (Vec<ConvergenceRecord>, u64) {
+    lock(&collector().records).newest(n)
 }

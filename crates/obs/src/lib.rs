@@ -13,8 +13,8 @@
 //!   zero-allocation ILT hot path (DESIGN.md §6).
 //! - **Convergence records** ([`convergence`]): fixed-capacity,
 //!   per-iteration ILT trace rows (L2, step norm, EPE count) pushed into a
-//!   preallocated buffer; overflow drops rows and counts them instead of
-//!   allocating.
+//!   preallocated buffer; at the cap the oldest row is evicted and counted
+//!   instead of allocating.
 //!
 //! When the collector is disabled (the default) every recording call is a
 //! single relaxed atomic load plus a branch, so instrumented hot paths stay
@@ -42,15 +42,13 @@ pub mod flight;
 pub mod http;
 pub mod json;
 mod metrics;
-pub mod profiler;
 pub mod serve;
 mod sink;
 pub mod snapshot;
 
 pub use collector::{
     adopt_parent_span, convergence, convergence_capacity, current_span_id, dropped_records,
-    events_snapshot, records_snapshot, register_sampler_thread, span, ConvergenceRecord, Span,
-    SpanEvent, MAX_SPAN_META,
+    events_snapshot, records_snapshot, span, ConvergenceRecord, Span, SpanEvent, MAX_SPAN_META,
 };
 pub use metrics::{
     counter, gauge, histogram, Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BINS,
@@ -89,7 +87,6 @@ pub fn incr(name: &'static str) {
 /// is allocated here, so recording afterwards stays allocation-free.
 pub fn enable() {
     collector::collector(); // force allocation of all buffers up front
-    flight::init_from_env(); // the flight ring preallocates alongside
     ENABLED.store(true, Ordering::SeqCst);
 }
 
@@ -104,7 +101,6 @@ pub fn disable() {
 pub fn reset() {
     collector::reset();
     metrics::reset();
-    profiler::reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -145,8 +141,8 @@ static TRACE_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// Crash-time best effort, called from the `ldmo-guard` panic hook: flush
 /// the JSONL trace to the path [`trace_setup`] registered (so a crashed run
-/// leaves a terminated trace, not a truncated tail) and dump the flight
-/// ring. Every failure is swallowed — this runs while the process is
+/// leaves a terminated trace, not a truncated tail) and write the flight
+/// dump. Every failure is swallowed — this runs while the process is
 /// already dying.
 pub fn emergency_flush(reason: &str) {
     let path = TRACE_PATH.lock().expect("trace path lock").clone();

@@ -10,17 +10,19 @@
 //!   nothing ever set does not appear. The body renders one
 //!   [`MetricsSnapshot::take`], the same read the trace's metric lines
 //!   render.
-//! - `GET /spans` — the flight-recorder ring as JSONL (`Trace::parse`
-//!   compatible), newest-capacity window of span closes and convergence
-//!   rows.
+//! - `GET /spans` — the flight dump as JSONL (`Trace::parse`
+//!   compatible): the collector's newest span closes and convergence
+//!   rows, span metadata included ([`crate::flight::dump_to`]).
 //! - `GET /` — a plain-text index of the routes.
 //!
 //! The routes mount on the workspace's one HTTP stack ([`crate::http`]):
 //! one accept thread, blocked in `accept` until a scrape arrives, serves
 //! connections one at a time with 2-second socket timeouts, which is
 //! exactly right for a scrape endpoint. The thread stops and joins when
-//! the [`MetricsServer`] guard drops. Scrapes read atomics — they never
-//! block or perturb the optimization hot path.
+//! the [`MetricsServer`] guard drops. A `/metrics` scrape reads atomics
+//! and never blocks the optimization hot path; a `/spans` scrape copies
+//! its window under the collector's store locks, so a span close or
+//! convergence row may wait for that one copy.
 
 use crate::http::{self, HttpServer};
 use crate::metrics::{HistogramSnapshot, HISTOGRAM_BINS};
@@ -33,7 +35,7 @@ use std::time::Duration;
 const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 const INDEX: &str = "ldmo live-ops endpoint\n/metrics  Prometheus text exposition\n\
-                     /spans    flight-recorder ring (JSONL)\n";
+                     /spans    newest spans and rows (JSONL)\n";
 
 /// A running metrics server. The accept loop stops (and the thread joins)
 /// when this guard drops, so binaries hold it for the duration of `main`.

@@ -83,15 +83,6 @@ pub fn write_jsonl<W: Write>(w: &mut W) -> io::Result<usize> {
         )?;
         lines += 1;
     }
-    // folded sampling-profiler stacks (empty unless --sample-hz ran)
-    for (stack, count) in crate::profiler::folded_snapshot() {
-        writeln!(
-            w,
-            "{{\"type\":\"sample\",\"stack\":\"{}\",\"count\":{count}}}",
-            json::escape(&stack)
-        )?;
-        lines += 1;
-    }
     Ok(lines)
 }
 

@@ -2,7 +2,9 @@
 //! percentile reconstruction bounds, and the `analyze` rollup/diff/
 //! reconcile machinery that `ldmo trace` is built on.
 
-use ldmo_obs::analyze::{diff, render_diff, render_summary, Trace, DIFF_MIN_GROWTH_US};
+use ldmo_obs::analyze::{
+    diff, render_diff, render_flame, render_summary, Trace, DIFF_MIN_GROWTH_US,
+};
 use ldmo_obs::json::{self, Value};
 use ldmo_obs::{HistogramSnapshot, HISTOGRAM_BINS};
 
@@ -266,6 +268,75 @@ fn merge_re_offsets_span_ids() {
     let z = merged.spans.iter().find(|s| s.name == "z").unwrap();
     let y = merged.spans.iter().find(|s| s.name == "y").unwrap();
     assert_eq!(z.parent, y.id);
+}
+
+/// A root with two children, one of which has a child: self times 200,
+/// 300, 50 and 450 µs.
+fn flame_trace() -> Trace {
+    let mut text = String::new();
+    text += &span_line(1, 0, "flow.run", 0, 1_000);
+    text += &span_line(2, 1, "flow.rank", 0, 300);
+    text += &span_line(3, 1, "flow.ilt", 300, 500);
+    text += &span_line(4, 3, "ilt.step", 300, 450);
+    Trace::parse(&text).expect("parses")
+}
+
+#[test]
+fn flame_folds_and_ranks_span_paths_by_rollup_self_time() {
+    let trace = flame_trace();
+    let folded = trace.folded();
+    assert_eq!(
+        folded,
+        "flow.run;flow.ilt;ilt.step 450\n\
+         flow.run;flow.rank 300\n\
+         flow.run 200\n\
+         flow.run;flow.ilt 50\n"
+    );
+    // every folded weight is the rollup's self time of that path
+    let rollup = trace.rollup();
+    for line in folded.lines() {
+        let (path, self_us) = line.rsplit_once(' ').expect("path and weight");
+        let row = rollup
+            .iter()
+            .find(|r| r.path.join(";") == path)
+            .expect("a rollup row");
+        assert_eq!(self_us.parse::<u64>(), Ok(row.self_us), "{line}");
+    }
+
+    // the hotspot table lists the paths by self time, largest first
+    let table = render_flame(&trace, 40);
+    let paths: Vec<&str> = table
+        .lines()
+        .skip(1)
+        .take(4)
+        .map(|line| line.split_whitespace().last().expect("a path"))
+        .collect();
+    assert_eq!(
+        paths,
+        [
+            "flow.run;flow.ilt;ilt.step",
+            "flow.run;flow.rank",
+            "flow.run",
+            "flow.run;flow.ilt"
+        ]
+    );
+    assert!(table.lines().nth(1).unwrap().contains("45.0%"), "{table}");
+    assert!(
+        table.ends_with("4 span path(s), 1.00ms self time in all\n"),
+        "{table}"
+    );
+
+    // merged traces combine identical paths into one line
+    let mut merged = flame_trace();
+    merged.merge(flame_trace());
+    assert_eq!(
+        merged.folded(),
+        "flow.run;flow.ilt;ilt.step 900\n\
+         flow.run;flow.rank 600\n\
+         flow.run 400\n\
+         flow.run;flow.ilt 100\n"
+    );
+    assert_eq!(render_flame(&Trace::default(), 40), "no spans in trace\n");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! The span store is bounded: a collector that nothing drains (a daemon
 //! that enables it only for `/metrics`) keeps at most a fixed number of
-//! span events, and counts the closes it dropped in the trace's `meta`
-//! line. Its own test binary, because the collector is process-global.
+//! span events — the newest — and counts the closes it evicted in the
+//! trace's `meta` line. Its own test binary, because the collector is
+//! process-global.
 
 use ldmo_obs as obs;
 use ldmo_obs::analyze::Trace;
@@ -11,12 +12,17 @@ fn spans_past_the_cap_are_dropped_and_counted() {
     const CLOSED: usize = 100_000;
     obs::reset();
     obs::enable();
+    let mut last_closed = 0;
     for _ in 0..CLOSED {
-        drop(obs::span("cap.span"));
+        last_closed = obs::span("cap.span").id();
     }
-    let kept = obs::events_snapshot().len();
+    let events = obs::events_snapshot();
+    let kept = events.len();
     assert!(kept < CLOSED, "all {CLOSED} span events were kept");
     let dropped = (CLOSED - kept) as u64;
+    // the store keeps the newest closes, oldest first
+    assert_eq!(events.last().map(|e| e.id), Some(last_closed));
+    assert_eq!(events[0].id, last_closed + 1 - kept as u64);
 
     let mut jsonl = Vec::new();
     obs::write_jsonl(&mut jsonl).expect("write to memory");

@@ -126,8 +126,6 @@ fn in_region() -> bool {
 }
 
 fn worker_loop(shared: Arc<Shared>, index: usize, total: usize) {
-    // visible to the sampling profiler even before the first span opens
-    ldmo_obs::register_sampler_thread();
     let mut last_epoch = 0u64;
     loop {
         let job = {

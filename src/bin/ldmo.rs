@@ -10,7 +10,7 @@
 //! ldmo train --pool 24 --out w.bin                    train the CNN predictor
 //! ldmo trace summarize trace.jsonl                    span rollups + percentiles
 //! ldmo trace diff old.jsonl new.jsonl                 flag span-time regressions
-//! ldmo trace flame trace.jsonl                        profiler hotspot table
+//! ldmo trace flame trace.jsonl                        self-time hotspot table
 //! ldmo bench-report bench_out/                        aggregate BENCH_*.json
 //! ```
 //!
@@ -33,6 +33,8 @@ use ldmo::ilt::{Budget, IltConfig, IltSession};
 use ldmo::layout::classify::{classify_patterns, ClassifyConfig};
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::{io as layout_io, Layout};
+use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -102,8 +104,8 @@ fn print_usage() {
          \x20           [--reconcile]                  percentiles, convergence digest\n\
          \x20 trace     diff OLD NEW                   flag span-time regressions\n\
          \x20           [--threshold R]                (exit 8 when any regress)\n\
-         \x20 trace     flame FILE..                   profiler hotspot table from\n\
-         \x20           [--out FOLDED.txt]             sample lines (+ folded stacks)\n\
+         \x20 trace     flame FILE..                   span paths by self time\n\
+         \x20           [--out FOLDED.txt]             (+ folded stacks in µs)\n\
          \x20 bench-report DIR                         aggregate BENCH_*.json reports\n\
          \x20 serve     [--addr H:P] [--queue N]       fault-tolerant batch-serving\n\
          \x20           [--batch N] [--deadline-ms MS] daemon (DESIGN.md 16); POST\n\
@@ -122,12 +124,10 @@ fn print_usage() {
          the next argument (--seed 7, not --seed=7); an unknown flag, a\n\
          missing value or an extra argument exits 2 before any work\n\n\
          live-ops: --metrics-addr HOST:PORT (or LDMO_METRICS_ADDR) serves\n\
-         /metrics (Prometheus) and /spans (JSONL) while\n\
-         the run is in flight; --sample-hz N (or LDMO_SAMPLE_HZ) starts the\n\
-         span-stack sampling profiler (samples land in the trace; analyze\n\
-         with 'ldmo trace flame'); crashes and typed-error exits dump the\n\
-         flight-recorder ring to flight_<pid>.jsonl (LDMO_FLIGHT_DIR, or\n\
-         LDMO_FLIGHT=0 to disable)\n\n\
+         /metrics (Prometheus) and /spans (the newest spans and convergence\n\
+         rows, JSONL) while the run is in flight; with tracing or the\n\
+         endpoint on, crashes and typed-error exits dump the same window to\n\
+         flight_<pid>.jsonl (in LDMO_FLIGHT_DIR, default the working dir)\n\n\
          LDMO_FAULTS=SPEC installs a deterministic fault-injection plan\n\
          (see DESIGN.md §11); exit codes: 2 usage, 3 parse, 4 model, 5 I/O,\n\
          6 trace, 7 bad fault spec, 8 degraded"
@@ -415,6 +415,17 @@ fn trace_error(context: impl Into<String>) -> impl FnOnce(String) -> LdmoError {
     move |detail| LdmoError::Trace { context, detail }
 }
 
+/// Writes `text` to `out`, the command's one locked stdout. A reader that
+/// went away (`BrokenPipe`: `ldmo trace summarize t.jsonl | head -1`) no
+/// longer wants the output, so that is not an error and the command ends
+/// with its own verdict; any other write error is an I/O error (exit 5).
+fn emit(out: &mut io::StdoutLock, text: &str) -> Result<(), LdmoError> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written.map_err(io_error("standard output")),
+    }
+}
+
 fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
     use ldmo::obs::analyze::{diff, render_diff, render_flame, render_summary, Trace};
     let (verb, files) = match args.positional.split_first() {
@@ -447,17 +458,21 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
         }
         Ok(merged)
     };
+    let mut out = io::stdout().lock();
     match verb {
         "summarize" => {
             let merged = merged()?;
-            print!("{}", render_summary(&merged));
+            emit(&mut out, &render_summary(&merged))?;
             if reconcile {
                 let checked = merged
                     .reconcile_flow_timing(0.01)
                     .map_err(trace_error("flow-timing reconciliation"))?;
-                println!(
-                    "reconcile: {checked} flow.run/chip.run span(s) match their timing buckets within 1%"
-                );
+                emit(
+                    &mut out,
+                    &format!(
+                        "reconcile: {checked} flow.run/chip.run span(s) match their timing buckets within 1%\n"
+                    ),
+                )?;
             }
             Ok(())
         }
@@ -475,7 +490,7 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
                 ));
             }
             let rows = diff(&load(old_file)?, &load(new_file)?, threshold);
-            print!("{}", render_diff(&rows, 40));
+            emit(&mut out, &render_diff(&rows, 40))?;
             if rows.iter().any(|r| r.regressed) {
                 return Err(LdmoError::Degraded {
                     context: format!("trace diff {old_file} -> {new_file}"),
@@ -486,13 +501,13 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
         }
         "flame" => {
             let merged = merged()?;
-            print!("{}", render_flame(&merged, 40));
-            if let Some(out) = folded_out {
+            emit(&mut out, &render_flame(&merged, 40))?;
+            if let Some(path) = folded_out {
                 // collapsed-stack format, consumable by standard
-                // flamegraph tooling (one `path;to;frame count` per line)
-                std::fs::write(out, merged.folded())
-                    .map_err(io_error(format!("folded stacks '{out}'")))?;
-                println!("folded stacks written to {out}");
+                // flamegraph tooling (one `path;to;leaf SELF_US` per line)
+                std::fs::write(path, merged.folded())
+                    .map_err(io_error(format!("folded stacks '{path}'")))?;
+                emit(&mut out, &format!("folded stacks written to {path}\n"))?;
             }
             Ok(())
         }
@@ -505,15 +520,16 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
 fn cmd_bench_report(args: &Args) -> Result<(), LdmoError> {
     use ldmo::bench::report::BenchReport;
     let dir = args.positional.first().map_or("bench_out", String::as_str);
-    let reports = BenchReport::load_dir(Path::new(dir))
-        .map_err(trace_error(format!("bench reports in '{dir}'")))?;
+    let reports = BenchReport::load_dir(Path::new(dir))?;
     if reports.is_empty() {
         return Err(LdmoError::usage(format!(
             "no BENCH_*.json reports in '{dir}'"
         )));
     }
+    let mut text = String::new();
     for report in &reports {
-        println!(
+        let _ = writeln!(
+            text,
             "{} — rev {}, {} thread(s){}, {} result(s)",
             report.name,
             report.git_rev,
@@ -545,7 +561,8 @@ fn cmd_bench_report(args: &Args) -> Result<(), LdmoError> {
                     r.meta.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
                 format!("  [{}]", parts.join(", "))
             };
-            println!(
+            let _ = writeln!(
+                text,
                 "  {:<44} {:>10} (n={}, min {}, max {}){meta}",
                 r.id,
                 fmt(r.median, &r.unit),
@@ -555,7 +572,7 @@ fn cmd_bench_report(args: &Args) -> Result<(), LdmoError> {
             );
         }
     }
-    Ok(())
+    emit(&mut io::stdout().lock(), &text)
 }
 
 fn cmd_train(args: &Args) -> Result<(), LdmoError> {
