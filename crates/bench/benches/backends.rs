@@ -2,19 +2,20 @@
 //! pass / ILT step / candidate ranking measured with the scalar passes and
 //! with the vector passes, selected through the in-process
 //! [`backend::set_backend`] switch. Feeds `BENCH_backends.json` (via
-//! `--json-out`), which `scripts/perf_gate.py` diffs against the committed
-//! `bench_out/` baseline.
+//! `--json-out`), which `ldmo bench-report --gate` compares with the
+//! committed `bench_out/` baseline.
 //!
 //! The selection is process-global; every section sets it explicitly and
 //! puts `Auto` back at its end.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_ilt::{IltConfig, IltContext, IltSession};
 use ldmo_layout::cells;
 use ldmo_litho::backend::{self, BackendKind};
 use ldmo_litho::{simulate_print, KernelBank, LithoConfig};
+use std::process::ExitCode;
 
 fn short_ilt() -> IltConfig {
     IltConfig {
@@ -86,4 +87,7 @@ criterion_group!(
     bench_step_backends,
     bench_rank_backends
 );
-criterion_main!(benches);
+
+fn main() -> ExitCode {
+    ldmo_bench::bench_main("backends", benches)
+}

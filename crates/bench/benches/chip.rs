@@ -2,18 +2,19 @@
 //! `run_chip` throughput on a multi-block demo chip, plus the stitch step
 //! in isolation so the perf gate can bound stitching overhead relative to
 //! the whole tiled run. Feeds `BENCH_chip.json` (via `--json-out`), which
-//! `scripts/perf_gate.py` diffs against the committed `bench_out/`
+//! `ldmo bench-report --gate` compares with the committed `bench_out/`
 //! baseline.
 //!
 //! `LDMO_FAST=1` shrinks the per-tile ILT budget so the CI smoke run stays
 //! cheap; the committed baseline is collected in the same mode.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use ldmo_bench::fast_mode;
 use ldmo_chip::{run_chip, stitch_masks, ChipConfig, TileGrid};
 use ldmo_geom::{Grid, Rect};
 use ldmo_layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo_layout::Layout;
+use std::process::ExitCode;
 
 /// A deterministic 2x1-block demo chip (two 448 nm tiles at the default
 /// tile size) — small enough for a bench loop, large enough to exercise
@@ -71,4 +72,7 @@ fn bench_stitch(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_chip_run, bench_stitch);
-criterion_main!(benches);
+
+fn main() -> ExitCode {
+    ldmo_bench::bench_main("chip", benches)
+}

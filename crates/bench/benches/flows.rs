@@ -3,11 +3,12 @@
 //! Table I's Time columns; the table itself is regenerated by the
 //! `table1` binary at the full budget.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use ldmo_core::baselines::{two_stage_bfs, two_stage_suald, unified_flow, UnifiedConfig};
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo_ilt::IltConfig;
 use ldmo_layout::cells;
+use std::process::ExitCode;
 
 fn short_ilt() -> IltConfig {
     IltConfig {
@@ -57,4 +58,7 @@ fn bench_flows(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_flows);
-criterion_main!(benches);
+
+fn main() -> ExitCode {
+    ldmo_bench::bench_main("flows", benches)
+}

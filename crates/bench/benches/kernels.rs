@@ -3,7 +3,7 @@
 //! (the reason learned selection beats simulation-based selection), plus
 //! the decomposition and vision substrates.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, BatchSize, Criterion};
 use ldmo_chip::{halo_nm, ChipConfig, TileGrid};
 use ldmo_core::predictor::PrintabilityPredictor;
 use ldmo_decomp::covering::covering_array;
@@ -17,6 +17,7 @@ use ldmo_litho::{
     simulate_print, AerialImage, CoherentKernel, KernelBank, LithoConfig,
 };
 use ldmo_vision::sift::{extract_features, SiftConfig};
+use std::process::ExitCode;
 
 fn cell_mask() -> (Grid, KernelBank, LithoConfig) {
     let cfg = LithoConfig::default();
@@ -396,4 +397,7 @@ criterion_group!(
     bench_vision,
     bench_conv_ablation
 );
-criterion_main!(benches);
+
+fn main() -> ExitCode {
+    ldmo_bench::bench_main("kernels", benches)
+}

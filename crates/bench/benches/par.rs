@@ -3,7 +3,7 @@
 //! sizes (see `tests/determinism_golden.rs`); these benches measure the
 //! wall-clock side of that guarantee.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use ldmo_core::dataset::{build_dataset_pooled, DatasetConfig, SamplerKind};
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
 use ldmo_core::sampling::SamplingConfig;
@@ -11,6 +11,7 @@ use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_ilt::{IltConfig, IltContext};
 use ldmo_layout::cells;
 use ldmo_par::ThreadPool;
+use std::process::ExitCode;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
@@ -70,4 +71,7 @@ fn bench_rank_scaling(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_label_scaling, bench_rank_scaling);
-criterion_main!(benches);
+
+fn main() -> ExitCode {
+    ldmo_bench::bench_main("par", benches)
+}

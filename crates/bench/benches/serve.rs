@@ -3,17 +3,18 @@
 //! batch scheduler, read the typed response. The row tracks wall time per
 //! request, i.e. the inverse of requests/sec; a cached row isolates the
 //! lookup path from the optimization itself. Feeds `BENCH_serve.json`
-//! (via `--json-out`), which `scripts/perf_gate.py` diffs against the
+//! (via `--json-out`), which `ldmo bench-report --gate` compares with the
 //! committed `bench_out/` baseline.
 //!
 //! `LDMO_FAST=1` shrinks the per-request ILT budget so the CI smoke run
 //! stays cheap; the committed baseline is collected in the same mode.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use ldmo_bench::fast_mode;
 use ldmo_layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo_layout::io as layout_io;
 use ldmo_serve::{client, OptimizeRequest, OptimizeResponse, ServeConfig, Server};
+use std::process::ExitCode;
 
 fn serve_cfg() -> ServeConfig {
     let mut cfg = ServeConfig::default();
@@ -104,4 +105,7 @@ criterion_group!(
     bench_requests_per_sec,
     bench_cached_requests_per_sec
 );
-criterion_main!(benches);
+
+fn main() -> ExitCode {
+    ldmo_bench::bench_main("serve", benches)
+}

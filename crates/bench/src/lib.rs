@@ -9,10 +9,11 @@
 //! workloads (fewer training labels, fewer ILT iterations) for smoke runs;
 //! the full settings reproduce the shapes reported in EXPERIMENTS.md.
 //!
-//! Every binary also accepts `--json-out PATH` to emit a machine-readable
-//! `BENCH_<name>.json` report ([`report`]) consumed by the
-//! `ldmo bench-report` aggregator and the CI perf gate. The bins and the
-//! `ldmo` CLI share one start-up, [`run_main`]; an undeclared flag exits 2.
+//! Every binary and bench target also accepts `--json-out PATH` to emit a
+//! machine-readable `BENCH_<name>.json` report ([`report`]) that
+//! `ldmo bench-report` lists and gates. The bins, the bench targets
+//! ([`bench_main`]) and the `ldmo` CLI share one start-up, [`run_main`];
+//! an undeclared flag exits 2.
 
 pub mod report;
 
@@ -30,6 +31,7 @@ use ldmo_layout::Layout;
 use ldmo_obs::serve::MetricsServer;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// Whether fast (smoke-test) mode is requested via `LDMO_FAST=1`.
 pub fn fast_mode() -> bool {
@@ -68,6 +70,24 @@ pub fn run_main(specs: &[Spec], body: impl FnOnce(&Args) -> Result<(), LdmoError
             ExitCode::from(e.exit_code())
         }
     }
+}
+
+/// The `main` of a criterion bench target `name`: `run` measures and
+/// returns its completed `(id, samples)` rows, which become the
+/// `BENCH_<name>.json` report (unit `ns`) that `--json-out PATH` writes.
+/// It declares the `--bench` switch cargo passes to a `harness = false`
+/// target, and no positional, so a bench-name filter is a usage error.
+pub fn bench_main(name: &str, run: impl FnOnce() -> Vec<(String, Vec<Duration>)>) -> ExitCode {
+    run_main(&[Spec::new(name, &["json-out"], &["bench"], 0)], |args| {
+        let rows = run();
+        let mut report = report::BenchReport::new(name);
+        for (id, samples) in rows {
+            let ns: Vec<f64> = samples.iter().map(|d| d.as_nanos() as f64).collect();
+            report.push_samples(id, "ns", &ns);
+        }
+        report::maybe_write(&report, args.value("json-out"));
+        Ok(())
+    })
 }
 
 fn start(globals: &Globals) -> Result<Option<MetricsServer>, LdmoError> {

@@ -1,6 +1,9 @@
-//! Machine-readable bench reports: the `BENCH_<name>.json` schema shared by
-//! the reproduction binaries, the vendored criterion harness and the
-//! `ldmo bench-report` aggregator / CI perf gate.
+//! Machine-readable bench reports: the `BENCH_<name>.json` schema. This
+//! module is the only code that writes, reads or gates one: the
+//! reproduction binaries and the criterion bench targets write through
+//! [`BenchReport::push_samples`] and [`maybe_write`], and `ldmo
+//! bench-report` lists reports ([`render`]) and gates a fresh run against
+//! committed baselines ([`gate`]).
 //!
 //! One report per harness run, one result row per measured quantity:
 //!
@@ -13,14 +16,46 @@
 //! ```
 //!
 //! Row `id`s are stable across runs (testcase/flow names, bench ids), which
-//! is what lets `scripts/perf_gate.py` and `ldmo trace diff`-style tooling
-//! match rows between a fresh run and a committed baseline. Conventions are
-//! documented in DESIGN.md §12.
+//! is what lets the gate match rows between a fresh run and a committed
+//! baseline. Conventions are documented in DESIGN.md §12.
 
 use ldmo_guard::LdmoError;
 use ldmo_obs::json::{self, Value};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// A fresh median above this multiple of its baseline median is listed
+/// as a warning. The committed baselines come from another machine and
+/// CI runners are noisy, so the gate looks for order-of-magnitude
+/// regressions (an accidental debug path, a quadratic blowup), not 20%
+/// drift.
+pub const WARN_RATIO: f64 = 3.0;
+
+/// A fresh median above this multiple of its baseline median fails the
+/// gate.
+pub const FAIL_RATIO: f64 = 8.0;
+
+/// Same-run overhead bounds `(row, reference, max)`: the fresh median of
+/// `row` must be at most `max` times the fresh median of `reference`.
+/// Both rows come from one run on one machine, so a tight bound is sound
+/// where the cross-machine band above is not.
+pub const OVERHEAD_BOUNDS: [(&str, &str, f64); 3] = [
+    // the live-ops collector costs at most 5% of the bare ILT step
+    ("ilt/step_liveops", "ilt/step_workspace", 1.05),
+    // halo stitching is at most 5% of the whole tiled chip run
+    ("chip/stitch_2x2", "chip/tiles_per_sec", 0.05),
+    // a cache-hit round-trip is at most 2% of an uncached one. The
+    // committed fast-mode rows read 0.1%: a hit skips ranking and ILT,
+    // waits on no accept poll and hashes no masks. A 5 ms accept poll
+    // alone reads about 5%, so the bound fails if one comes back
+    (
+        "serve/cached_requests_per_sec",
+        "serve/requests_per_sec",
+        0.02,
+    ),
+];
 
 /// One measured quantity: summary statistics over `n` samples plus free-form
 /// numeric metadata (grid sizes, EPE counts, iteration counts …).
@@ -50,10 +85,10 @@ pub struct BenchResult {
 pub struct BenchReport {
     /// Harness name (`table1`, `kernels` …); also names the output file.
     pub name: String,
-    /// `git rev-parse --short HEAD` at collection time, `"unknown"` when
-    /// git is unavailable.
+    /// The short git revision of the source tree the harness was built
+    /// from ([`ldmo_obs::git_rev`]), `"unknown"` when git is unavailable.
     pub git_rev: String,
-    /// Worker-thread count the run was collected with.
+    /// Size of the worker pool the run was collected on.
     pub threads: usize,
     /// Whether `LDMO_FAST=1` shrank the workload.
     pub fast: bool,
@@ -63,27 +98,15 @@ pub struct BenchReport {
     pub results: Vec<BenchResult>,
 }
 
-/// `git rev-parse --short HEAD`, or `"unknown"` outside a git checkout.
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 impl BenchReport {
-    /// Starts an empty report, stamping git revision, thread count and fast
-    /// mode from the environment.
+    /// Starts an empty report, stamping the build's git revision, the
+    /// global pool's size ([`run_main`](crate::run_main) sizes it before
+    /// the run) and fast mode.
     pub fn new(name: impl Into<String>) -> Self {
         BenchReport {
             name: name.into(),
-            git_rev: git_rev(),
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            git_rev: ldmo_obs::git_rev().to_owned(),
+            threads: ldmo_par::global_threads(),
             fast: crate::fast_mode(),
             written_unix_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -192,8 +215,7 @@ impl BenchReport {
         Ok(path)
     }
 
-    /// Parses a report previously written by [`BenchReport::write`] (or the
-    /// vendored criterion harness, which emits the same schema).
+    /// Parses a report previously written by [`BenchReport::write`].
     pub fn load(path: &Path) -> Result<BenchReport, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         Self::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
@@ -286,6 +308,194 @@ impl BenchReport {
     }
 }
 
+/// Renders a statistic in its row's unit: times human-scaled, anything
+/// else verbatim.
+fn format_value(value: f64, unit: &str) -> String {
+    let secs = match unit {
+        "ns" => value / 1e9,
+        "s" => value,
+        _ => return format!("{value:.1} {unit}"),
+    };
+    if secs >= 1.0 {
+        format!("{secs:.2}s")
+    } else if secs >= 1e-3 {
+        format!("{:.2}ms", secs * 1e3)
+    } else {
+        format!("{:.2}µs", secs * 1e6)
+    }
+}
+
+/// Lists `reports`: one header line per report, then one line per row
+/// with its median, sample count, range and meta.
+pub fn render(reports: &[BenchReport]) -> String {
+    let mut text = String::new();
+    for report in reports {
+        let _ = writeln!(
+            text,
+            "{} — rev {}, {} thread(s){}, {} result(s)",
+            report.name,
+            report.git_rev,
+            report.threads,
+            if report.fast { ", fast mode" } else { "" },
+            report.results.len()
+        );
+        for r in &report.results {
+            let meta = if r.meta.is_empty() {
+                String::new()
+            } else {
+                let parts: Vec<String> =
+                    r.meta.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
+                format!("  [{}]", parts.join(", "))
+            };
+            let _ = writeln!(
+                text,
+                "  {:<44} {:>10} (n={}, min {}, max {}){meta}",
+                r.id,
+                format_value(r.median, &r.unit),
+                r.n,
+                format_value(r.min, &r.unit),
+                format_value(r.max, &r.unit)
+            );
+        }
+    }
+    text
+}
+
+/// What [`gate`] found.
+#[derive(Debug)]
+pub struct Gate {
+    /// The listing: reports and rows present on one side only, medians
+    /// beyond [`WARN_RATIO`] or [`FAIL_RATIO`], every overhead bound, and
+    /// a closing count line.
+    pub text: String,
+    /// `report:row` of each median beyond [`FAIL_RATIO`], and `row` of
+    /// each [`OVERHEAD_BOUNDS`] entry exceeded.
+    pub failed: Vec<String>,
+}
+
+/// Gates `fresh` reports against `baseline` ones. Medians are matched by
+/// report name and row id: growth beyond [`WARN_RATIO`] warns, beyond
+/// [`FAIL_RATIO`] fails. Reports and rows on one side only are listed,
+/// never fatal; a row without a median on either side is skipped, and
+/// one with a non-positive baseline median is counted but carries no
+/// ratio. Then each [`OVERHEAD_BOUNDS`] entry is checked on `fresh`
+/// alone, the row taken from the first report whose median for it is
+/// positive.
+///
+/// # Errors
+///
+/// A trace error naming the report when a report's fast mode differs
+/// between the sides (their medians are not comparable), or naming the
+/// row when an overhead row is missing from `fresh` (a check that cannot
+/// run must not read as passed).
+pub fn gate(baseline: &[BenchReport], fresh: &[BenchReport]) -> Result<Gate, LdmoError> {
+    fn by_name(reports: &[BenchReport]) -> BTreeMap<&str, &BenchReport> {
+        reports.iter().map(|r| (r.name.as_str(), r)).collect()
+    }
+    fn by_id(report: &BenchReport) -> BTreeMap<&str, &BenchResult> {
+        report.results.iter().map(|r| (r.id.as_str(), r)).collect()
+    }
+    fn one_side(text: &mut String, what: &str, in_baseline: bool) {
+        let side = if in_baseline {
+            "[only-baseline]"
+        } else {
+            "[only-fresh]   "
+        };
+        let _ = writeln!(text, "  {side} {what} (ok)");
+    }
+    let (old_reports, new_reports) = (by_name(baseline), by_name(fresh));
+    let mut text = String::new();
+    let (mut compared, mut warnings, mut failed) = (0, 0, Vec::new());
+    let names: BTreeSet<&str> = old_reports
+        .keys()
+        .chain(new_reports.keys())
+        .copied()
+        .collect();
+    for name in names {
+        let (Some(old), Some(new)) = (old_reports.get(name), new_reports.get(name)) else {
+            let in_baseline = old_reports.contains_key(name);
+            one_side(&mut text, &format!("report {name}"), in_baseline);
+            continue;
+        };
+        if old.fast != new.fast {
+            return Err(LdmoError::Trace {
+                context: format!("bench report '{name}'"),
+                detail: format!(
+                    "fast mode differs (baseline fast={}, fresh fast={}), so its medians \
+                     are not comparable",
+                    old.fast, new.fast
+                ),
+            });
+        }
+        let (old_rows, new_rows) = (by_id(old), by_id(new));
+        let ids: BTreeSet<&str> = old_rows.keys().chain(new_rows.keys()).copied().collect();
+        for id in ids {
+            let (Some(old), Some(new)) = (old_rows.get(id), new_rows.get(id)) else {
+                one_side(
+                    &mut text,
+                    &format!("{name}:{id}"),
+                    old_rows.contains_key(id),
+                );
+                continue;
+            };
+            if old.median.is_nan() || new.median.is_nan() {
+                continue;
+            }
+            compared += 1;
+            if old.median <= 0.0 {
+                continue;
+            }
+            let ratio = new.median / old.median;
+            let line = format!(
+                "{name}:{id}: median {} -> {} ({ratio:.2}x)",
+                format_value(old.median, &old.unit),
+                format_value(new.median, &new.unit)
+            );
+            if ratio > FAIL_RATIO {
+                failed.push(format!("{name}:{id}"));
+                let _ = writeln!(text, "  [FAIL] {line}");
+            } else if ratio > WARN_RATIO {
+                warnings += 1;
+                let _ = writeln!(text, "  [warn] {line}");
+            }
+        }
+    }
+    let fresh_row = |id: &str| {
+        new_reports
+            .values()
+            .find_map(|r| by_id(r).get(id).copied().filter(|x| x.median > 0.0))
+            .ok_or_else(|| LdmoError::Trace {
+                context: format!("overhead row '{id}'"),
+                detail: "missing from the fresh reports, so its bound cannot be checked".into(),
+            })
+    };
+    for (row, reference, max) in OVERHEAD_BOUNDS {
+        let (a, b) = (fresh_row(row)?, fresh_row(reference)?);
+        let ratio = a.median / b.median;
+        let line = format!(
+            "overhead {row} vs {reference}: {}/{} = {ratio:.3}x (max {max}x)",
+            format_value(a.median, &a.unit),
+            format_value(b.median, &b.unit)
+        );
+        compared += 1;
+        if ratio > max {
+            failed.push(row.to_owned());
+            let _ = writeln!(text, "  [FAIL] {line}");
+        } else {
+            let _ = writeln!(text, "  [ok]   {line}");
+        }
+    }
+    let common = old_reports.keys().filter(|n| new_reports.contains_key(*n));
+    let _ = writeln!(
+        text,
+        "gate: compared {compared} rows across {} reports; {warnings} warning(s), {} \
+         failure(s) (warn >{WARN_RATIO}x, fail >{FAIL_RATIO}x)",
+        common.count(),
+        failed.len()
+    );
+    Ok(Gate { text, failed })
+}
+
 fn resolve_out_path(target: &Path, name: &str) -> PathBuf {
     let trailing_slash = target
         .as_os_str()
@@ -359,6 +569,15 @@ mod tests {
         assert_eq!(parsed.results[1].median, 2.0);
         assert_eq!(parsed.results[1].max, 3.0);
         assert_eq!(parsed.results[1].mean, 2.0);
+    }
+
+    #[test]
+    fn a_report_names_the_pool_it_ran_on() {
+        // one more worker than the machine has cores, so the host's own
+        // parallelism cannot pass for the pool's size
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+        ldmo_par::set_global_threads(threads);
+        assert_eq!(BenchReport::new("pool").threads, threads);
     }
 
     #[test]

@@ -55,9 +55,9 @@ pub enum DegradeReason {
     BudgetExhausted,
     /// A pool worker panicked while computing this slot.
     WorkerPanic,
-    /// A performance comparison (`ldmo trace diff`, CI perf gate) found a
-    /// regression beyond its threshold: the work completed, but the result
-    /// is an unhealthy verdict.
+    /// A performance comparison (`ldmo trace diff`, `ldmo bench-report
+    /// --gate`) found a regression beyond its threshold: the work
+    /// completed, but the result is an unhealthy verdict.
     PerfRegression,
 }
 

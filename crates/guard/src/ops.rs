@@ -25,18 +25,6 @@ static HOOK: Once = Once::new();
 /// telemetry must never turn a recoverable worker panic into an abort.
 pub fn install_crash_hooks() {
     HOOK.call_once(|| {
-        // stamp the build's git revision into the run info once, so every
-        // flight-recorder dump header says what code produced it
-        let rev = std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned());
-        ldmo_obs::set_run_info("git_rev", rev);
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             prev(info);

@@ -24,21 +24,24 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// Writes the window as JSONL: one `meta` header line (reason, pid,
 /// window capacity, span closes and rows recorded since the last
-/// [`crate::reset`], lines that follow, plus every [`crate::set_run_info`]
-/// entry — git rev / threads / backend in the standard binaries), then
-/// the window's `span` lines in close order and its `conv` lines in
-/// record order, parseable by `Trace::parse` and therefore by
-/// `ldmo trace summarize`. Returns the number of lines written.
+/// [`crate::reset`], lines that follow, the build's [`crate::git_rev`],
+/// plus every [`crate::set_run_info`] entry — threads / backend in the
+/// standard binaries), then the window's `span` lines in close order and
+/// its `conv` lines in record order, parseable by `Trace::parse` and
+/// therefore by `ldmo trace summarize`. Returns the number of lines
+/// written.
 pub fn dump_to<W: Write>(w: &mut W, reason: &str) -> io::Result<usize> {
     let (spans, closed) = collector::newest_spans(DEFAULT_CAPACITY);
     let (rows, recorded) = collector::newest_records(DEFAULT_CAPACITY);
     let mut header = format!(
         "{{\"type\":\"meta\",\"version\":1,\"kind\":\"flight\",\"reason\":\"{}\",\
-         \"pid\":{},\"capacity\":{DEFAULT_CAPACITY},\"recorded\":{},\"events\":{}",
+         \"pid\":{},\"capacity\":{DEFAULT_CAPACITY},\"recorded\":{},\"events\":{},\
+         \"git_rev\":\"{}\"",
         json::escape(reason),
         std::process::id(),
         closed + recorded,
-        spans.len() + rows.len()
+        spans.len() + rows.len(),
+        json::escape(crate::git_rev())
     );
     for (key, value) in crate::run_info_snapshot() {
         header.push_str(&format!(

@@ -104,12 +104,11 @@ pub fn reset() {
 }
 
 // ---------------------------------------------------------------------------
-// Run info: a small key/value registry describing the process (git rev,
-// thread count, litho backend, …) that rides along in every flight-recorder
-// dump header. Populated by the code that knows the values — the binaries'
-// shared start-up (`ldmo_bench::run_main`) sets `threads` and `backend`,
-// and `ldmo_guard::ops::install_crash_hooks` sets `git_rev` — so the obs
-// crate stays dependency-free.
+// Run info: a small key/value registry describing the process (thread
+// count, litho backend, …) that rides along in every flight-recorder dump
+// header, after the build's `git_rev`. Populated by the code that knows
+// the values — the binaries' shared start-up (`ldmo_bench::run_main`) sets
+// `threads` and `backend` — so the obs crate stays dependency-free.
 // ---------------------------------------------------------------------------
 
 static RUN_INFO: OnceLock<Mutex<Vec<(&'static str, String)>>> = OnceLock::new();
@@ -132,6 +131,26 @@ pub fn set_run_info(key: &'static str, value: impl Into<String>) {
 /// All run-info entries, insertion order.
 pub fn run_info_snapshot() -> Vec<(&'static str, String)> {
     run_info().lock().expect("run info lock").clone()
+}
+
+/// The short git revision of the source tree this binary was built from,
+/// or `"unknown"` when that tree is gone or not a git checkout. It names
+/// what code produced a flight dump ([`flight::dump`]) or a bench report,
+/// wherever the run started. `git` runs once, on first use.
+pub fn git_rev() -> &'static str {
+    static REV: OnceLock<String> = OnceLock::new();
+    REV.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["-C", env!("CARGO_MANIFEST_DIR")])
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_owned())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_owned())
+    })
 }
 
 /// The trace output path registered by [`trace_setup`], if any — what the

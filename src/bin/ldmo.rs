@@ -12,6 +12,7 @@
 //! ldmo trace diff old.jsonl new.jsonl                 flag span-time regressions
 //! ldmo trace flame trace.jsonl                        self-time hotspot table
 //! ldmo bench-report bench_out/                        aggregate BENCH_*.json
+//! ldmo bench-report fresh/ --gate bench_out/          perf gate vs baselines
 //! ```
 //!
 //! Each subcommand declares its flags in [`SUBCOMMANDS`]; an undeclared
@@ -33,7 +34,6 @@ use ldmo::ilt::{Budget, IltConfig, IltSession};
 use ldmo::layout::classify::{classify_patterns, ClassifyConfig};
 use ldmo::layout::generate::{GeneratorConfig, LayoutGenerator};
 use ldmo::layout::{io as layout_io, Layout};
-use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::process::ExitCode;
@@ -53,12 +53,32 @@ const SUBCOMMANDS: &[Spec] = &[
                         "tile-budget-iters", "tile-budget-ms", "out"], &[], 1),
     Spec::new("train", &["pool", "out"], &[], 0),
     Spec::new("trace", &["threshold", "out"], &["reconcile"], usize::MAX),
-    Spec::new("bench-report", &[], &[], 1),
+    Spec::new("bench-report", &["gate"], &[], 1),
     Spec::new("serve", &["addr", "queue", "batch", "deadline-ms", "cache", "iters",
                          "candidates"], &[], 0),
     Spec::new("client", &["addr", "clients", "requests", "seed", "retries", "deadline-ms",
                           "iters", "candidates"], &["shutdown"], 0),
 ];
+
+/// Writes `text` to stdout. A reader that went away (`BrokenPipe`:
+/// `ldmo trace summarize t.jsonl | head -1`) no longer wants the output,
+/// so that is not an error and the command ends with its own verdict;
+/// any other write error is an I/O error (exit 5).
+fn emit(text: &str) -> Result<(), LdmoError> {
+    let mut out = io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
+        written => written.map_err(io_error("standard output")),
+    }
+}
+
+/// `println!` through [`emit`], returning from the command on an I/O
+/// error: every subcommand's output ends quietly when stdout closes.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
 
 fn main() -> ExitCode {
     ldmo::bench::run_main(SUBCOMMANDS, |args| match args.command() {
@@ -74,15 +94,12 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(args),
         "client" => cmd_client(args),
         // "help", which a bare `ldmo` selects too
-        _ => {
-            print_usage();
-            Ok(())
-        }
+        _ => print_usage(),
     })
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), LdmoError> {
+    say!(
         "ldmo — deep learning-driven layout decomposition and mask optimization\n\n\
          subcommands:\n\
          \x20 generate  --seed S --count N --out DIR   write random DRC-clean layouts\n\
@@ -107,6 +124,8 @@ fn print_usage() {
          \x20 trace     flame FILE..                   span paths by self time\n\
          \x20           [--out FOLDED.txt]             (+ folded stacks in µs)\n\
          \x20 bench-report DIR                         aggregate BENCH_*.json reports\n\
+         \x20           [--gate BASELINE_DIR]          gate DIR against the baselines\n\
+         \x20                                          (exit 8 when any row fails)\n\
          \x20 serve     [--addr H:P] [--queue N]       fault-tolerant batch-serving\n\
          \x20           [--batch N] [--deadline-ms MS] daemon (DESIGN.md 16); POST\n\
          \x20           [--cache FILE] [--iters N]     /optimize, /shutdown to drain;\n\
@@ -132,6 +151,7 @@ fn print_usage() {
          (see DESIGN.md §11); exit codes: 2 usage, 3 parse, 4 model, 5 I/O,\n\
          6 trace, 7 bad fault spec, 8 degraded"
     );
+    Ok(())
 }
 
 fn load_layout(path: &str) -> Result<Layout, LdmoError> {
@@ -156,7 +176,7 @@ fn cmd_generate(args: &Args) -> Result<(), LdmoError> {
         let path = format!("{out}/layout_{seed}_{i}.lay");
         layout_io::save(&layout, &path)
             .map_err(|e| LdmoError::from(e).with_context(format!("layout '{path}'")))?;
-        println!("wrote {path} ({} patterns)", layout.len());
+        say!("wrote {path} ({} patterns)", layout.len());
     }
     Ok(())
 }
@@ -168,19 +188,19 @@ fn cmd_info(args: &Args) -> Result<(), LdmoError> {
         .ok_or(LdmoError::usage("usage: ldmo info FILE"))?;
     let layout = load_layout(path)?;
     let ccfg = ClassifyConfig::default();
-    println!("window:   {}", layout.window());
-    println!("patterns: {}", layout.len());
+    say!("window:   {}", layout.window());
+    say!("patterns: {}", layout.len());
     for (i, (r, class)) in layout
         .patterns()
         .iter()
         .zip(classify_patterns(&layout, &ccfg))
         .enumerate()
     {
-        println!("  {i}: {r} {class:?}");
+        say!("  {i}: {r} {class:?}");
     }
-    println!("DPL-compatible: {}", is_dpl_compatible(&layout, ccfg.nmin));
+    say!("DPL-compatible: {}", is_dpl_compatible(&layout, ccfg.nmin));
     let candidates = generate_candidates(&layout, &DecompConfig::default());
-    println!("decomposition candidates: {}", candidates.len());
+    say!("decomposition candidates: {}", candidates.len());
     Ok(())
 }
 
@@ -195,7 +215,7 @@ fn cmd_decompose(args: &Args) -> Result<(), LdmoError> {
         .enumerate()
     {
         let joined: Vec<String> = c.iter().map(u8::to_string).collect();
-        println!("#{i}: {}", joined.join(","));
+        say!("#{i}: {}", joined.join(","));
     }
     Ok(())
 }
@@ -258,9 +278,9 @@ fn optimize_and_report<const K: usize>(
     prefix: Option<&str>,
 ) -> Result<(), LdmoError> {
     let out = IltSession::<K>::prepare(layout, assignment, &IltConfig::default()).run();
-    println!("EPE violations:   {}", out.epe_violations());
-    println!("print violations: {}", out.violations.count());
-    println!("L2 error:         {:.1}", out.l2);
+    say!("EPE violations:   {}", out.epe_violations());
+    say!("print violations: {}", out.violations.count());
+    say!("L2 error:         {:.1}", out.l2);
     if let Some(prefix) = prefix {
         let printed_path = format!("{prefix}_printed.pgm");
         std::fs::write(&printed_path, out.printed.to_pgm())
@@ -270,7 +290,7 @@ fn optimize_and_report<const K: usize>(
             std::fs::write(&mask_path, m.to_pgm())
                 .map_err(io_error(format!("mask image '{mask_path}'")))?;
         }
-        println!("images written with prefix {prefix}_");
+        say!("images written with prefix {prefix}_");
     }
     Ok(())
 }
@@ -293,18 +313,18 @@ fn cmd_flow(args: &Args) -> Result<(), LdmoError> {
     let mut flow = LdmoFlow::new(FlowConfig::default(), strategy);
     let result = flow.run(&layout);
     let joined: Vec<String> = result.assignment.iter().map(u8::to_string).collect();
-    println!("selected decomposition: {}", joined.join(","));
-    println!("attempts:               {}", result.attempts);
-    println!(
+    say!("selected decomposition: {}", joined.join(","));
+    say!("attempts:               {}", result.attempts);
+    say!(
         "EPE violations:         {}",
         result.outcome.epe_violations()
     );
-    println!(
+    say!(
         "print violations:       {}",
         result.outcome.violations.count()
     );
-    println!("health:                 {:?}", result.outcome.health);
-    println!(
+    say!("health:                 {:?}", result.outcome.health);
+    say!(
         "time: {:.2}s selection + {:.2}s optimization",
         result.timing.decomposition_selection.as_secs_f64(),
         result.timing.mask_optimization.as_secs_f64()
@@ -339,7 +359,7 @@ fn cmd_chip(args: &Args) -> Result<(), LdmoError> {
                     context: format!("demo chip ({cols}x{rows} blocks, seed {seed})"),
                     detail: e.to_string(),
                 })?;
-            println!(
+            say!(
                 "demo chip: {cols}x{rows} blocks, seed {seed}, {} patterns, window {}",
                 chip.len(),
                 chip.window()
@@ -370,7 +390,7 @@ fn cmd_chip(args: &Args) -> Result<(), LdmoError> {
     let out = run_chip(&layout, &cfg);
     let empty = out.tiles.iter().filter(|t| t.patterns == 0).count();
     let (w, h) = out.masks[0].shape();
-    println!(
+    say!(
         "tile grid:        {}x{} ({} tiles, {} nm cores + {} nm halo)",
         out.grid.cols(),
         out.grid.rows(),
@@ -378,22 +398,22 @@ fn cmd_chip(args: &Args) -> Result<(), LdmoError> {
         out.grid.tile_nm(),
         out.grid.halo_nm()
     );
-    println!(
+    say!(
         "tiles:            {} optimized, {} empty, {} degraded",
         out.grid.len() - empty - out.degraded_tiles,
         empty,
         out.degraded_tiles
     );
-    println!("chip mask:        {w}x{h} px per layer");
-    println!("EPE violations:   {}", out.epe_violations);
+    say!("chip mask:        {w}x{h} px per layer");
+    say!("EPE violations:   {}", out.epe_violations);
     let secs = out.timing.total().as_secs_f64();
     if secs > 0.0 {
-        println!(
+        say!(
             "throughput:       {:.2} tiles/s",
             out.grid.len() as f64 / secs
         );
     }
-    println!(
+    say!(
         "time: {:.2}s setup + {:.2}s tiles + {:.2}s stitch",
         out.timing.setup.as_secs_f64(),
         out.timing.tiles.as_secs_f64(),
@@ -405,7 +425,7 @@ fn cmd_chip(args: &Args) -> Result<(), LdmoError> {
             std::fs::write(&mask_path, m.to_pgm())
                 .map_err(io_error(format!("mask image '{mask_path}'")))?;
         }
-        println!("chip masks written with prefix {prefix}_");
+        say!("chip masks written with prefix {prefix}_");
     }
     Ok(())
 }
@@ -413,17 +433,6 @@ fn cmd_chip(args: &Args) -> Result<(), LdmoError> {
 fn trace_error(context: impl Into<String>) -> impl FnOnce(String) -> LdmoError {
     let context = context.into();
     move |detail| LdmoError::Trace { context, detail }
-}
-
-/// Writes `text` to `out`, the command's one locked stdout. A reader that
-/// went away (`BrokenPipe`: `ldmo trace summarize t.jsonl | head -1`) no
-/// longer wants the output, so that is not an error and the command ends
-/// with its own verdict; any other write error is an I/O error (exit 5).
-fn emit(out: &mut io::StdoutLock, text: &str) -> Result<(), LdmoError> {
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(()),
-        written => written.map_err(io_error("standard output")),
-    }
 }
 
 fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
@@ -458,21 +467,15 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
         }
         Ok(merged)
     };
-    let mut out = io::stdout().lock();
     match verb {
         "summarize" => {
             let merged = merged()?;
-            emit(&mut out, &render_summary(&merged))?;
+            emit(&render_summary(&merged))?;
             if reconcile {
                 let checked = merged
                     .reconcile_flow_timing(0.01)
                     .map_err(trace_error("flow-timing reconciliation"))?;
-                emit(
-                    &mut out,
-                    &format!(
-                        "reconcile: {checked} flow.run/chip.run span(s) match their timing buckets within 1%\n"
-                    ),
-                )?;
+                say!("reconcile: {checked} flow.run/chip.run span(s) match their timing buckets within 1%");
             }
             Ok(())
         }
@@ -490,7 +493,7 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
                 ));
             }
             let rows = diff(&load(old_file)?, &load(new_file)?, threshold);
-            emit(&mut out, &render_diff(&rows, 40))?;
+            emit(&render_diff(&rows, 40))?;
             if rows.iter().any(|r| r.regressed) {
                 return Err(LdmoError::Degraded {
                     context: format!("trace diff {old_file} -> {new_file}"),
@@ -501,13 +504,13 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
         }
         "flame" => {
             let merged = merged()?;
-            emit(&mut out, &render_flame(&merged, 40))?;
+            emit(&render_flame(&merged, 40))?;
             if let Some(path) = folded_out {
                 // collapsed-stack format, consumable by standard
                 // flamegraph tooling (one `path;to;leaf SELF_US` per line)
                 std::fs::write(path, merged.folded())
                     .map_err(io_error(format!("folded stacks '{path}'")))?;
-                emit(&mut out, &format!("folded stacks written to {path}\n"))?;
+                say!("folded stacks written to {path}");
             }
             Ok(())
         }
@@ -518,61 +521,37 @@ fn cmd_trace(args: &Args) -> Result<(), LdmoError> {
 }
 
 fn cmd_bench_report(args: &Args) -> Result<(), LdmoError> {
-    use ldmo::bench::report::BenchReport;
-    let dir = args.positional.first().map_or("bench_out", String::as_str);
-    let reports = BenchReport::load_dir(Path::new(dir))?;
-    if reports.is_empty() {
-        return Err(LdmoError::usage(format!(
-            "no BENCH_*.json reports in '{dir}'"
-        )));
-    }
-    let mut text = String::new();
-    for report in &reports {
-        let _ = writeln!(
-            text,
-            "{} — rev {}, {} thread(s){}, {} result(s)",
-            report.name,
-            report.git_rev,
-            report.threads,
-            if report.fast { ", fast mode" } else { "" },
-            report.results.len()
-        );
-        // time-valued rows render human-scaled; anything else keeps its
-        // unit verbatim
-        let fmt = |value: f64, unit: &str| -> String {
-            let secs = match unit {
-                "ns" => value / 1e9,
-                "s" => value,
-                _ => return format!("{value:.1} {unit}"),
-            };
-            if secs >= 1.0 {
-                format!("{secs:.2}s")
-            } else if secs >= 1e-3 {
-                format!("{:.2}ms", secs * 1e3)
-            } else {
-                format!("{:.2}µs", secs * 1e6)
-            }
-        };
-        for r in &report.results {
-            let meta = if r.meta.is_empty() {
-                String::new()
-            } else {
-                let parts: Vec<String> =
-                    r.meta.iter().map(|(k, v)| format!("{k}={v:.0}")).collect();
-                format!("  [{}]", parts.join(", "))
-            };
-            let _ = writeln!(
-                text,
-                "  {:<44} {:>10} (n={}, min {}, max {}){meta}",
-                r.id,
-                fmt(r.median, &r.unit),
-                r.n,
-                fmt(r.min, &r.unit),
-                fmt(r.max, &r.unit)
-            );
+    use ldmo::bench::report::{self, BenchReport};
+    let load = |dir: &str| {
+        let reports = BenchReport::load_dir(Path::new(dir))?;
+        if reports.is_empty() {
+            return Err(LdmoError::usage(format!(
+                "no BENCH_*.json reports in '{dir}'"
+            )));
         }
+        Ok(reports)
+    };
+    let dir = args.positional.first().map(String::as_str);
+    let Some(baseline) = args.value("gate") else {
+        return emit(&report::render(&load(dir.unwrap_or("bench_out"))?));
+    };
+    // no default: `--gate bench_out` alone would gate the baselines
+    // against themselves
+    let dir = dir.ok_or(LdmoError::usage(
+        "usage: ldmo bench-report FRESH_DIR --gate BASELINE_DIR",
+    ))?;
+    let gate = report::gate(&load(baseline)?, &load(dir)?)?;
+    emit(&gate.text)?;
+    if gate.failed.is_empty() {
+        return Ok(());
     }
-    emit(&mut io::stdout().lock(), &text)
+    Err(LdmoError::Degraded {
+        context: format!(
+            "bench gate {dir} against {baseline} ({})",
+            gate.failed.join(", ")
+        ),
+        reason: ldmo::guard::DegradeReason::PerfRegression,
+    })
 }
 
 fn cmd_train(args: &Args) -> Result<(), LdmoError> {
@@ -583,17 +562,17 @@ fn cmd_train(args: &Args) -> Result<(), LdmoError> {
     let out = args.value("out").unwrap_or("predictor.bin");
     let mut generator = LayoutGenerator::new(GeneratorConfig::default(), 2020);
     let layouts = generator.generate_dataset(pool);
-    println!("labeling (this runs one full ILT per sampled decomposition) …");
+    say!("labeling (this runs one full ILT per sampled decomposition) …");
     let dataset = build_dataset(
         &layouts,
         &SamplerKind::Engineered,
         &SamplingConfig::default(),
         &DatasetConfig::default(),
     );
-    println!("labeled {} pairs; training …", dataset.len());
+    say!("labeled {} pairs; training …", dataset.len());
     let mut predictor = PrintabilityPredictor::lite(7);
     let history = train(&mut predictor, &dataset, &TrainConfig::default());
-    println!(
+    say!(
         "MAE {:.3} -> {:.3}",
         history.epoch_mae.first().copied().unwrap_or(f32::NAN),
         history.final_mae().unwrap_or(f32::NAN)
@@ -601,7 +580,7 @@ fn cmd_train(args: &Args) -> Result<(), LdmoError> {
     predictor
         .save(out)
         .map_err(|e| LdmoError::from(e).with_context(format!("weights '{out}'")))?;
-    println!("weights saved to {out}");
+    say!("weights saved to {out}");
     Ok(())
 }
 
@@ -638,15 +617,15 @@ fn cmd_serve(args: &Args) -> Result<(), LdmoError> {
     }
     let bind = cfg.addr.clone();
     let server = Server::start(cfg).map_err(io_error(format!("bind '{bind}'")))?;
-    println!("ldmo-serve listening on {}", server.addr());
-    println!("POST /optimize to submit, POST /shutdown to drain");
+    say!("ldmo-serve listening on {}", server.addr());
+    say!("POST /optimize to submit, POST /shutdown to drain");
     // the accept/scheduler threads own the work; this thread just waits
     // for a drain request, then joins them and reports the totals
     while !server.shutdown_requested() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     let stats = server.shutdown();
-    println!(
+    say!(
         "drained: {} served ({} degraded, {} cache hits / {} misses), \
          {} shed, {} rejected, {} drained-at-shutdown, {} conn drops",
         stats.served,
@@ -675,7 +654,7 @@ fn cmd_client(args: &Args) -> Result<(), LdmoError> {
         max_candidates: args.number("candidates")?.or(defaults.max_candidates),
     };
     let report = client::run_soak(&cfg);
-    println!(
+    say!(
         "soak: {} sent, {} ok, {} degraded, {} cached, {} retried, \
          {} shed, {} draining, {} rejected, {} conn retries",
         report.sent,
@@ -690,7 +669,7 @@ fn cmd_client(args: &Args) -> Result<(), LdmoError> {
     );
     if args.switch("shutdown") {
         match client::shutdown(&cfg.addr) {
-            Ok(_) => println!("drain requested"),
+            Ok(_) => say!("drain requested"),
             Err(e) => eprintln!("drain request failed: {e}"),
         }
     }
@@ -707,6 +686,6 @@ fn cmd_client(args: &Args) -> Result<(), LdmoError> {
             ),
         });
     }
-    println!("soak clean: every request answered, zero poisoned");
+    say!("soak clean: every request answered, zero poisoned");
     Ok(())
 }

@@ -1,12 +1,14 @@
 //! Integration tests of the `ldmo` command-line binary.
 
+use ldmo::bench::report::{BenchReport, BenchResult};
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn ldmo() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ldmo"))
 }
 
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ldmo_cli_test_{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -364,7 +366,7 @@ fn every_subcommand_rejects_a_malformed_command_line_before_any_work() {
         ("chip C.lay", "--tile-sise 1", "--out"),
         ("train --pool 1", "--pol 2", "--out"),
         ("trace diff a.jsonl b.jsonl", "--treshold 2", "--threshold"),
-        ("bench-report bench_out", "--json-out x", "--metrics-addr"),
+        ("bench-report bench_out", "--json-out x", "--gate"),
         ("serve", "--queu 2", "--queue"),
         ("client --requests 0", "--shutdwn", "--addr"),
     ];
@@ -373,6 +375,7 @@ fn every_subcommand_rejects_a_malformed_command_line_before_any_work() {
         ("generate --seed=3 --count 2 --out d".into(), "--seed=3"),
         ("chip --tile-iter 1".into(), "--tile-iter"),
         ("info L.lay --sample-hz 50".into(), "--sample-hz"),
+        ("bench-report --gate bench_out".into(), "FRESH_DIR"),
     ];
     let equals: Vec<String> = rows.iter().map(|(_, _, v)| format!("{v}=1")).collect();
     for ((base, misspelt, valued), equals) in rows.iter().zip(&equals) {
@@ -477,25 +480,30 @@ fn report_commands_end_quietly_when_stdout_closes() {
     let dir = temp_dir("closed_stdout");
     let chip = ldmo_in(&dir, "chip --tiles 1x1 --tile-iters 1 --trace-out t.jsonl");
     assert!(chip.status.success(), "chip failed");
-    let reports = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_out");
-    let mut bench_report = ldmo();
-    bench_report.arg("bench-report").arg(reports);
-    let mut summarize = ldmo();
-    summarize.args(["trace", "summarize", "t.jsonl"]);
-    for (name, mut command) in [("bench-report", bench_report), ("summarize", summarize)] {
+    assert!(ldmo_in(&dir, "generate --seed 7 --out .").status.success());
+    let reports = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_out");
+    let reports = format!("bench-report {}", reports.display());
+    for line in [
+        reports.as_str(),
+        "trace summarize t.jsonl",
+        "help",
+        "info layout_7_0.lay",
+        "decompose layout_7_0.lay",
+    ] {
         // the read end is closed before the command starts writing; with
         // tracing on, a panic would also leave a flight dump
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
-        let out = command
+        let out = ldmo()
             .current_dir(&dir)
+            .args(line.split_whitespace())
             .args(["--trace-out", "g.jsonl"])
             .stdout(writer)
             .output()
             .expect("runs");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{name}: stderr: {err}");
-        assert!(!err.contains("panicked"), "{name}: stderr: {err}");
+        assert_eq!(out.status.code(), Some(0), "{line}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{line}: stderr: {err}");
     }
     let dumps: Vec<_> = std::fs::read_dir(&dir)
         .expect("temp dir")
@@ -503,5 +511,189 @@ fn report_commands_end_quietly_when_stdout_closes() {
         .filter(|name| name.starts_with("flight_"))
         .collect();
     assert!(dumps.is_empty(), "dumps written: {dumps:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flight_dump_names_the_revision_the_binary_was_built_from() {
+    let git = Command::new("git")
+        .args([
+            "-C",
+            env!("CARGO_MANIFEST_DIR"),
+            "rev-parse",
+            "--short",
+            "HEAD",
+        ])
+        .output()
+        .ok()
+        .filter(|o| o.status.success());
+    let rev = git.map_or("unknown".to_owned(), |o| {
+        String::from_utf8_lossy(&o.stdout).trim().to_owned()
+    });
+    // the temp dir is outside the source tree, so a revision looked up
+    // where the run started would read "unknown"
+    let dir = temp_dir("dump_git_rev");
+    assert!(ldmo_in(&dir, "generate --seed 7 --out .").status.success());
+    let out = ldmo()
+        .current_dir(&dir)
+        .env("LDMO_FAULTS", "panic@2")
+        .args([
+            "flow",
+            "layout_7_0.lay",
+            "--threads",
+            "2",
+            "--trace-out",
+            "t.jsonl",
+        ])
+        .output()
+        .expect("runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {err}");
+    let dump = std::fs::read_dir(&dir)
+        .expect("temp dir")
+        .filter_map(|e| Some(e.ok()?.path()))
+        .find(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("flight_"))
+        })
+        .unwrap_or_else(|| panic!("no flight dump; stderr: {err}"));
+    let text = std::fs::read_to_string(&dump).expect("dump reads");
+    let header = text.lines().next().expect("header line");
+    assert!(
+        header.contains(&format!("\"git_rev\":\"{rev}\"")),
+        "want git_rev {rev}: {header}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed `bench_out/` reports.
+fn committed_reports() -> Vec<BenchReport> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_out");
+    BenchReport::load_dir(&dir).expect("committed reports load")
+}
+
+/// The row `id` of `reports`.
+fn row<'a>(reports: &'a mut [BenchReport], id: &str) -> &'a mut BenchResult {
+    let mut rows = reports.iter_mut().flat_map(|r| &mut r.results);
+    rows.find(|r| r.id == id).expect("a committed row")
+}
+
+#[test]
+fn bench_gate_verdicts_on_edited_copies_of_the_committed_reports() {
+    type Edit = fn(&mut Vec<BenchReport>);
+    // (fixture, edit to the fresh copy, exit code, lines that must show)
+    let cases: [(&str, Edit, i32, &[&str]); 7] = [
+        (
+            "identical",
+            |_| {},
+            0,
+            &["compared 50 rows across 6 reports; 0 warning(s), 0 failure(s)"],
+        ),
+        (
+            "ten_times",
+            |r| row(r, "litho/aerial_image_224").median *= 10.0,
+            8,
+            &[
+                "[FAIL] kernels:litho/aerial_image_224",
+                "(kernels:litho/aerial_image_224)",
+            ],
+        ),
+        (
+            "four_times",
+            |r| row(r, "litho/aerial_image_224").median *= 4.0,
+            0,
+            &[
+                "[warn] kernels:litho/aerial_image_224",
+                "1 warning(s), 0 failure(s)",
+            ],
+        ),
+        (
+            "one_sided",
+            |r| {
+                r.retain(|report| report.name != "par");
+                row(r, "litho/aerial_image_224").id = "litho/renamed".into();
+            },
+            0,
+            &[
+                "[only-baseline] report par",
+                "[only-baseline] kernels:litho/aerial_image_224",
+                "[only-fresh]    kernels:litho/renamed",
+            ],
+        ),
+        (
+            "fast_flipped",
+            |r| {
+                r.iter_mut()
+                    .filter(|r| r.name == "chip")
+                    .for_each(|r| r.fast = false)
+            },
+            6,
+            &["bench report 'chip'", "fast mode differs"],
+        ),
+        (
+            "no_liveops",
+            |r| {
+                r.iter_mut()
+                    .for_each(|r| r.results.retain(|x| x.id != "ilt/step_liveops"))
+            },
+            6,
+            &["overhead row 'ilt/step_liveops'"],
+        ),
+        (
+            // a faster uncached round-trip puts the cached one at 3% of it
+            "slow_cache_hit",
+            |r| {
+                let hit = row(r, "serve/cached_requests_per_sec").median;
+                row(r, "serve/requests_per_sec").median = hit / 0.03;
+            },
+            8,
+            &[
+                "[FAIL] overhead serve/cached_requests_per_sec",
+                "0 warning(s), 1 failure(s)",
+            ],
+        ),
+    ];
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_out");
+    for (tag, edit, code, needles) in cases {
+        let dir = temp_dir(&format!("gate_{tag}"));
+        let mut reports = committed_reports();
+        edit(&mut reports);
+        for report in &reports {
+            report.write(&dir).expect("fixture written");
+        }
+        let out = ldmo()
+            .arg("bench-report")
+            .arg(&dir)
+            .arg("--gate")
+            .arg(&baseline)
+            .output()
+            .expect("runs");
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{tag}: {text}");
+        for needle in needles {
+            assert!(text.contains(needle), "{tag}: no '{needle}' in {text}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn bench_gate_rejects_a_malformed_report() {
+    let dir = temp_dir("gate_malformed");
+    for report in committed_reports() {
+        report.write(&dir).expect("fixture written");
+    }
+    std::fs::write(dir.join("BENCH_torn.json"), "{\"schema\":\"ldmo-bench-re").expect("writes");
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench_out");
+    let out = ldmo()
+        .arg("bench-report")
+        .arg(&dir)
+        .arg("--gate")
+        .arg(&baseline)
+        .output()
+        .expect("runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "stderr: {err}");
+    assert!(err.contains("BENCH_torn.json"), "stderr: {err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
