@@ -1,17 +1,20 @@
 //! Thread-pool scaling benchmarks: dataset labeling and candidate
-//! ranking at explicit pool sizes. Results are bit-identical across the
-//! sizes (see `tests/determinism_golden.rs`); these benches measure the
-//! wall-clock side of that guarantee.
+//! ranking at explicit pool sizes, and one ILT step with its masks on
+//! the pool's lanes. Results are bit-identical across the sizes (see
+//! `tests/determinism_golden.rs`); these benches measure the wall-clock
+//! side of that guarantee.
 
 use criterion::{criterion_group, Criterion};
 use ldmo_core::dataset::{build_dataset_pooled, DatasetConfig, SamplerKind};
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo_core::lanes::PoolLanes;
 use ldmo_core::sampling::SamplingConfig;
 use ldmo_decomp::{generate_candidates, DecompConfig};
 use ldmo_ilt::{IltConfig, IltContext};
 use ldmo_layout::cells;
 use ldmo_par::ThreadPool;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 const POOL_SIZES: [usize; 4] = [1, 2, 4, 8];
 
@@ -70,7 +73,29 @@ fn bench_rank_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_label_scaling, bench_rank_scaling);
+fn bench_step_lanes(c: &mut Criterion) {
+    // the BUF_X1 session of `ilt/step_workspace`, one lane per mask
+    let layout = cells::cell("BUF_X1").expect("known cell");
+    let ctx = IltContext::new(&IltConfig::default());
+    let mut group = c.benchmark_group("par");
+    group.sample_size(10);
+    for threads in [1, 2] {
+        let lanes = PoolLanes(ThreadPool::new(threads));
+        let lane_ctx = ctx.clone().with_lanes(Arc::new(lanes));
+        let mut session = lane_ctx.session(&layout, &[0, 1, 1, 0]);
+        group.bench_function(format!("step_lanes/{threads}"), |b| {
+            b.iter(|| session.step_one())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_label_scaling,
+    bench_rank_scaling,
+    bench_step_lanes
+);
 
 fn main() -> ExitCode {
     ldmo_bench::bench_main("par", benches)

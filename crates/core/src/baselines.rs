@@ -82,8 +82,9 @@ pub fn unified_flow(layout: &Layout, cfg: &UnifiedConfig) -> BaselineResult {
     let ds_start = Instant::now();
     let mut candidates = generate_candidates(layout, &cfg.decomp);
     candidates.truncate(cfg.max_initial.max(1));
-    // one kernel-bank expansion shared by every candidate session
-    let ctx = IltContext::new(&cfg.ilt);
+    // one kernel-bank expansion shared by every candidate session; the
+    // candidates step in turn, each on the global pool's lanes
+    let ctx = on_global_pool(IltContext::new(&cfg.ilt));
     let mut active: Vec<(MaskAssignment, IltSession)> = candidates
         .into_iter()
         .map(|c| {
@@ -161,7 +162,7 @@ pub fn two_stage_suald(layout: &Layout, ilt_cfg: &IltConfig) -> BaselineResult {
     let assignment = suald_decompose(layout);
     let ds_time = ds_start.elapsed();
     let mo_start = Instant::now();
-    let outcome = IltContext::new(ilt_cfg).optimize(layout, &assignment);
+    let outcome = on_global_pool(IltContext::new(ilt_cfg)).optimize(layout, &assignment);
     BaselineResult {
         name: "SUALD [16] + MOSAIC [6]",
         assignment,
@@ -169,6 +170,12 @@ pub fn two_stage_suald(layout: &Layout, ilt_cfg: &IltConfig) -> BaselineResult {
         decomposition_selection: ds_time,
         mask_optimization: mo_start.elapsed(),
     }
+}
+
+/// `ctx` with per-mask lanes on the global pool when it has two or more
+/// threads ([`crate::lanes::on_pool`]).
+fn on_global_pool(ctx: IltContext) -> IltContext {
+    crate::lanes::on_pool(ctx, &ldmo_par::global())
 }
 
 /// The SUALD-style greedy coloring, exposed for tests and ablations.
@@ -211,7 +218,7 @@ pub fn two_stage_bfs(layout: &Layout, ilt_cfg: &IltConfig) -> BaselineResult {
     let assignment = bfs_decompose(layout, &ClassifyConfig::default());
     let ds_time = ds_start.elapsed();
     let mo_start = Instant::now();
-    let outcome = IltContext::new(ilt_cfg).optimize(layout, &assignment);
+    let outcome = on_global_pool(IltContext::new(ilt_cfg)).optimize(layout, &assignment);
     BaselineResult {
         name: "LD-QP [17] + MOSAIC [6]",
         assignment,

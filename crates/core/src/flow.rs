@@ -144,8 +144,10 @@ impl LdmoFlow {
         }
     }
 
-    /// Replaces the pool used for candidate ranking (results are
-    /// bit-identical for any pool size).
+    /// Replaces the pool the flow runs on (results are bit-identical for
+    /// any pool size). It ranks candidates on the pool, and with two or
+    /// more threads each ILT step runs its per-mask forward and gradient
+    /// passes as lanes on it ([`crate::lanes`]).
     pub fn with_pool(mut self, pool: ldmo_par::ThreadPool) -> Self {
         self.pool = pool;
         self
@@ -197,6 +199,8 @@ impl LdmoFlow {
             self.rank_candidates(layout, &candidates, &ctx)
         };
 
+        // one candidate is optimized at a time, so its masks get the pool
+        let ctx = crate::lanes::on_pool(ctx, &self.pool);
         let mut scratch = None;
         let chosen = select::attempt_ladder(
             layout,

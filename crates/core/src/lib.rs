@@ -27,6 +27,7 @@
 //! - [`select`] — the violation-triggered reselection loop (rank →
 //!   abort-checked attempts → complete the best-ranked), shared by the
 //!   flow, `ldmo-chip` and `ldmo-serve`;
+//! - [`lanes`] — runs each ILT step's per-mask passes on a thread pool;
 //! - [`flow`] — the end-to-end [`flow::LdmoFlow`] with selection-strategy
 //!   ablations;
 //! - [`baselines`] — the comparison flows of Table I: the ICCAD'17 unified
@@ -46,6 +47,7 @@
 pub mod baselines;
 pub mod dataset;
 pub mod flow;
+pub mod lanes;
 pub mod predictor;
 pub mod sampling;
 pub mod score;

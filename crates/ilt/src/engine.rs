@@ -14,7 +14,11 @@
 //! the [`IltContext`] methods) stay non-generic because const-generic
 //! defaults do not drive type inference.
 
-use crate::gradient::{forward_multi_into, l2_gradient_multi_into, PairForward};
+use crate::gradient::{
+    combine_into, forward_multi_into, forward_one_into, gated_dl_dt_into, grad_one_mask_into,
+    l2_gradient_multi_into, GradLane, Optics, PairForward,
+};
+use crate::lanes::{run_lanes, LaneRunner};
 use ldmo_geom::Grid;
 use ldmo_guard::{fault, sampled_finite, Budget, DegradeReason, GuardPolicy, OutcomeHealth};
 use ldmo_layout::Layout;
@@ -152,9 +156,10 @@ impl<const K: usize> IltOutcome<K> {
     }
 }
 
-/// Recyclable per-worker session buffers: the litho workspace, forward
-/// artifacts and gradient fields — exactly the DESIGN.md §6 scratch a
-/// session allocates at construction. Labeling and ranking loops hand one
+/// Recyclable per-worker session buffers: the litho workspace (one per
+/// mask when the context has lanes), forward artifacts and gradient
+/// fields — exactly the DESIGN.md §6 scratch a session allocates at
+/// construction. Labeling and ranking loops hand one
 /// `Option<IltScratch>` per pool worker to
 /// [`IltContext::optimize_reusing`] / [`IltContext::evaluate_unoptimized_reusing`],
 /// which take the buffers when the grid shape matches and return them
@@ -165,7 +170,9 @@ impl<const K: usize> IltOutcome<K> {
 /// scratch is recycled, which is what keeps reuse bit-exact.
 #[derive(Debug, Clone)]
 pub struct IltScratch<const K: usize = 2> {
-    ws: LithoWorkspace,
+    /// Lane `i`'s workspace is `workspaces[i]`; without lanes every mask
+    /// runs on the one entry.
+    workspaces: Vec<LithoWorkspace>,
     fwd: PairForward,
     grads: [Grid; K],
 }
@@ -174,7 +181,7 @@ impl<const K: usize> IltScratch<K> {
     /// Whether these buffers fit a `width × height` session under a bank
     /// of `num_kernels` kernels.
     fn matches(&self, width: usize, height: usize, num_kernels: usize) -> bool {
-        self.ws.shape() == (width, height)
+        self.workspaces[0].shape() == (width, height)
             && self.fwd.printed.shape() == (width, height)
             && self.fwd.aerials[0].fields.len() == num_kernels
     }
@@ -191,10 +198,24 @@ impl<const K: usize> IltScratch<K> {
 /// context shares the one expansion — per-candidate loops no longer deep-
 /// copy the profile buffers (the `litho.kernel_expansions` counter stays
 /// O(1) in the candidate count; `tests/kernel_reload.rs` pins this).
-#[derive(Debug, Clone)]
+///
+/// A context may also carry a [`LaneRunner`] ([`IltContext::with_lanes`]),
+/// which every session spawned from it runs its per-mask jobs on.
+#[derive(Clone)]
 pub struct IltContext {
     cfg: IltConfig,
     bank: Arc<KernelBank>,
+    lanes: Option<Arc<dyn LaneRunner>>,
+}
+
+impl std::fmt::Debug for IltContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IltContext")
+            .field("cfg", &self.cfg)
+            .field("bank", &self.bank)
+            .field("lanes", &self.lanes.is_some())
+            .finish()
+    }
 }
 
 impl IltContext {
@@ -203,7 +224,18 @@ impl IltContext {
         IltContext {
             cfg: cfg.clone(),
             bank: Arc::new(KernelBank::paper_bank(&cfg.litho)),
+            lanes: None,
         }
+    }
+
+    /// This context with `runner` running the per-mask jobs of every
+    /// session spawned from it (forward pass, gradient, check and
+    /// snapshot prints; see [`LaneRunner`]). Such sessions hold one
+    /// litho workspace per mask instead of one; their outcomes are
+    /// bit-identical to the serial engine's.
+    pub fn with_lanes(mut self, runner: Arc<dyn LaneRunner>) -> Self {
+        self.lanes = Some(runner);
+        self
     }
 
     /// The configuration this context was built for.
@@ -217,7 +249,7 @@ impl IltContext {
     }
 
     /// Derives a context for a config variant (e.g. a different violation
-    /// policy), sharing this context's kernel bank.
+    /// policy), sharing this context's kernel bank and lanes.
     ///
     /// # Panics
     ///
@@ -230,6 +262,7 @@ impl IltContext {
         IltContext {
             cfg: cfg.clone(),
             bank: self.bank.clone(),
+            lanes: self.lanes.clone(),
         }
     }
 
@@ -241,7 +274,34 @@ impl IltContext {
     /// Panics if `assignment.len() != layout.len()` or contains mask
     /// indices other than 0/1.
     pub fn session(&self, layout: &Layout, assignment: &[u8]) -> IltSession {
-        IltSession::from_parts(layout, assignment, &self.cfg, self.bank.clone(), None)
+        self.prepare(layout, assignment)
+    }
+
+    /// [`IltContext::session`] for any mask count `K` (see
+    /// [`IltSession::prepare`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `K == 0`, `assignment.len() != layout.len()`, or an
+    /// assignment entry is `K` or more.
+    pub fn prepare<const K: usize>(&self, layout: &Layout, assignment: &[u8]) -> IltSession<K> {
+        self.session_reusing(layout, assignment, None)
+    }
+
+    fn session_reusing<const K: usize>(
+        &self,
+        layout: &Layout,
+        assignment: &[u8],
+        recycled: Option<IltScratch<K>>,
+    ) -> IltSession<K> {
+        IltSession::from_parts(
+            layout,
+            assignment,
+            &self.cfg,
+            self.bank.clone(),
+            self.lanes.clone(),
+            recycled,
+        )
     }
 
     /// Runs the full optimization loop (see [`optimize`]).
@@ -261,13 +321,7 @@ impl IltContext {
         assignment: &[u8],
         scratch: &mut Option<IltScratch>,
     ) -> IltOutcome {
-        let session = IltSession::from_parts(
-            layout,
-            assignment,
-            &self.cfg,
-            self.bank.clone(),
-            scratch.take(),
-        );
+        let session = self.session_reusing(layout, assignment, scratch.take());
         run_session_recycling(session, Some(scratch))
     }
 
@@ -287,13 +341,7 @@ impl IltContext {
         scratch: &mut Option<IltScratch>,
     ) -> IltOutcome {
         let mut span = ldmo_obs::span("ilt.evaluate");
-        let session = IltSession::from_parts(
-            layout,
-            assignment,
-            &self.cfg,
-            self.bank.clone(),
-            scratch.take(),
-        );
+        let session = self.session_reusing(layout, assignment, scratch.take());
         let outcome = session.snapshot(Vec::new(), None);
         *scratch = Some(session.into_scratch());
         span.set("epe", outcome.epe_violations() as f64);
@@ -311,10 +359,14 @@ pub struct IltSession<const K: usize = 2> {
     patterns: Vec<ldmo_geom::Rect>,
     cfg: IltConfig,
     bank: Arc<KernelBank>,
+    /// Runs the per-mask jobs; `None` runs the masks in turn on this
+    /// thread.
+    lanes: Option<Arc<dyn LaneRunner>>,
     target: Grid,
     corridors: [Grid; K],
     p: [Grid; K],
-    ws: LithoWorkspace,
+    /// One per mask with lanes, else one (see [`IltScratch`]).
+    workspaces: Vec<LithoWorkspace>,
     fwd: PairForward,
     grads: [Grid; K],
     iterations_done: usize,
@@ -357,7 +409,7 @@ impl<const K: usize> IltSession<K> {
     /// assignment entry is `K` or more.
     pub fn prepare(layout: &Layout, assignment: &[u8], cfg: &IltConfig) -> Self {
         let bank = Arc::new(KernelBank::paper_bank(&cfg.litho));
-        IltSession::from_parts(layout, assignment, cfg, bank, None)
+        IltSession::from_parts(layout, assignment, cfg, bank, None, None)
     }
 
     fn from_parts(
@@ -365,6 +417,7 @@ impl<const K: usize> IltSession<K> {
         assignment: &[u8],
         cfg: &IltConfig,
         bank: Arc<KernelBank>,
+        lanes: Option<Arc<dyn LaneRunner>>,
         recycled: Option<IltScratch<K>>,
     ) -> Self {
         if ldmo_obs::enabled() {
@@ -400,23 +453,30 @@ impl<const K: usize> IltSession<K> {
             .map(|d| d.map(|v| if v > 0.5 { p0 } else { -p0 }));
         let (w, h) = target.shape();
         let nk = bank.kernels().len();
-        let IltScratch { ws, fwd, grads } = match recycled {
+        let IltScratch {
+            mut workspaces,
+            fwd,
+            grads,
+        } = match recycled {
             Some(scratch) if scratch.matches(w, h, nk) => scratch,
             _ => IltScratch {
-                ws: LithoWorkspace::new(w, h),
+                workspaces: vec![LithoWorkspace::new(w, h)],
                 fwd: PairForward::zeros(w, h, K, nk),
                 grads: std::array::from_fn(|_| Grid::zeros(w, h)),
             },
         };
+        let lane_count = if lanes.is_some() { K } else { 1 };
+        workspaces.resize_with(lane_count, || LithoWorkspace::new(w, h));
         let best_p = p.clone();
         IltSession {
             patterns: layout.patterns().to_vec(),
             cfg: cfg.clone(),
             bank,
+            lanes,
             target,
             corridors,
             p,
-            ws,
+            workspaces,
             fwd,
             grads,
             iterations_done: 0,
@@ -488,18 +548,12 @@ impl<const K: usize> IltSession<K> {
     /// forward pass, gradients and scratch live in buffers owned by the
     /// session, and the per-iteration convergence record (L2, step norm)
     /// lands in the collector's preallocated buffer. With the collector
-    /// disabled the telemetry cost is one relaxed atomic load.
+    /// disabled the telemetry cost is one relaxed atomic load. With lanes
+    /// the per-mask passes run as jobs on the context's [`LaneRunner`];
+    /// the shared terms and the update run on the calling thread.
     pub fn step_one(&mut self) -> f64 {
         let step_start = ldmo_obs::enabled().then(std::time::Instant::now);
-        forward_multi_into(
-            &self.p,
-            &self.target,
-            self.cfg.theta_m,
-            &self.bank,
-            &self.cfg.litho,
-            &mut self.ws,
-            &mut self.fwd,
-        );
+        self.forward();
         let l2 = self.fwd.l2;
         let guard = self.cfg.guard;
         if guard.enabled {
@@ -519,15 +573,7 @@ impl<const K: usize> IltSession<K> {
                 self.best_l2 = l2;
             }
         }
-        l2_gradient_multi_into(
-            &self.fwd,
-            &self.target,
-            self.cfg.theta_m,
-            &self.bank,
-            &self.cfg.litho,
-            &mut self.ws,
-            &mut self.grads,
-        );
+        self.gradient();
         if fault::active() && fault::nan_grad_at(self.iterations_done) {
             // Poison a stride-aligned slot so the sampled scan (offset 0)
             // deterministically sees the injection.
@@ -564,6 +610,65 @@ impl<const K: usize> IltSession<K> {
         self.fwd.l2
     }
 
+    /// The forward pass into `self.fwd`: one job per mask (`M_i`, its
+    /// aerial image and `T_i`, on lane `i`'s workspace), then the
+    /// combined print and L2 on this thread.
+    fn forward(&mut self) {
+        let Some(runner) = self.lanes.as_deref() else {
+            return forward_multi_into(
+                &self.p,
+                &self.target,
+                self.cfg.theta_m,
+                &self.bank,
+                &self.cfg.litho,
+                &mut self.workspaces[0],
+                &mut self.fwd,
+            );
+        };
+        let optics = optics(&self.cfg, &self.bank);
+        let fwd = &mut self.fwd;
+        let per_mask = (fwd.masks.iter_mut().zip(&mut fwd.aerials)).zip(&mut fwd.resists);
+        let jobs = (self.p.iter().zip(&mut self.workspaces)).zip(per_mask).map(
+            |((p, ws), ((mask, aerial), resist))| {
+                move || forward_one_into(optics, p, &mut ws.conv, mask, aerial, resist)
+            },
+        );
+        run_lanes::<K, _>(runner, jobs);
+        combine_into(fwd, &self.target);
+    }
+
+    /// The gradients into `self.grads`: the gated `∂L/∂T` on this
+    /// thread, then one back-projection job per mask.
+    fn gradient(&mut self) {
+        let Some(runner) = self.lanes.as_deref() else {
+            return l2_gradient_multi_into(
+                &self.fwd,
+                &self.target,
+                self.cfg.theta_m,
+                &self.bank,
+                &self.cfg.litho,
+                &mut self.workspaces[0],
+                &mut self.grads,
+            );
+        };
+        let optics = optics(&self.cfg, &self.bank);
+        let (first, rest) = self
+            .workspaces
+            .split_first_mut()
+            .expect("a workspace per lane");
+        let (dl_dt, first) = GradLane::split(first);
+        gated_dl_dt_into(&self.fwd, &self.target, dl_dt);
+        let (dl_dt, fwd) = (&*dl_dt, &self.fwd);
+        let lanes = std::iter::once(first).chain(rest.iter_mut().map(|ws| GradLane::split(ws).1));
+        let jobs = lanes
+            .zip(&mut self.grads)
+            .enumerate()
+            .map(|(idx, (mut lane, out))| {
+                move || grad_one_mask_into(optics, fwd, idx, dl_dt, &mut lane, out)
+            });
+        run_lanes::<K, _>(runner, jobs);
+    }
+
     /// Runs `n` further iterations (no violation checks).
     pub fn step(&mut self, n: usize) {
         for _ in 0..n {
@@ -577,11 +682,19 @@ impl<const K: usize> IltSession<K> {
         combine_prints(&self.prints(&binarize(&self.p)))
     }
 
-    /// Per-mask prints `T_i` of binarized masks.
+    /// Per-mask prints `T_i` of binarized masks, one job per mask.
     fn prints(&self, masks: &[Grid; K]) -> [Grid; K] {
-        masks
-            .each_ref()
-            .map(|m| simulate_print(m, &self.bank, &self.cfg.litho))
+        let (bank, litho) = (&*self.bank, &self.cfg.litho);
+        let Some(runner) = self.lanes.as_deref() else {
+            return masks.each_ref().map(|m| simulate_print(m, bank, litho));
+        };
+        let mut prints: [Option<Grid>; K] = std::array::from_fn(|_| None);
+        let jobs = prints
+            .iter_mut()
+            .zip(masks)
+            .map(|(print, m)| move || *print = Some(simulate_print(m, bank, litho)));
+        run_lanes::<K, _>(runner, jobs);
+        prints.map(|print| print.expect("every lane ran"))
     }
 
     /// EPE report of the current print.
@@ -649,7 +762,7 @@ impl<const K: usize> IltSession<K> {
     /// shape (see [`IltScratch`]).
     fn into_scratch(self) -> IltScratch<K> {
         IltScratch {
-            ws: self.ws,
+            workspaces: self.workspaces,
             fwd: self.fwd,
             grads: self.grads,
         }
@@ -750,6 +863,15 @@ fn run_session_recycling<const K: usize>(
     span.set("epe", outcome.epe_violations() as f64);
     span.set("rollbacks", f64::from(outcome.rollbacks));
     outcome
+}
+
+/// The fixed inputs of the per-mask passes under `cfg`.
+fn optics<'a>(cfg: &'a IltConfig, bank: &'a KernelBank) -> Optics<'a> {
+    Optics {
+        theta_m: cfg.theta_m,
+        bank,
+        litho: &cfg.litho,
+    }
 }
 
 /// Telemetry: wall-time histogram of [`IltSession::step_one`], µs.
@@ -999,6 +1121,80 @@ mod tests {
         let later = session.step_one();
         assert!(later < first, "L2 {first} -> {later}");
         assert_eq!(session.iterations(), 10);
+    }
+
+    /// A lane runner that runs the jobs last to first, on this thread.
+    struct Reverse;
+
+    impl LaneRunner for Reverse {
+        fn run(&self, jobs: &mut [&mut (dyn FnMut() + Send)]) {
+            for job in jobs.iter_mut().rev() {
+                job();
+            }
+        }
+    }
+
+    /// A lane runner that runs the jobs in order, like the serial loop.
+    struct InOrder;
+
+    impl LaneRunner for InOrder {
+        fn run(&self, jobs: &mut [&mut (dyn FnMut() + Send)]) {
+            for job in jobs.iter_mut() {
+                job();
+            }
+        }
+    }
+
+    /// Runs `assignment` under abort checks (so the check prints run on
+    /// the lanes too) without lanes, with in-order lanes and with
+    /// reversed lanes; all three must agree bit for bit.
+    fn assert_lanes_match_serial<const K: usize>(layout: &Layout, assignment: &[u8]) {
+        let cfg = IltConfig {
+            policy: ViolationPolicy::AbortOnViolation,
+            abort_warmup: 3,
+            max_iterations: 9,
+            ..fast_cfg()
+        };
+        let serial = IltContext::new(&cfg);
+        let run = |ctx: &IltContext| ctx.prepare::<K>(layout, assignment).run();
+        let want = run(&serial);
+        let bits = |out: &IltOutcome<K>| -> Vec<u64> {
+            out.trajectory.iter().map(|s| s.l2.to_bits()).collect()
+        };
+        for runner in [Arc::new(InOrder) as Arc<dyn LaneRunner>, Arc::new(Reverse)] {
+            let got = run(&serial.clone().with_lanes(runner));
+            assert_eq!(got.masks, want.masks, "{K} masks");
+            assert_eq!(got.printed, want.printed, "{K} masks");
+            assert_eq!(got.l2.to_bits(), want.l2.to_bits(), "{K} masks");
+            assert_eq!(bits(&got), bits(&want), "{K} masks");
+            assert_eq!(got.aborted_at, want.aborted_at, "{K} masks");
+            assert_eq!(got.iterations_run, want.iterations_run, "{K} masks");
+        }
+    }
+
+    #[test]
+    fn reversed_lanes_match_the_serial_engine() {
+        assert_lanes_match_serial::<1>(&triangle_layout(), &[0, 0, 0]);
+        assert_lanes_match_serial::<2>(&quad_layout(60), &[0, 1, 1, 0]);
+        assert_lanes_match_serial::<3>(&triangle_layout(), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn scratch_recycles_between_serial_and_lane_contexts() {
+        let layout = quad_layout(60);
+        let cfg = IltConfig {
+            max_iterations: 4,
+            ..fast_cfg()
+        };
+        let serial = IltContext::new(&cfg);
+        let lanes = serial.clone().with_lanes(Arc::new(Reverse));
+        let want = serial.optimize(&layout, &[0, 1, 1, 0]);
+        let mut scratch = None;
+        for ctx in [&serial, &lanes, &serial] {
+            let got = ctx.optimize_reusing(&layout, &[0, 1, 1, 0], &mut scratch);
+            assert_eq!(got.l2.to_bits(), want.l2.to_bits());
+            assert_eq!(got.masks, want.masks);
+        }
     }
 
     #[test]

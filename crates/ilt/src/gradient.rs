@@ -20,7 +20,7 @@
 use ldmo_geom::Grid;
 use ldmo_litho::{
     aerial_image_into, combine_prints_into, resist_threshold_into, sigmoid, AerialImage,
-    KernelBank, LithoConfig, LithoWorkspace,
+    ConvScratch, GradScratch, KernelBank, LithoConfig, LithoWorkspace,
 };
 
 /// Forward-pass artifacts for a set of masks (two for the paper's double
@@ -56,6 +56,47 @@ impl PairForward {
     }
 }
 
+/// The fixed inputs of every per-mask pass: the Eq. 1 steepness, the
+/// kernel bank and the resist model.
+#[derive(Clone, Copy)]
+pub(crate) struct Optics<'a> {
+    pub(crate) theta_m: f32,
+    pub(crate) bank: &'a KernelBank,
+    pub(crate) litho: &'a LithoConfig,
+}
+
+/// The scratch one mask's back-projection writes: a [`LithoWorkspace`]
+/// without its `∂L/∂T`, which every mask reads.
+pub(crate) struct GradLane<'a> {
+    conv: &'a mut ConvScratch,
+    g_int: &'a mut Grid,
+    weighted: &'a mut Grid,
+    back: &'a mut Grid,
+}
+
+impl<'a> GradLane<'a> {
+    /// Splits `ws` into its `∂L/∂T` grid and the per-mask rest.
+    pub(crate) fn split(ws: &'a mut LithoWorkspace) -> (&'a mut Grid, GradLane<'a>) {
+        let LithoWorkspace {
+            conv,
+            grad:
+                GradScratch {
+                    dl_dt,
+                    g_int,
+                    weighted,
+                    back,
+                },
+        } = ws;
+        let lane = GradLane {
+            conv,
+            g_int,
+            weighted,
+            back,
+        };
+        (dl_dt, lane)
+    }
+}
+
 /// Runs the forward model for any number of mask parameter fields.
 ///
 /// Thin wrapper over [`forward_multi_into`] with transient buffers; hot
@@ -81,7 +122,9 @@ pub fn forward_multi(
 }
 
 /// Buffer-reuse variant of [`forward_multi`]: every artifact is written
-/// into `out` (fully overwritten). Allocation-free.
+/// into `out` (fully overwritten). Allocation-free. The masks run one
+/// after another on `ws`; a session with lanes runs the same per-mask
+/// pass as one job per mask instead.
 ///
 /// # Panics
 ///
@@ -102,17 +145,43 @@ pub fn forward_multi_into(
         ps.len(),
         "forward buffer mask count mismatch"
     );
-    for (mask, p) in out.masks.iter_mut().zip(ps) {
-        mask.map_from(p, |v| sigmoid(theta_m * v));
+    let optics = Optics {
+        theta_m,
+        bank,
+        litho,
+    };
+    let PairForward {
+        masks,
+        aerials,
+        resists,
+        ..
+    } = out;
+    for (((p, mask), aerial), resist) in ps.iter().zip(masks).zip(aerials).zip(resists) {
+        forward_one_into(optics, p, &mut ws.conv, mask, aerial, resist);
     }
-    for (aerial, mask) in out.aerials.iter_mut().zip(&out.masks) {
-        aerial_image_into(mask, bank, &mut ws.conv, aerial);
-    }
-    for (resist, aerial) in out.resists.iter_mut().zip(&out.aerials) {
-        resist_threshold_into(&aerial.intensity, litho, resist);
-    }
-    combine_prints_into(&out.resists, &mut out.printed);
-    out.l2 = out.printed.l2_dist_sq(target).expect("shapes match");
+    combine_into(out, target);
+}
+
+/// One mask's forward pass: `M_i = sigmoid(θm P_i)` (Eq. 1), its aerial
+/// image, and the resist image `T_i` (Eq. 2), each fully overwritten.
+pub(crate) fn forward_one_into(
+    optics: Optics<'_>,
+    p: &Grid,
+    conv: &mut ConvScratch,
+    mask: &mut Grid,
+    aerial: &mut AerialImage,
+    resist: &mut Grid,
+) {
+    mask.map_from(p, |v| sigmoid(optics.theta_m * v));
+    aerial_image_into(mask, optics.bank, conv, aerial);
+    resist_threshold_into(&aerial.intensity, optics.litho, resist);
+}
+
+/// The forward pass's shared terms, from every mask's `T_i`: the combined
+/// print `T = min(Σ T_i, 1)` (Eq. 3) and its L2 against `target`.
+pub(crate) fn combine_into(fwd: &mut PairForward, target: &Grid) {
+    combine_prints_into(&fwd.resists, &mut fwd.printed);
+    fwd.l2 = fwd.printed.l2_dist_sq(target).expect("shapes match");
 }
 
 /// Computes `∂L/∂P_i` for every mask of a forward pass.
@@ -133,7 +202,8 @@ pub fn l2_gradient_multi(
 }
 
 /// Buffer-reuse variant of [`l2_gradient_multi`]: the per-mask gradients
-/// are written into `grads` (fully overwritten). Allocation-free.
+/// are written into `grads` (fully overwritten). Allocation-free. The
+/// masks run one after another on `ws`.
 ///
 /// # Panics
 ///
@@ -152,57 +222,64 @@ pub fn l2_gradient_multi_into(
         fwd.masks.len(),
         "gradient buffer mask count mismatch"
     );
-    // ∂L/∂T gated by the min branch: zero where Σ T_i ≥ 1
-    {
-        let t = fwd.printed.as_slice();
-        let tp = target.as_slice();
-        let out = ws.grad.dl_dt.as_mut_slice();
-        assert_eq!(t.len(), out.len(), "output shape mismatch");
-        for i in 0..out.len() {
-            let sum: f32 = fwd.resists.iter().map(|r| r.as_slice()[i]).sum();
-            let gate = if sum < 1.0 { 1.0 } else { 0.0 };
-            out[i] = 2.0 * (t[i] - tp[i]) * gate;
-        }
-    }
+    let optics = Optics {
+        theta_m,
+        bank,
+        litho,
+    };
+    let (dl_dt, mut lane) = GradLane::split(ws);
+    gated_dl_dt_into(fwd, target, dl_dt);
     for (idx, out) in grads.iter_mut().enumerate() {
-        grad_one_mask_into(fwd, idx, theta_m, bank, litho, ws, out);
+        grad_one_mask_into(optics, fwd, idx, dl_dt, &mut lane, out);
     }
 }
 
-/// Workspace-backed gradient of one mask. Expects `ws.grad.dl_dt` to hold
-/// the gated `∂L/∂T`; uses the remaining scratch grids and overwrites `out`.
-fn grad_one_mask_into(
+/// `∂L/∂T = 2 (T − T′)`, gated by the min branch of Eq. 3: zero where
+/// `Σ T_i ≥ 1`. The one gradient term every mask shares.
+pub(crate) fn gated_dl_dt_into(fwd: &PairForward, target: &Grid, dl_dt: &mut Grid) {
+    let t = fwd.printed.as_slice();
+    let tp = target.as_slice();
+    let out = dl_dt.as_mut_slice();
+    assert_eq!(t.len(), out.len(), "output shape mismatch");
+    for i in 0..out.len() {
+        let sum: f32 = fwd.resists.iter().map(|r| r.as_slice()[i]).sum();
+        let gate = if sum < 1.0 { 1.0 } else { 0.0 };
+        out[i] = 2.0 * (t[i] - tp[i]) * gate;
+    }
+}
+
+/// One mask's gradient `∂L/∂P_idx` from the shared `dl_dt`, on `lane`'s
+/// scratch; overwrites `out`.
+pub(crate) fn grad_one_mask_into(
+    optics: Optics<'_>,
     fwd: &PairForward,
     idx: usize,
-    theta_m: f32,
-    bank: &KernelBank,
-    litho: &LithoConfig,
-    ws: &mut LithoWorkspace,
+    dl_dt: &Grid,
+    lane: &mut GradLane<'_>,
     out: &mut Grid,
 ) {
-    assert_eq!(out.shape(), ws.grad.dl_dt.shape(), "output shape mismatch");
+    assert_eq!(out.shape(), dl_dt.shape(), "output shape mismatch");
     // G = ∂L/∂I_i = dl_dt ⊙ θz T_i (1 − T_i)
     {
         let t = fwd.resists[idx].as_slice();
-        let d = ws.grad.dl_dt.as_slice();
-        let g = ws.grad.g_int.as_mut_slice();
+        let d = dl_dt.as_slice();
+        let g = lane.g_int.as_mut_slice();
+        let theta_z = optics.litho.theta_z;
         for i in 0..g.len() {
-            g[i] = d[i] * litho.theta_z * t[i] * (1.0 - t[i]);
+            g[i] = d[i] * theta_z * t[i] * (1.0 - t[i]);
         }
     }
     // ∂L/∂M_i = Σ_k 2 w_k (G ⊙ field_k) ⊗ h_k
     out.fill(0.0);
-    for (k, kernel) in bank.kernels().iter().enumerate() {
+    for (k, kernel) in optics.bank.kernels().iter().enumerate() {
         let field = &fwd.aerials[idx].fields[k];
-        ws.grad
-            .weighted
-            .zip_from(&ws.grad.g_int, field, |g, f| g * f);
+        lane.weighted.zip_from(lane.g_int, field, |g, f| g * f);
         // back-projection is a correlation with h_k; every profile is a
         // palindrome, so it equals the convolution `field_into` computes
-        kernel.field_into(&ws.grad.weighted, &mut ws.conv, &mut ws.grad.back);
+        kernel.field_into(lane.weighted, lane.conv, lane.back);
         let wk = 2.0 * kernel.weight() as f32;
         let acc = out.as_mut_slice();
-        for (a, &b) in acc.iter_mut().zip(ws.grad.back.as_slice()) {
+        for (a, &b) in acc.iter_mut().zip(lane.back.as_slice()) {
             *a += wk * b;
         }
     }
@@ -210,7 +287,7 @@ fn grad_one_mask_into(
     let m = fwd.masks[idx].as_slice();
     let s = out.as_mut_slice();
     for i in 0..s.len() {
-        s[i] *= theta_m * m[i] * (1.0 - m[i]);
+        s[i] *= optics.theta_m * m[i] * (1.0 - m[i]);
     }
 }
 

@@ -24,6 +24,10 @@
 //! policy and allocation-free step; [`greedy_coloring`] produces its
 //! assignments.
 //!
+//! A context built with [`IltContext::with_lanes`] runs each step's
+//! per-mask forward and gradient passes as jobs on a caller-supplied
+//! [`LaneRunner`]; the outcome is bit-identical to the serial engine's.
+//!
 //! ```no_run
 //! use ldmo_geom::Rect;
 //! use ldmo_layout::Layout;
@@ -39,6 +43,7 @@
 
 mod engine;
 mod gradient;
+mod lanes;
 pub mod multi;
 
 pub use engine::{
@@ -48,6 +53,7 @@ pub use engine::{
 pub use gradient::{
     forward_multi, forward_multi_into, l2_gradient_multi, l2_gradient_multi_into, PairForward,
 };
+pub use lanes::LaneRunner;
 // Guard vocabulary used in this crate's public API (IltConfig carries the
 // policy and budget; IltOutcome carries the health verdict).
 pub use ldmo_guard::{Budget, DegradeReason, GuardPolicy, OutcomeHealth};

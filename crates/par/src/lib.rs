@@ -27,6 +27,12 @@
 //! scratch state — so `--threads 1` is byte-for-byte the pre-parallel
 //! engine.
 //!
+//! [`ThreadPool::run_each`] is the allocation-free region for a handful of
+//! coarse jobs the caller owns (one ILT step's per-mask passes): the caller
+//! and the helpers claim jobs from an atomic counter, and once every job
+//! is claimed the caller retracts the region, so a helper that has not
+//! woken yet never holds the caller up.
+//!
 //! Telemetry: every top-level region adds its item count to the `par.tasks`
 //! counter, and workers adopt the dispatching thread's innermost span as
 //! their parent (via `ldmo_obs::adopt_parent_span`), so spans opened inside
@@ -46,7 +52,7 @@ use std::cell::Cell;
 use std::marker::PhantomData;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -65,8 +71,8 @@ fn lock_pool<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One parallel region, type-erased for broadcast to the resident workers.
 /// `data` points at a stack-allocated region context on the dispatching
-/// thread, which blocks until every worker reports done — the pointer never
-/// outlives its referent.
+/// thread, which clears the job and waits until no helper is inside it
+/// before returning — the pointer never outlives its referent.
 #[derive(Clone, Copy)]
 struct Job {
     data: *const (),
@@ -74,15 +80,20 @@ struct Job {
 }
 
 // The region context behind `data` only holds `Sync` references (items,
-// closures) plus a results pointer written at disjoint indices.
+// closures) plus pointers to results or `Send` jobs that each index's one
+// claimant touches.
 unsafe impl Send for Job {}
 
 struct State {
     /// Region generation counter; workers run one job per new epoch.
     epoch: u64,
+    /// The current epoch's job; `None` once the dispatcher retracted it
+    /// ([`ThreadPool::run_each`]), so a helper that wakes late skips it.
     job: Option<Job>,
-    /// Helpers still running the current epoch's job.
-    remaining: usize,
+    /// Helpers inside the current epoch's job.
+    active: usize,
+    /// Helpers that finished the current epoch's job.
+    finished: usize,
     shutdown: bool,
 }
 
@@ -136,7 +147,11 @@ fn worker_loop(shared: Arc<Shared>, index: usize, total: usize) {
                 }
                 if st.epoch != last_epoch {
                     last_epoch = st.epoch;
-                    break st.job.expect("job published with its epoch");
+                    // a retracted region has no job left for this helper
+                    if let Some(job) = st.job {
+                        st.active += 1;
+                        break job;
+                    }
                 }
                 st = shared
                     .work_cv
@@ -146,14 +161,13 @@ fn worker_loop(shared: Arc<Shared>, index: usize, total: usize) {
         };
         IN_REGION.with(|f| f.set(true));
         // Soundness: the dispatcher keeps the region context alive until
-        // `remaining` hits 0 below.
+        // `active` falls back to 0 below.
         unsafe { (job.run)(job.data, index, total) };
         IN_REGION.with(|f| f.set(false));
         let mut st = lock_pool(&shared.state);
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done_cv.notify_all();
-        }
+        st.active -= 1;
+        st.finished += 1;
+        shared.done_cv.notify_all();
     }
 }
 
@@ -167,6 +181,9 @@ fn chunk_bounds(n: usize, index: usize, total: usize) -> (usize, usize) {
     (start, start + base + usize::from(index < rem))
 }
 
+/// The first panic payload of a region, re-raised on the dispatcher.
+type PanicSlot = Mutex<Option<Box<dyn Any + Send + 'static>>>;
+
 /// Region context for [`ThreadPool::par_map_init`], shared by reference
 /// with every worker for the duration of one region.
 struct MapCtx<'a, T, S, R, I, F> {
@@ -178,7 +195,7 @@ struct MapCtx<'a, T, S, R, I, F> {
     /// Innermost span of the dispatching thread, adopted by workers.
     parent_span: u64,
     /// First panic payload from any worker (the dispatcher re-raises it).
-    panic: &'a Mutex<Option<Box<dyn Any + Send + 'static>>>,
+    panic: &'a PanicSlot,
     /// When the region was published — resident workers measure their
     /// queue wait against it (self-profiling; only read with obs enabled).
     published: Instant,
@@ -203,7 +220,8 @@ where
     if profiling && index > 0 {
         // publish-to-pickup latency of a resident worker (the dispatcher
         // is index 0 and starts immediately)
-        ldmo_obs::histogram("par.worker_wait_us")
+        metric_handles()
+            .worker_wait
             .record(ctx.published.elapsed().as_micros() as u64);
     }
     let chunk_start = profiling.then(Instant::now);
@@ -222,7 +240,7 @@ where
     }
     if let Some(t0) = chunk_start {
         let busy = t0.elapsed().as_micros() as u64;
-        ldmo_obs::histogram("par.worker_busy_us").record(busy);
+        metric_handles().worker_busy.record(busy);
         ctx.busy_us.fetch_add(busy, Ordering::Relaxed);
     }
     if let Err(payload) = result {
@@ -269,7 +287,8 @@ impl ThreadPool {
             state: Mutex::new(State {
                 epoch: 0,
                 job: None,
-                remaining: 0,
+                active: 0,
+                finished: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -297,6 +316,45 @@ impl ThreadPool {
     /// Total workers, including the calling thread.
     pub fn threads(&self) -> usize {
         self.inner.threads
+    }
+
+    /// Publishes `job` as a new epoch and wakes every helper.
+    fn publish(&self, job: Job) {
+        let mut st = lock_pool(&self.inner.shared.state);
+        st.epoch += 1;
+        st.job = Some(job);
+        st.finished = 0;
+        self.inner.shared.work_cv.notify_all();
+    }
+
+    /// Waits until every helper has run the published job — each owns a
+    /// static chunk of it — and clears it.
+    fn join_all(&self) {
+        let mut st = lock_pool(&self.inner.shared.state);
+        while st.finished < self.inner.threads - 1 {
+            st = self
+                .inner
+                .shared
+                .done_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        st.job = None;
+    }
+
+    /// Retracts the published job, so a helper that has not picked it up
+    /// yet skips it, and waits for the helpers already inside it.
+    fn retract(&self) {
+        let mut st = lock_pool(&self.inner.shared.state);
+        st.job = None;
+        while st.active > 0 {
+            st = self
+                .inner
+                .shared
+                .done_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     /// Maps `f` over `items`, preserving order: `result[i] == f(&items[i])`
@@ -330,7 +388,7 @@ impl ThreadPool {
         }
         let nested = in_region();
         if !nested && ldmo_obs::enabled() {
-            ldmo_obs::counter("par.tasks").add(n as u64);
+            metric_handles().tasks.add(n as u64);
         }
         if self.inner.threads == 1 || n == 1 || nested {
             // the exact serial code path: one scratch state, a plain fold
@@ -358,38 +416,14 @@ impl ThreadPool {
         let run = run_map_chunk::<T, S, R, I, F>;
 
         let _region = lock_pool(&self.inner.region);
-        {
-            let mut st = lock_pool(&self.inner.shared.state);
-            st.epoch += 1;
-            st.job = Some(Job { data, run });
-            st.remaining = self.inner.threads - 1;
-            self.inner.shared.work_cv.notify_all();
-        }
+        self.publish(Job { data, run });
         // the dispatcher works chunk 0 itself (panics are caught inside)
         IN_REGION.with(|flag| flag.set(true));
         unsafe { run(data, 0, self.inner.threads) };
         IN_REGION.with(|flag| flag.set(false));
-        {
-            let mut st = lock_pool(&self.inner.shared.state);
-            while st.remaining > 0 {
-                st = self
-                    .inner
-                    .shared
-                    .done_cv
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            st.job = None;
-        }
+        self.join_all();
         if ldmo_obs::enabled() {
-            // region-level self-profiling: wall time plus the fraction of
-            // the pool's capacity that was actually busy (1.0 = perfectly
-            // utilized, low values = imbalance or item scarcity)
-            let wall_us = region_start.elapsed().as_micros() as u64;
-            ldmo_obs::histogram("par.region_us").record(wall_us);
-            let busy = busy_us.load(Ordering::Relaxed) as f64;
-            ldmo_obs::gauge("par.busy_fraction")
-                .set(busy / (wall_us.max(1) as f64 * self.inner.threads as f64));
+            record_region(region_start, &busy_us, self.inner.threads);
         }
 
         if let Some(payload) = panic_slot
@@ -403,6 +437,143 @@ impl ThreadPool {
         // every slot 0..n was written by exactly one disjoint chunk
         let mut out = ManuallyDrop::new(out);
         unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Caller-owned jobs
+// ---------------------------------------------------------------------------
+
+/// Region context for [`ThreadPool::run_each`], shared by reference with
+/// the helpers that pick the region up before the caller retracts it.
+struct EachCtx<J> {
+    /// The caller's jobs; job `i` runs on whichever thread claims `i`.
+    jobs: *mut J,
+    len: usize,
+    /// The next unclaimed job index.
+    next: AtomicUsize,
+    /// First panic payload from any job (the caller re-raises it).
+    panic: PanicSlot,
+    /// Summed busy microseconds of the participating threads.
+    busy_us: AtomicU64,
+}
+
+/// Runs `job`, keeping its panic payload in `slot` if it is the first.
+fn run_caught<J: FnMut()>(job: &mut J, slot: &PanicSlot) {
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(job)) {
+        lock_pool(slot).get_or_insert(payload);
+    }
+}
+
+/// Claims and runs jobs of an [`EachCtx`] until none is left.
+unsafe fn claim_jobs<J: FnMut() + Send>(data: *const (), _index: usize, _total: usize) {
+    let ctx = unsafe { &*data.cast::<EachCtx<J>>() };
+    let started = ldmo_obs::enabled().then(Instant::now);
+    loop {
+        let i = ctx.next.fetch_add(1, Ordering::Relaxed);
+        if i >= ctx.len {
+            break;
+        }
+        // the counter hands out each index once, so no other thread
+        // touches job i
+        run_caught(unsafe { &mut *ctx.jobs.add(i) }, &ctx.panic);
+    }
+    if let Some(t0) = started {
+        let busy = t0.elapsed().as_micros() as u64;
+        metric_handles().worker_busy.record(busy);
+        ctx.busy_us.fetch_add(busy, Ordering::Relaxed);
+    }
+}
+
+/// The pool's self-profiling metrics, registered once: a registry lookup
+/// locks a process-wide mutex, which [`ThreadPool::run_each`] keeps off
+/// its path.
+struct MetricHandles {
+    tasks: ldmo_obs::Counter,
+    worker_wait: ldmo_obs::Histogram,
+    worker_busy: ldmo_obs::Histogram,
+    region: ldmo_obs::Histogram,
+    busy_fraction: ldmo_obs::Gauge,
+}
+
+fn metric_handles() -> &'static MetricHandles {
+    static HANDLES: OnceLock<MetricHandles> = OnceLock::new();
+    HANDLES.get_or_init(|| MetricHandles {
+        tasks: ldmo_obs::counter("par.tasks"),
+        worker_wait: ldmo_obs::histogram("par.worker_wait_us"),
+        worker_busy: ldmo_obs::histogram("par.worker_busy_us"),
+        region: ldmo_obs::histogram("par.region_us"),
+        busy_fraction: ldmo_obs::gauge("par.busy_fraction"),
+    })
+}
+
+/// Region-level self-profiling: wall time plus the fraction of the pool's
+/// capacity that was busy (1.0 = fully used; low values = imbalance or
+/// too few items).
+fn record_region(start: Instant, busy_us: &AtomicU64, threads: usize) {
+    let wall_us = start.elapsed().as_micros() as u64;
+    let handles = metric_handles();
+    handles.region.record(wall_us);
+    let busy = busy_us.load(Ordering::Relaxed) as f64;
+    handles
+        .busy_fraction
+        .set(busy / (wall_us.max(1) as f64 * threads as f64));
+}
+
+impl ThreadPool {
+    /// Runs every job in `jobs` exactly once and returns when all have
+    /// finished: the allocation-free region for a few coarse jobs whose
+    /// state the caller owns, such as one ILT step's per-mask passes.
+    ///
+    /// The caller and the helpers claim jobs from an atomic counter, so
+    /// which thread runs a job depends on timing; each job must write
+    /// only what it captured, which keeps the results independent of
+    /// it. Once every job is claimed the caller retracts the region: a
+    /// helper that has not woken up by then skips it instead of holding
+    /// the caller up. A one-thread pool, a single job and a call from
+    /// inside a region run the jobs in order on the calling thread. A
+    /// panicking job does not stop the others; the first panic is
+    /// re-raised once every job has run.
+    pub fn run_each<J: FnMut() + Send>(&self, jobs: &mut [J]) {
+        let nested = in_region();
+        let profiling = ldmo_obs::enabled();
+        if !nested && profiling {
+            metric_handles().tasks.add(jobs.len() as u64);
+        }
+        let ctx = EachCtx {
+            jobs: jobs.as_mut_ptr(),
+            len: jobs.len(),
+            next: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            busy_us: AtomicU64::new(0),
+        };
+        if self.inner.threads == 1 || jobs.len() <= 1 || nested {
+            for job in jobs.iter_mut() {
+                run_caught(job, &ctx.panic);
+            }
+        } else {
+            let data = (&ctx as *const EachCtx<J>).cast::<()>();
+            let region_start = Instant::now();
+            let _region = lock_pool(&self.inner.region);
+            self.publish(Job {
+                data,
+                run: claim_jobs::<J>,
+            });
+            IN_REGION.with(|flag| flag.set(true));
+            unsafe { claim_jobs::<J>(data, 0, self.inner.threads) };
+            IN_REGION.with(|flag| flag.set(false));
+            self.retract();
+            if profiling {
+                record_region(region_start, &ctx.busy_us, self.inner.threads);
+            }
+        }
+        if let Some(payload) = ctx
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+        {
+            panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -710,6 +881,82 @@ mod tests {
         // possibly-corrupt scratch was thrown away
         assert_eq!(out[6], Ok((6, 1)));
         assert_eq!(inits.load(Ordering::SeqCst), 2, "initial + one rebuild");
+    }
+
+    #[test]
+    fn run_each_runs_every_job_once() {
+        for threads in 1..=4 {
+            let pool = ThreadPool::new(threads);
+            for n in 0..=5 {
+                let mut runs = vec![0u32; n];
+                let mut jobs: Vec<_> = runs.iter_mut().map(|r| move || *r += 1).collect();
+                pool.run_each(&mut jobs);
+                drop(jobs);
+                assert!(runs.iter().all(|&r| r == 1), "{n} jobs, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn run_each_is_serial_when_nested() {
+        let pool = ThreadPool::new(4);
+        let outer: Vec<usize> = (0..4).collect();
+        let orders = pool.par_map(&outer, |_| {
+            let order = Mutex::new(Vec::new());
+            let mut jobs: Vec<_> = (0..5)
+                .map(|i| {
+                    let order = &order;
+                    move || {
+                        order.lock().unwrap().push((i, thread::current().id()));
+                    }
+                })
+                .collect();
+            pool.run_each(&mut jobs);
+            drop(jobs);
+            order.into_inner().unwrap()
+        });
+        for order in orders {
+            let indices: Vec<usize> = order.iter().map(|&(i, _)| i).collect();
+            assert_eq!(indices, [0, 1, 2, 3, 4], "nested jobs run in order");
+            assert!(order.iter().all(|&(_, t)| t == order[0].1), "on one thread");
+        }
+    }
+
+    #[test]
+    fn run_each_reraises_a_panic_after_the_other_jobs() {
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let mut runs = [0u32; 5];
+            let result = {
+                let mut jobs: Vec<_> = runs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, r)| {
+                        move || {
+                            assert!(i != 1, "injected failure");
+                            *r += 1;
+                        }
+                    })
+                    .collect();
+                panic::catch_unwind(AssertUnwindSafe(|| pool.run_each(&mut jobs)))
+            };
+            let payload = result.expect_err("the job's panic reaches the caller");
+            assert_eq!(panic_message(payload.as_ref()), "injected failure");
+            assert_eq!(runs, [1, 0, 1, 1, 1], "{threads} threads");
+            // the pool stays usable for both kinds of region
+            let mut count = AtomicUsize::new(0);
+            let mut jobs: Vec<_> = (0..3)
+                .map(|_| {
+                    || {
+                        count.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .collect();
+            pool.run_each(&mut jobs);
+            drop(jobs);
+            assert_eq!(*count.get_mut(), 3);
+            assert_eq!(pool.par_map(&[1, 2, 3], |&x: &i32| x * 2), [2, 4, 6]);
+        }
     }
 
     #[test]

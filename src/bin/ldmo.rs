@@ -325,6 +325,10 @@ fn cmd_flow(args: &Args) -> Result<(), LdmoError> {
     );
     say!("health:                 {:?}", result.outcome.health);
     say!(
+        "masks:                  {}",
+        ldmo::serve::mask_hash(&result.outcome.masks)
+    );
+    say!(
         "time: {:.2}s selection + {:.2}s optimization",
         result.timing.decomposition_selection.as_secs_f64(),
         result.timing.mask_optimization.as_secs_f64()

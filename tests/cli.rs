@@ -325,6 +325,36 @@ fn flow_rejects_missing_predictor_weights() {
 }
 
 #[test]
+fn flow_names_its_masks_identically_at_1_and_2_threads() {
+    // each ILT step runs its masks as lanes on a 2-thread pool; the
+    // output, mask hash included, must not depend on it
+    let dir = temp_dir("flow_masks");
+    assert!(ldmo_in(&dir, "generate --seed 7 --out .").status.success());
+    let run = |threads: &str| {
+        let out = ldmo_in(&dir, &format!("flow layout_7_0.lay --threads {threads}"));
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "stdout: {text}");
+        text
+    };
+    let (one, two) = (run("1"), run("2"));
+    let hash = one
+        .lines()
+        .find_map(|l| l.strip_prefix("masks:"))
+        .unwrap_or_else(|| panic!("no masks line: {one}"))
+        .trim();
+    assert!(
+        hash.len() == 16 && hash.chars().all(|c| c.is_ascii_hexdigit()),
+        "masks line: {hash}"
+    );
+    let untimed = |text: &str| -> Vec<String> {
+        let lines = text.lines().filter(|l| !l.starts_with("time:"));
+        lines.map(str::to_owned).collect()
+    };
+    assert_eq!(untimed(&one), untimed(&two));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn malformed_fault_spec_exits_with_fault_code() {
     let out = ldmo()
         .env("LDMO_FAULTS", "warp-core@3")
@@ -587,7 +617,7 @@ fn bench_gate_verdicts_on_edited_copies_of_the_committed_reports() {
             "identical",
             |_| {},
             0,
-            &["compared 50 rows across 6 reports; 0 warning(s), 0 failure(s)"],
+            &["compared 52 rows across 6 reports; 0 warning(s), 0 failure(s)"],
         ),
         (
             "ten_times",

@@ -8,16 +8,17 @@
 //! A change here means the numerical behaviour of the engine changed, which
 //! must be deliberate (and re-pinned with justification).
 
-use ldmo_core::baselines::suald_decompose;
+use ldmo_core::baselines::{suald_decompose, unified_flow, UnifiedConfig};
 use ldmo_core::dataset::{build_dataset, DatasetConfig, SamplerKind};
 use ldmo_core::flow::{FlowConfig, LdmoFlow, SelectionStrategy};
+use ldmo_core::lanes::PoolLanes;
 use ldmo_core::predictor::PrintabilityPredictor;
 use ldmo_core::sampling::SamplingConfig;
 use ldmo_core::trainer::{train, TrainConfig};
-use ldmo_ilt::{optimize, IltConfig};
+use ldmo_ilt::{optimize, IltConfig, IltContext};
 use ldmo_layout::cells;
 use ldmo_nn::layers::Layer;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The thread pool is process-global, so the threaded cross-checks (and
 /// the pinned test, which must see the serial path) serialize on this.
@@ -176,6 +177,34 @@ fn golden_holds_on_every_backend_at_1_and_4_threads() {
 }
 
 #[test]
+fn golden_holds_on_lanes_at_1_2_and_4_threads() {
+    // each step's per-mask passes run as jobs on the pool; each job
+    // writes only its own mask's buffers, so the lanes change no bit
+    let (_, layout) = cells::all_cells().into_iter().next().expect("cells");
+    let assignment = suald_decompose(&layout);
+    let cfg = IltConfig::default();
+    let bare = optimize(&layout, &assignment, &cfg);
+    let trajectory = |out: &ldmo_ilt::IltOutcome| -> Vec<u64> {
+        out.trajectory.iter().map(|s| s.l2.to_bits()).collect()
+    };
+    for threads in [1, 2, 4] {
+        let lanes = PoolLanes(ldmo::par::ThreadPool::new(threads));
+        let out = IltContext::new(&cfg)
+            .with_lanes(Arc::new(lanes))
+            .optimize(&layout, &assignment);
+        assert_eq!(
+            format!("{:.3e}", out.l2),
+            "8.970e2",
+            "golden broke on lanes at {threads} threads: {:.10e}",
+            out.l2
+        );
+        assert_eq!(out.l2.to_bits(), bare.l2.to_bits(), "{threads} threads");
+        assert_eq!(out.masks, bare.masks, "{threads} threads");
+        assert_eq!(trajectory(&out), trajectory(&bare), "{threads} threads");
+    }
+}
+
+#[test]
 fn golden_holds_with_live_ops_enabled() {
     // the live-ops layer is an observer, not a participant: with the
     // collector recording every span close and convergence row (the
@@ -288,14 +317,44 @@ fn flow_run_is_thread_count_invariant() {
         },
         ..FlowConfig::default()
     };
-    let (a, b) = serial_vs_threaded(|| {
-        // LdmoFlow::new captures the global pool, so build inside
-        LdmoFlow::new(cfg.clone(), SelectionStrategy::LithoProxy).run(&layout)
-    });
+    // the paper's CNN ranks on the calling thread, the proxy on the
+    // pool; both optimize on the pool's lanes when it has 4 threads
+    let strategies: [fn() -> SelectionStrategy; 2] = [
+        || SelectionStrategy::LithoProxy,
+        || SelectionStrategy::Cnn(Box::new(PrintabilityPredictor::lite(3))),
+    ];
+    for strategy in strategies {
+        let (a, b) = serial_vs_threaded(|| {
+            // LdmoFlow::new captures the global pool, so build inside
+            LdmoFlow::new(cfg.clone(), strategy()).run(&layout)
+        });
+        let name = format!("{:?}", strategy());
+        assert_eq!(a.assignment, b.assignment, "{name}");
+        assert_eq!(a.attempts, b.attempts, "{name}");
+        assert_eq!(a.candidates, b.candidates, "{name}");
+        assert_eq!(a.outcome.l2.to_bits(), b.outcome.l2.to_bits(), "{name}");
+        assert_eq!(a.outcome.epe.violations(), b.outcome.epe.violations());
+        assert_eq!(a.outcome.masks, b.outcome.masks, "{name}");
+    }
+}
+
+#[test]
+fn table1_baseline_is_thread_count_invariant() {
+    // the ICCAD'17 unified baseline steps every candidate on the global
+    // pool's lanes and prunes on their snapshot prints
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, layout) = cells::all_cells().into_iter().next().expect("cells");
+    let mut cfg = UnifiedConfig::default();
+    cfg.ilt.max_iterations = 6;
+    let mut outcomes = Vec::new();
+    for threads in [1, 2] {
+        ldmo::par::set_global_threads(threads);
+        outcomes.push(unified_flow(&layout, &cfg));
+    }
+    ldmo::par::set_global_threads(1);
+    let (a, b) = (&outcomes[0], &outcomes[1]);
     assert_eq!(a.assignment, b.assignment);
-    assert_eq!(a.attempts, b.attempts);
-    assert_eq!(a.candidates, b.candidates);
     assert_eq!(a.outcome.l2.to_bits(), b.outcome.l2.to_bits());
-    assert_eq!(a.outcome.epe.violations(), b.outcome.epe.violations());
     assert_eq!(a.outcome.masks, b.outcome.masks);
+    assert_eq!(a.outcome.epe.violations(), b.outcome.epe.violations());
 }
