@@ -42,8 +42,8 @@ pub fn fast_mode() -> bool {
 /// parse the command line against `specs` (a usage error exits 2 before
 /// anything starts), install the crash hooks and any `LDMO_FAULTS` plan
 /// (a malformed spec exits 7), enable tracing, size the worker pool, put
-/// `threads` and `backend` into the run info, and start the `/metrics`
-/// endpoint when asked (a bind failure only warns). Then
+/// `threads`, `backend` and `isa` into the run info, and start the
+/// `/metrics` endpoint when asked (a bind failure only warns). Then
 /// the trace is written (a failed write fails a clean run, exit 6), and
 /// a failed run leaves a flight-recorder dump. Errors print as `error: …`
 /// and exit with [`LdmoError::exit_code`].
@@ -101,6 +101,7 @@ fn start(globals: &Globals) -> Result<Option<MetricsServer>, LdmoError> {
     }
     ldmo_obs::set_run_info("threads", ldmo_par::global_threads().to_string());
     ldmo_obs::set_run_info("backend", ldmo_litho::backend::resolved_kind().as_str());
+    ldmo_obs::set_run_info("isa", ldmo_litho::backend::resolved_isa());
     Ok(globals.metrics_addr.as_deref().and_then(|addr| {
         ldmo_obs::serve::start(addr)
             .inspect(|s| eprintln!("[metrics] serving /metrics /spans on http://{}", s.addr()))

@@ -9,7 +9,8 @@
 //!
 //! ```json
 //! {"schema":"ldmo-bench-report","version":1,"name":"table1",
-//!  "git_rev":"abc1234","threads":8,"fast":false,"written_unix_ms":0,
+//!  "git_rev":"abc1234","threads":8,"isa":"avx512","fast":false,
+//!  "written_unix_ms":0,
 //!  "results":[{"id":"AOI211_X1/ours","unit":"s","n":1,
 //!              "min":1.2,"median":1.2,"max":1.2,"mean":1.2,
 //!              "meta":{"epe":0}}]}
@@ -90,6 +91,10 @@ pub struct BenchReport {
     pub git_rev: String,
     /// Size of the worker pool the run was collected on.
     pub threads: usize,
+    /// The instruction set the separable passes ran at
+    /// ([`ldmo_litho::backend::resolved_isa`]); `"unknown"` in a report
+    /// written before the field existed.
+    pub isa: String,
     /// Whether `LDMO_FAST=1` shrank the workload.
     pub fast: bool,
     /// Wall-clock collection time (ms since the Unix epoch).
@@ -101,12 +106,13 @@ pub struct BenchReport {
 impl BenchReport {
     /// Starts an empty report, stamping the build's git revision, the
     /// global pool's size ([`run_main`](crate::run_main) sizes it before
-    /// the run) and fast mode.
+    /// the run), the separable passes' instruction set and fast mode.
     pub fn new(name: impl Into<String>) -> Self {
         BenchReport {
             name: name.into(),
             git_rev: ldmo_obs::git_rev().to_owned(),
             threads: ldmo_par::global_threads(),
+            isa: ldmo_litho::backend::resolved_isa().to_owned(),
             fast: crate::fast_mode(),
             written_unix_ms: std::time::SystemTime::now()
                 .duration_since(std::time::UNIX_EPOCH)
@@ -166,10 +172,11 @@ impl BenchReport {
         let mut out = format!(
             "{{\"schema\":\"ldmo-bench-report\",\"version\":1,\
              \"name\":\"{}\",\"git_rev\":\"{}\",\"threads\":{},\
-             \"fast\":{},\"written_unix_ms\":{},\"results\":[",
+             \"isa\":\"{}\",\"fast\":{},\"written_unix_ms\":{},\"results\":[",
             json::escape(&self.name),
             json::escape(&self.git_rev),
             self.threads,
+            json::escape(&self.isa),
             self.fast,
             self.written_unix_ms
         );
@@ -273,6 +280,7 @@ impl BenchReport {
             name: get_str("name"),
             git_rev: get_str("git_rev"),
             threads: get_num("threads") as usize,
+            isa: get_str("isa"),
             fast,
             written_unix_ms: get_num("written_unix_ms") as u64,
             results,
@@ -332,10 +340,11 @@ pub fn render(reports: &[BenchReport]) -> String {
     for report in reports {
         let _ = writeln!(
             text,
-            "{} — rev {}, {} thread(s){}, {} result(s)",
+            "{} — rev {}, {} thread(s), isa {}{}, {} result(s)",
             report.name,
             report.git_rev,
             report.threads,
+            report.isa,
             if report.fast { ", fast mode" } else { "" },
             report.results.len()
         );
@@ -376,11 +385,11 @@ pub struct Gate {
 /// Gates `fresh` reports against `baseline` ones. Medians are matched by
 /// report name and row id: growth beyond [`WARN_RATIO`] warns, beyond
 /// [`FAIL_RATIO`] fails. Reports and rows on one side only are listed,
-/// never fatal; a row without a median on either side is skipped, and
-/// one with a non-positive baseline median is counted but carries no
-/// ratio. Then each [`OVERHEAD_BOUNDS`] entry is checked on `fresh`
-/// alone, the row taken from the first report whose median for it is
-/// positive.
+/// never fatal, and so is a report whose `isa` differs between the sides
+/// (a note); a row without a median on either side is skipped, and one
+/// with a non-positive baseline median is counted but carries no ratio.
+/// Then each [`OVERHEAD_BOUNDS`] entry is checked on `fresh` alone, the
+/// row taken from the first report whose median for it is positive.
 ///
 /// # Errors
 ///
@@ -426,6 +435,14 @@ pub fn gate(baseline: &[BenchReport], fresh: &[BenchReport]) -> Result<Gate, Ldm
                     old.fast, new.fast
                 ),
             });
+        }
+        if old.isa != new.isa {
+            let _ = writeln!(
+                text,
+                "  [note] report {name}: isa differs (baseline {}, fresh {}), so its medians \
+                 compare different vector passes",
+                old.isa, new.isa
+            );
         }
         let (old_rows, new_rows) = (by_id(old), by_id(new));
         let ids: BTreeSet<&str> = old_rows.keys().chain(new_rows.keys()).copied().collect();
@@ -569,6 +586,19 @@ mod tests {
         assert_eq!(parsed.results[1].median, 2.0);
         assert_eq!(parsed.results[1].max, 3.0);
         assert_eq!(parsed.results[1].mean, 2.0);
+    }
+
+    #[test]
+    fn a_report_names_its_isa_and_one_without_loads_as_unknown() {
+        let mut report = BenchReport::new("tier");
+        assert_eq!(report.isa, ldmo_litho::backend::resolved_isa());
+        report.isa = "avx512".into();
+        let parsed = BenchReport::from_json(&report.to_json()).expect("parses");
+        assert_eq!(parsed.isa, "avx512");
+        let legacy = report.to_json().replace("\"isa\":\"avx512\",", "");
+        assert!(!legacy.contains("\"isa\""), "{legacy}");
+        let parsed = BenchReport::from_json(&legacy).expect("parses");
+        assert_eq!(parsed.isa, "unknown");
     }
 
     #[test]

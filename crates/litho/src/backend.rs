@@ -1,13 +1,14 @@
 //! Which separable pass the litho forward model runs (DESIGN.md §13).
 //!
 //! The platform picks the pass: [`crate::convolve_separable_into`] runs the
-//! SSE2/AVX2 vector passes on x86_64 (AVX2 when the CPU reports it) and the
-//! register-blocked scalar passes elsewhere. The vector passes are
-//! bit-identical to the scalar ones by construction: lanes run across
-//! output elements while each element keeps the scalar tap order
-//! (increasing `k`), operation shape (`mul` then `add`, never fused) and
-//! skipped off-grid source rows. That holds through the overlapping last
-//! tile of a row and the AVX2 column pass's three-row blocks.
+//! vector passes on x86_64, at the widest tier the CPU reports (AVX-512,
+//! AVX2 or SSE2; [`resolved_isa`] names it), and the register-blocked
+//! scalar passes elsewhere. The vector passes are bit-identical to the
+//! scalar ones by construction: lanes run across output elements while
+//! each element keeps the scalar tap order (increasing `k`), operation
+//! shape (`mul` then `add`, never fused) and skipped off-grid source rows.
+//! That holds through the overlapping last tile of a row, the three-row
+//! column blocks and the row taps skipped because they read only padding.
 //!
 //! [`set_backend`] is an in-process switch with no flag or environment
 //! variable behind it: tests and benches flip it to run the scalar
@@ -25,7 +26,7 @@ pub enum BackendKind {
     Auto,
     /// The register-blocked scalar passes.
     Scalar,
-    /// The runtime-detected SSE2/AVX2 vector passes.
+    /// The vector passes at the widest tier the CPU reports.
     Simd,
 }
 
@@ -89,6 +90,18 @@ pub fn resolved_kind() -> BackendKind {
     }
 }
 
+/// The instruction set the separable passes run at: `avx512`, `avx2` or
+/// `sse2` under [`BackendKind::Simd`] (the widest tier the CPU reports;
+/// grids narrower than 64 px run AVX2 there, and narrower than 32 px the
+/// scalar passes), `scalar` under [`BackendKind::Scalar`].
+pub fn resolved_isa() -> &'static str {
+    match resolved_kind() {
+        #[cfg(target_arch = "x86_64")]
+        BackendKind::Simd => crate::conv::Tier::widest().as_str(),
+        _ => "scalar",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,5 +112,6 @@ mod tests {
         for kind in [BackendKind::Auto, BackendKind::Scalar, BackendKind::Simd] {
             assert_eq!(BackendKind::from_code(kind.code()), kind);
         }
+        assert!(["avx512", "avx2", "sse2", "scalar"].contains(&resolved_isa()));
     }
 }

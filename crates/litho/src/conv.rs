@@ -7,9 +7,13 @@
 
 use crate::backend::{resolved_kind, BackendKind};
 use ldmo_geom::Grid;
+use std::ops::Range;
 
 #[cfg(test)]
 mod conformance;
+
+#[cfg(target_arch = "x86_64")]
+pub(crate) use x86::Tier;
 
 /// Direct 2-D convolution of `input` with a dense `kernel`, same-size output,
 /// zero padding. `O(W·H·kw·kh)` — the oracle the separable pass is tested
@@ -75,8 +79,8 @@ pub fn convolve_separable(input: &Grid, profile: &[f32]) -> Grid {
 /// centre only ever reads padding, so the row pass skips it, which changes
 /// no bit (DESIGN.md §13).
 ///
-/// Runs the vector passes on x86_64 (AVX2 when the CPU reports it, SSE2
-/// otherwise) and the scalar passes elsewhere or when
+/// Runs the vector passes on x86_64, at the widest tier the CPU reports
+/// (AVX-512, AVX2 or SSE2), and the scalar passes elsewhere or when
 /// [`crate::backend::set_backend`] selected them. The passes are
 /// bit-identical, so the choice affects speed only.
 ///
@@ -98,9 +102,7 @@ pub fn convolve_separable_into(
     match resolved_kind() {
         #[cfg(target_arch = "x86_64")]
         BackendKind::Simd => {
-            // AVX2 where the CPU reports it, SSE2 otherwise
-            convolve_rows_simd(input, profile, row, tmp, true);
-            convolve_cols_simd(tmp, profile, out, true);
+            convolve_separable_simd(input, profile, row, tmp, out, Tier::widest());
         }
         _ => {
             convolve_rows_scalar(input, profile, row, tmp);
@@ -123,17 +125,13 @@ fn conv_pass_counter() -> ldmo_obs::Counter {
     *COUNTER.get_or_init(|| ldmo_obs::counter("litho.conv_passes"))
 }
 
-/// Output tile width of the register-blocked convolution passes: the
-/// accumulator tile lives in SIMD registers across the whole tap loop, so
-/// the output row is written exactly once instead of once per tap.
+/// Output tile width of the register-blocked scalar passes and of the SSE2
+/// and AVX2 tiers (AVX-512 tiles are twice as wide): the accumulator tile
+/// lives in registers across the whole tap loop, so the output row is
+/// written exactly once instead of once per tap.
 const TILE: usize = 32;
 
-/// Output rows per sweep of the AVX2 column pass: each source row is loaded
-/// once for all of them (3 × 4 ymm accumulators).
-#[cfg(target_arch = "x86_64")]
-const ROWS: usize = 3;
-
-/// Prepares the zero-padded source row both row passes read: returns the
+/// Prepares the zero-padded source row every row pass reads: returns the
 /// first `w + 2r` floats of `row` with both `r`-wide margins zeroed, the
 /// profile trimmed to its `2r + 1` central taps, and `r`.
 ///
@@ -162,6 +160,15 @@ fn padded_row<'r, 'p>(
     (padded, &profile[c - r..=c + r], r)
 }
 
+/// The taps of a `2c + 1`-tap profile that reach the `tile` outputs at `x`
+/// of a `w`-pixel row padded by `c` on each side. Tap `k` reads
+/// `padded[x + 2c − k ..][..tile]`; one outside this range reads only
+/// padding for every output of the tile, so, as in [`padded_row`], it would
+/// add an exact ±0.0, and every row pass skips it.
+fn live_taps(x: usize, tile: usize, w: usize, c: usize) -> Range<usize> {
+    (x + c + 1).saturating_sub(w)..(x + c + tile).min(2 * c + 1)
+}
+
 /// The scalar row pass of the register-blocked separable convolution — the
 /// reference the vector passes must reproduce bit-for-bit.
 fn convolve_rows_scalar(input: &Grid, profile: &[f32], row: &mut [f32], out: &mut Grid) {
@@ -180,8 +187,8 @@ fn convolve_rows_scalar(input: &Grid, profile: &[f32], row: &mut [f32], out: &mu
         let mut x = 0;
         while x + TILE <= w {
             let mut acc = [0.0f32; TILE];
-            for (k, &p) in profile.iter().enumerate() {
-                let s = &padded[x + 2 * c - k..x + 2 * c - k + TILE];
+            for k in live_taps(x, TILE, w, c) {
+                let (s, p) = (&padded[x + 2 * c - k..x + 2 * c - k + TILE], profile[k]);
                 for j in 0..TILE {
                     acc[j] += s[j] * p;
                 }
@@ -191,8 +198,8 @@ fn convolve_rows_scalar(input: &Grid, profile: &[f32], row: &mut [f32], out: &mu
         }
         for (xr, o) in out_row.iter_mut().enumerate().skip(x) {
             let mut a = 0.0f32;
-            for (k, &p) in profile.iter().enumerate() {
-                a += padded[xr + 2 * c - k] * p;
+            for k in live_taps(xr, 1, w, c) {
+                a += padded[xr + 2 * c - k] * profile[k];
             }
             *o = a;
         }
@@ -243,235 +250,293 @@ fn convolve_cols_scalar(input: &Grid, profile: &[f32], out: &mut Grid) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD passes (x86_64 SSE2/AVX2)
+// Vector passes (x86_64: SSE2, AVX2, AVX-512)
 //
 // Bit-identity argument: the scalar tile loop accumulates, for each output
 // element j, `acc[j] += padded[...k...][j] * p[k]` in increasing-k order
-// with an unfused f32 multiply then add. The vector passes below keep the
-// identical per-element sequence and merely evaluate 4/8 adjacent j lanes
-// per instruction — `mulps`/`addps` are exact IEEE-754 single ops per lane,
-// and no FMA contraction is ever emitted — so every output bit matches the
-// scalar pass. Two blockings change which elements share a register, never
-// an element's sequence:
+// with an unfused f32 multiply then add. The vector passes keep the
+// identical per-element sequence and merely evaluate 4/8/16 adjacent j
+// lanes per instruction — `mul`/`add` are exact IEEE-754 single ops per
+// lane, and no FMA contraction is ever emitted — so every output bit
+// matches the scalar pass. The blockings change which elements share a
+// register, never an element's sequence:
 //
-// - the last tile of a row starts at `w − TILE` and overlaps its neighbour,
-//   so the overlapped columns are computed twice by the same sequence and
-//   written twice with the same bits (rows narrower than TILE run the
+// - the last tile of a row starts at `w − tile` and overlaps its
+//   neighbour, so the overlapped columns are computed twice by the same
+//   sequence and written twice with the same bits (a grid narrower than a
+//   tier's tile runs a narrower tier, and one narrower than 32 px the
 //   scalar passes);
-// - the AVX2 column pass sweeps ROWS output rows at once, walking source
-//   rows downward from the block's reach and adding each to every row
-//   whose tap `k = y + r + c − s` is in range. A falling `s` is a rising
-//   `k`, and the rows skipped are exactly the out-of-range ones the
-//   one-row pass skips.
+// - the AVX2 and AVX-512 column passes sweep three output rows at once,
+//   walking source rows downward from the block's reach and adding each to
+//   every row whose tap `k = y + r + c − s` is in range. A falling `s` is a
+//   rising `k`, and the rows skipped are exactly the out-of-range ones the
+//   one-row pass skips;
+// - a row tile skips the taps outside its `live_taps`, which depend on the
+//   tile's width, but each would only have added an exact ±0.0.
 // ---------------------------------------------------------------------------
 
-/// Left edges of the TILE-wide output tiles covering a row of `w` pixels:
-/// whole tiles from 0, then, when `w` is not a multiple of TILE, one last
-/// tile at `w − TILE` that overlaps its neighbour. Every yielded `x` has
-/// `x + TILE ≤ w`, so a row narrower than TILE yields none.
+/// The vector row and column passes at `tier`, capped at what the CPU
+/// reports. A grid narrower than one 64-wide AVX-512 tile runs AVX2, and
+/// one narrower than 32 px the scalar passes.
 #[cfg(target_arch = "x86_64")]
-fn tile_starts(w: usize) -> impl Iterator<Item = usize> {
-    let overlapping = w.checked_sub(TILE).filter(|_| !w.is_multiple_of(TILE));
-    (0..w / TILE).map(|t| t * TILE).chain(overlapping)
-}
-
-/// The SIMD row pass: vectorized 32-wide tiles, the last one overlapping.
-/// The tiles are AVX2 when `allow_avx2` is set and the CPU reports AVX2,
-/// SSE2 otherwise; clearing it lets the differential suite force SSE2.
-/// Rows narrower than one tile run [`convolve_rows_scalar`].
-#[cfg(target_arch = "x86_64")]
-fn convolve_rows_simd(
+fn convolve_separable_simd(
     input: &Grid,
     profile: &[f32],
     row: &mut [f32],
+    tmp: &mut Grid,
     out: &mut Grid,
-    allow_avx2: bool,
+    tier: Tier,
 ) {
     assert!(profile.len() % 2 == 1, "profile must be odd-length");
+    assert_eq!(input.shape(), tmp.shape(), "output shape mismatch");
     assert_eq!(input.shape(), out.shape(), "output shape mismatch");
-    let (w, h) = input.shape();
-    if w < TILE {
-        return convolve_rows_scalar(input, profile, row, out);
-    }
-    let (padded, profile, c) = padded_row(row, profile, w);
-    let src = input.as_slice();
-    let dst = out.as_mut_slice();
-    let avx2 = allow_avx2 && x86::avx2_available();
-    for y in 0..h {
-        padded[c..c + w].copy_from_slice(&src[y * w..(y + 1) * w]);
-        let out_row = &mut dst[y * w..(y + 1) * w];
-        for x in tile_starts(w) {
-            // SAFETY: `tile_starts` yields only `x + TILE <= w`, which
-            // keeps every load of `padded[x + 2c - k .. +TILE]` (k ≤ 2c,
-            // `padded.len() == w + 2c`) and every store of
-            // `out_row[x .. x + TILE]` in bounds; AVX2 runs only when
-            // `avx2_available` reported it.
-            unsafe {
-                if avx2 {
-                    x86::row_tile_avx2(padded, profile, out_row, x, c);
-                } else {
-                    x86::row_tile_sse2(padded, profile, out_row, x, c);
-                }
-            }
-        }
-    }
-}
-
-/// The SIMD column pass: AVX2 sweeps [`ROWS`] output rows per 32-wide tile
-/// (the last `h % ROWS` rows one at a time), SSE2 one row, since three
-/// would need 24 xmm accumulators. Tiles overlap at the right edge as in
-/// [`convolve_rows_simd`]; grids narrower than one tile run
-/// [`convolve_cols_scalar`].
-#[cfg(target_arch = "x86_64")]
-fn convolve_cols_simd(input: &Grid, profile: &[f32], out: &mut Grid, allow_avx2: bool) {
-    assert!(profile.len() % 2 == 1, "profile must be odd-length");
-    assert_eq!(input.shape(), out.shape(), "output shape mismatch");
-    let (w, h) = input.shape();
-    if w < TILE {
-        return convolve_cols_scalar(input, profile, out);
-    }
-    let src = input.as_slice();
-    let dst = out.as_mut_slice();
-    if allow_avx2 && x86::avx2_available() {
-        let blocked = h - h % ROWS;
-        for y in (0..blocked).step_by(ROWS) {
-            for x in tile_starts(w) {
-                // SAFETY: `x + TILE <= w` (from `tile_starts`) and
-                // `y + ROWS <= h` keep every `src[s·w + x .. +TILE]` load
-                // (`s < h`) and every store to rows `y .. y + ROWS` in
-                // bounds; AVX2 was reported.
-                unsafe { x86::col_block_avx2::<ROWS>(src, profile, dst, x, y, w, h) }
-            }
-        }
-        for y in blocked..h {
-            for x in tile_starts(w) {
-                // SAFETY: as above with one row: `y + 1 <= h`.
-                unsafe { x86::col_block_avx2::<1>(src, profile, dst, x, y, w, h) }
-            }
-        }
-    } else {
-        let c = profile.len() as i64 / 2;
-        for y in 0..h {
-            let out_row = &mut dst[y * w..(y + 1) * w];
-            for x in tile_starts(w) {
-                // SAFETY: `x + TILE <= w` (from `tile_starts`) and the
-                // in-range `sy` filter keep every `src[sy·w + x .. +TILE]`
-                // load and the `out_row[x .. x + TILE]` store in bounds.
-                unsafe { x86::col_tile_sse2(src, profile, out_row, x, y, w, h, c) }
-            }
+    let Some(tier) = tier.for_width(input.width()) else {
+        convolve_rows_scalar(input, profile, row, tmp);
+        return convolve_cols_scalar(tmp, profile, out);
+    };
+    // SAFETY: the three grids share one shape (asserted above), at least
+    // one of the tier's tiles wide, and the CPU reports the tier
+    // (`for_width`)
+    unsafe {
+        match tier {
+            Tier::Sse2 => x86::sse2(input, profile, row, tmp, out),
+            Tier::Avx2 => x86::avx2(input, profile, row, tmp, out),
+            Tier::Avx512 => x86::avx512(input, profile, row, tmp, out),
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! The unsafe vector tile kernels. Callers guarantee bounds (see the
-    //! SAFETY comments at the call sites); AVX2 entry points additionally
-    //! require the runtime feature check that [`avx2_available`] caches.
+    //! The vector tiers: one generic pass over [`Lanes`], instantiated per
+    //! tier by a `#[target_feature]` wrapper so each compiles to its tier's
+    //! instructions. Callers run only tiers up to [`Tier::widest`].
 
-    use super::TILE;
+    use super::{live_taps, padded_row, Grid};
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
-    /// Cached `is_x86_feature_detected!("avx2")` — SSE2 is baseline x86_64
-    /// and needs no check.
-    pub(super) fn avx2_available() -> bool {
-        static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVX2.get_or_init(|| is_x86_feature_detected!("avx2"))
+    /// An instruction-set tier of the vector passes, narrowest first.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub(crate) enum Tier {
+        /// 4-lane xmm registers, baseline x86_64: 8 per 32-wide tile.
+        Sse2,
+        /// 8-lane ymm registers: 4 per 32-wide tile.
+        Avx2,
+        /// 16-lane zmm registers (`avx512f`): 4 per 64-wide tile.
+        Avx512,
     }
 
-    /// One 32-wide row-pass output tile at `out_row[x..x+TILE]`, AVX2
-    /// (4 × 8 lanes).
+    impl Tier {
+        /// The widest tier the CPU reports, detected once and then cached.
+        /// A tier counts only with every tier below it.
+        pub(crate) fn widest() -> Tier {
+            static WIDEST: std::sync::OnceLock<Tier> = std::sync::OnceLock::new();
+            *WIDEST.get_or_init(|| match is_x86_feature_detected!("avx2") {
+                true if is_x86_feature_detected!("avx512f") => Tier::Avx512,
+                true => Tier::Avx2,
+                false => Tier::Sse2,
+            })
+        }
+
+        /// The canonical lowercase name.
+        pub(crate) fn as_str(self) -> &'static str {
+            match self {
+                Tier::Sse2 => "sse2",
+                Tier::Avx2 => "avx2",
+                Tier::Avx512 => "avx512",
+            }
+        }
+
+        /// The tier that runs a grid `w` pixels wide when `self` is asked
+        /// for: capped at [`Tier::widest`], narrowed to AVX2 below one
+        /// 64-wide AVX-512 tile, and `None` (the scalar passes) below 32 px.
+        pub(super) fn for_width(self, w: usize) -> Option<Tier> {
+            match self.min(Tier::widest()) {
+                _ if w < super::TILE => None,
+                Tier::Avx512 if w < 2 * super::TILE => Some(Tier::Avx2),
+                tier => Some(tier),
+            }
+        }
+    }
+
+    /// One register of `f32` lanes and the operations the passes use, each
+    /// exact per lane. `add_mul` is an unfused multiply then add: a fused
+    /// one would round once where the scalar passes round twice.
     ///
     /// # Safety
     ///
-    /// `x + TILE <= out_row.len()`, `padded.len() >= x + 2c + TILE`, and
-    /// the host supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn row_tile_avx2(
+    /// Every method needs a host that supports the register's tier; `load`
+    /// reads and `store` writes `N` floats at `p`.
+    trait Lanes: Copy {
+        /// Lanes per register.
+        const N: usize;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(v: f32) -> Self;
+        unsafe fn load(p: *const f32) -> Self;
+        unsafe fn store(self, p: *mut f32);
+        /// `self + v · p`, rounding the product and then the sum.
+        unsafe fn add_mul(self, v: Self, p: Self) -> Self;
+    }
+
+    macro_rules! lanes {
+        ($v:ty, $n:literal: $zero:ident, $splat:ident, $load:ident,
+            $store:ident, $mul:ident, $add:ident) => {
+            impl Lanes for $v {
+                const N: usize = $n;
+                #[inline(always)]
+                unsafe fn zero() -> Self {
+                    $zero()
+                }
+                #[inline(always)]
+                unsafe fn splat(v: f32) -> Self {
+                    $splat(v)
+                }
+                #[inline(always)]
+                unsafe fn load(p: *const f32) -> Self {
+                    $load(p)
+                }
+                #[inline(always)]
+                unsafe fn store(self, p: *mut f32) {
+                    $store(p, self)
+                }
+                #[inline(always)]
+                unsafe fn add_mul(self, v: Self, p: Self) -> Self {
+                    $add(self, $mul(v, p))
+                }
+            }
+        };
+    }
+
+    lanes!(__m128, 4: _mm_setzero_ps, _mm_set1_ps, _mm_loadu_ps,
+        _mm_storeu_ps, _mm_mul_ps, _mm_add_ps);
+    lanes!(__m256, 8: _mm256_setzero_ps, _mm256_set1_ps, _mm256_loadu_ps,
+        _mm256_storeu_ps, _mm256_mul_ps, _mm256_add_ps);
+    lanes!(__m512, 16: _mm512_setzero_ps, _mm512_set1_ps, _mm512_loadu_ps,
+        _mm512_storeu_ps, _mm512_mul_ps, _mm512_add_ps);
+
+    /// Left edges of the `tile`-wide output tiles covering a row of `w`
+    /// pixels: whole tiles from 0, then, when `w` is not a multiple of
+    /// `tile`, one last tile at `w − tile` that overlaps its neighbour.
+    /// Every yielded `x` has `x + tile ≤ w`, so a row narrower than `tile`
+    /// yields none.
+    fn tile_starts(w: usize, tile: usize) -> impl Iterator<Item = usize> {
+        let overlapping = w.checked_sub(tile).filter(|_| !w.is_multiple_of(tile));
+        (0..w / tile).map(move |t| t * tile).chain(overlapping)
+    }
+
+    /// The row pass into `tmp` and the column pass into `out` on `T`
+    /// registers of `V` per tile, the column pass sweeping `R` output rows
+    /// per source-row load (its last `h % R` rows one at a time).
+    ///
+    /// # Safety
+    ///
+    /// The three grids share one shape at least `T · V::N` wide, `profile`
+    /// is odd-length, and the host supports `V`'s tier.
+    #[inline(always)]
+    unsafe fn separable<V: Lanes, const T: usize, const R: usize>(
+        input: &Grid,
+        profile: &[f32],
+        row: &mut [f32],
+        tmp: &mut Grid,
+        out: &mut Grid,
+    ) {
+        let ((w, h), tile) = (input.shape(), T * V::N);
+        let (padded, trimmed, c) = padded_row(row, profile, w);
+        let (src, dst) = (input.as_slice(), tmp.as_mut_slice());
+        for y in 0..h {
+            padded[c..c + w].copy_from_slice(&src[y * w..(y + 1) * w]);
+            let out_row = &mut dst[y * w..(y + 1) * w];
+            for x in tile_starts(w, tile) {
+                // SAFETY: `tile_starts` yields only `x + tile <= w`, and
+                // `padded.len() == w + 2c`, `trimmed.len() == 2c + 1`
+                row_tile::<V, T>(padded, trimmed, out_row, x, c, live_taps(x, tile, w, c));
+            }
+        }
+        let (src, dst, blocked) = (tmp.as_slice(), out.as_mut_slice(), h - h % R);
+        for y in (0..blocked).step_by(R) {
+            for x in tile_starts(w, tile) {
+                // SAFETY: `x + tile <= w` and `y + R <= blocked <= h`
+                col_block::<V, T, R>(src, profile, dst, x, y, w);
+            }
+        }
+        for y in blocked..h {
+            for x in tile_starts(w, tile) {
+                // SAFETY: as above with one row: `y + 1 <= h`
+                col_block::<V, T, 1>(src, profile, dst, x, y, w);
+            }
+        }
+    }
+
+    /// One row-pass output tile of `T` registers at `out_row[x..]`: each
+    /// lane `j` adds `padded[x + 2c − k + j] · profile[k]` for the taps `k`
+    /// of `taps` in increasing order.
+    ///
+    /// # Safety
+    ///
+    /// `x + T·N <= out_row.len()`, `padded.len() >= x + 2c + T·N`,
+    /// `taps.end <= min(profile.len(), 2c + 1)`, and the host supports
+    /// `V`'s tier.
+    #[inline(always)]
+    unsafe fn row_tile<V: Lanes, const T: usize>(
         padded: &[f32],
         profile: &[f32],
         out_row: &mut [f32],
         x: usize,
         c: usize,
+        taps: Range<usize>,
     ) {
-        let mut acc = [_mm256_setzero_ps(); TILE / 8];
-        for (k, &p) in profile.iter().enumerate() {
-            let pv = _mm256_set1_ps(p);
-            let base = padded.as_ptr().add(x + 2 * c - k);
+        let mut acc = [V::zero(); T];
+        for (k, &p) in taps.clone().zip(&profile[taps]) {
+            let (p, base) = (V::splat(p), padded.as_ptr().add(x + 2 * c - k));
             for (i, a) in acc.iter_mut().enumerate() {
-                let s = _mm256_loadu_ps(base.add(8 * i));
-                *a = _mm256_add_ps(*a, _mm256_mul_ps(s, pv));
+                *a = a.add_mul(V::load(base.add(i * V::N)), p);
             }
         }
         let dst = out_row.as_mut_ptr().add(x);
         for (i, a) in acc.iter().enumerate() {
-            _mm256_storeu_ps(dst.add(8 * i), *a);
+            a.store(dst.add(i * V::N));
         }
     }
 
-    /// One 32-wide row-pass output tile, SSE2 (8 × 4 lanes).
+    /// One column-pass block of `R` output rows × `T` registers at rows
+    /// `y .. y + R`, columns `x ..` of `dst`. Each source row `s` in the
+    /// block's reach is loaded once and added to every row `r` whose tap
+    /// `k = y + r + c − s` lies in the profile; `s` falls, so each row's
+    /// `k` rises.
     ///
     /// # Safety
     ///
-    /// `x + TILE <= out_row.len()` and `padded.len() >= x + 2c + TILE`.
-    pub(super) unsafe fn row_tile_sse2(
-        padded: &[f32],
-        profile: &[f32],
-        out_row: &mut [f32],
-        x: usize,
-        c: usize,
-    ) {
-        let mut acc = [_mm_setzero_ps(); TILE / 4];
-        for (k, &p) in profile.iter().enumerate() {
-            let pv = _mm_set1_ps(p);
-            let base = padded.as_ptr().add(x + 2 * c - k);
-            for (i, a) in acc.iter_mut().enumerate() {
-                let s = _mm_loadu_ps(base.add(4 * i));
-                *a = _mm_add_ps(*a, _mm_mul_ps(s, pv));
-            }
-        }
-        let dst = out_row.as_mut_ptr().add(x);
-        for (i, a) in acc.iter().enumerate() {
-            _mm_storeu_ps(dst.add(4 * i), *a);
-        }
-    }
-
-    /// One column-pass block of `R` output rows × 32 columns at rows
-    /// `y .. y + R`, columns `x .. x + TILE` of `dst`, AVX2 (R × 4 ymm
-    /// accumulators). Each source row `s` in the block's reach is loaded
-    /// once and added to every row `r` whose tap `k = y + r + c − s` lies
-    /// in the profile; `s` falls, so each row's `k` rises.
-    ///
-    /// # Safety
-    ///
-    /// `x + TILE <= w`, `y + R <= h`, `src.len() == dst.len() == w * h`,
-    /// and the host supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn col_block_avx2<const R: usize>(
+    /// `src.len() == dst.len() == w · h` for a height `h >= y + R`,
+    /// `x + T·N <= w`, and the host supports `V`'s tier.
+    #[inline(always)]
+    unsafe fn col_block<V: Lanes, const T: usize, const R: usize>(
         src: &[f32],
         profile: &[f32],
         dst: &mut [f32],
         x: usize,
         y: usize,
         w: usize,
-        h: usize,
     ) {
-        let c = profile.len() / 2;
-        let mut acc = [[_mm256_setzero_ps(); TILE / 8]; R];
+        let (c, h) = (profile.len() / 2, src.len() / w);
+        let mut acc = [[V::zero(); T]; R];
         // the block's reach, rows `y − c ..= y + R − 1 + c` clipped to the
         // grid (a half-open range: an inclusive one costs ~10% here)
         let (top, end) = (y.saturating_sub(c), (y + R + c).min(h));
         for s in (top..end).rev() {
             let base = src.as_ptr().add(s * w + x);
-            let v: [__m256; TILE / 8] = std::array::from_fn(|i| _mm256_loadu_ps(base.add(8 * i)));
+            let mut v = [V::zero(); T];
+            for (i, vi) in v.iter_mut().enumerate() {
+                *vi = V::load(base.add(i * V::N));
+            }
             for (r, row_acc) in acc.iter_mut().enumerate() {
                 // past the profile when `s` lies outside this row's reach:
                 // above it `k > 2c`, below it the subtraction wraps
                 let k = (y + r + c).wrapping_sub(s);
                 if k < profile.len() {
-                    let pv = _mm256_set1_ps(profile[k]);
+                    let p = V::splat(profile[k]);
                     for (a, &vi) in row_acc.iter_mut().zip(&v) {
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(vi, pv));
+                        *a = a.add_mul(vi, p);
                     }
                 }
             }
@@ -479,45 +544,33 @@ mod x86 {
         for (r, row_acc) in acc.iter().enumerate() {
             let out = dst.as_mut_ptr().add((y + r) * w + x);
             for (i, a) in row_acc.iter().enumerate() {
-                _mm256_storeu_ps(out.add(8 * i), *a);
+                a.store(out.add(i * V::N));
             }
         }
     }
 
-    /// One 32-wide column-pass output tile, SSE2.
-    ///
-    /// # Safety
-    ///
-    /// `x + TILE <= w` and `src.len() == w * h`.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn col_tile_sse2(
-        src: &[f32],
-        profile: &[f32],
-        out_row: &mut [f32],
-        x: usize,
-        y: usize,
-        w: usize,
-        h: usize,
-        c: i64,
-    ) {
-        let mut acc = [_mm_setzero_ps(); TILE / 4];
-        for (k, &p) in profile.iter().enumerate() {
-            let sy = y as i64 - (k as i64 - c);
-            if sy < 0 || sy as usize >= h {
-                continue;
+    /// Instantiates [`separable`], and its safety contract, as tier `$name`
+    /// with its instruction set enabled: `$t` registers of `$v` per tile,
+    /// `$r` rows per column sweep (SSE2 sweeps one: three would need 24 of
+    /// its 16 registers).
+    macro_rules! tier {
+        ($name:ident, $feature:literal, $v:ty, $t:literal, $r:literal) => {
+            #[target_feature(enable = $feature)]
+            pub(super) unsafe fn $name(
+                i: &Grid,
+                k: &[f32],
+                r: &mut [f32],
+                t: &mut Grid,
+                o: &mut Grid,
+            ) {
+                separable::<$v, $t, $r>(i, k, r, t, o)
             }
-            let pv = _mm_set1_ps(p);
-            let base = src.as_ptr().add(sy as usize * w + x);
-            for (i, a) in acc.iter_mut().enumerate() {
-                let s = _mm_loadu_ps(base.add(4 * i));
-                *a = _mm_add_ps(*a, _mm_mul_ps(s, pv));
-            }
-        }
-        let dst = out_row.as_mut_ptr().add(x);
-        for (i, a) in acc.iter().enumerate() {
-            _mm_storeu_ps(dst.add(4 * i), *a);
-        }
+        };
     }
+
+    tier!(sse2, "sse2", __m128, 8, 1);
+    tier!(avx2, "avx2", __m256, 4, 3);
+    tier!(avx512, "avx512f", __m512, 4, 3);
 }
 
 #[cfg(test)]

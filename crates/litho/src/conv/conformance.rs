@@ -1,18 +1,21 @@
 //! Differential conformance suite for the separable passes (DESIGN.md §13).
 //!
-//! Each vector pass — SSE2 always on x86_64, AVX2 when the CPU reports it —
-//! runs against the scalar reference on structured fixtures (impulse,
-//! straight edge, dense contacts) and proptest-random grids, and must agree
-//! bit for bit. The passes are called directly, not through the
-//! process-global [`crate::backend::set_backend`] switch, so a test flipping
-//! that switch cannot turn a comparison into one of a pass with itself.
-//! Property tests (linearity, translation equivariance, kernel symmetry)
-//! then pin the analytic contract of every pass.
+//! Each vector tier the CPU reports — SSE2 always on x86_64, AVX2 and
+//! AVX-512 when reported — runs against the scalar reference on structured
+//! fixtures (impulse, straight edge, dense contacts) and proptest-random
+//! grids, and must agree bit for bit. The passes are called directly, not
+//! through the process-global [`crate::backend::set_backend`] switch, so a
+//! test flipping that switch cannot turn a comparison into one of a pass
+//! with itself. Property tests (linearity, translation equivariance, kernel
+//! symmetry) then pin the analytic contract of every pass.
 
 use super::{convolve_cols_scalar, convolve_rows_scalar};
 use crate::{ConvScratch, KernelBank, LithoConfig};
 use ldmo_geom::{Grid, Rect};
 use proptest::prelude::*;
+
+#[cfg(target_arch = "x86_64")]
+use super::Tier;
 
 /// One separable convolution: row pass through the padded `row` into
 /// `tmp`, column pass into `out`.
@@ -25,26 +28,34 @@ fn scalar(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &
 
 #[cfg(target_arch = "x86_64")]
 fn sse2(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &mut Grid) {
-    super::convolve_rows_simd(input, profile, row, tmp, false);
-    super::convolve_cols_simd(tmp, profile, out, false);
+    super::convolve_separable_simd(input, profile, row, tmp, out, Tier::Sse2);
 }
 
 #[cfg(target_arch = "x86_64")]
 fn avx2(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &mut Grid) {
-    super::convolve_rows_simd(input, profile, row, tmp, true);
-    super::convolve_cols_simd(tmp, profile, out, true);
+    super::convolve_separable_simd(input, profile, row, tmp, out, Tier::Avx2);
 }
 
-/// The vector passes this host can run: SSE2 is baseline x86_64, AVX2
-/// joins when the CPU reports it. None off x86_64.
+#[cfg(target_arch = "x86_64")]
+fn avx512(input: &Grid, profile: &[f32], row: &mut [f32], tmp: &mut Grid, out: &mut Grid) {
+    super::convolve_separable_simd(input, profile, row, tmp, out, Tier::Avx512);
+}
+
+/// The vector passes this host can run: SSE2 is baseline x86_64, AVX2 and
+/// AVX-512 join when the CPU reports them. None off x86_64.
 fn vector_passes() -> Vec<(&'static str, Pass)> {
     #[cfg(target_arch = "x86_64")]
     {
-        let mut passes: Vec<(&'static str, Pass)> = vec![("sse2", sse2)];
-        if super::x86::avx2_available() {
-            passes.push(("avx2", avx2));
-        }
-        passes
+        let tiers: [(Tier, Pass); 3] = [
+            (Tier::Sse2, sse2),
+            (Tier::Avx2, avx2),
+            (Tier::Avx512, avx512),
+        ];
+        tiers
+            .into_iter()
+            .filter(|&(tier, _)| tier <= Tier::widest())
+            .map(|(tier, pass)| (tier.as_str(), pass))
+            .collect()
     }
     #[cfg(not(target_arch = "x86_64"))]
     Vec::new()
@@ -117,10 +128,11 @@ fn dense_contacts(w: usize, h: usize) -> Grid {
 }
 
 /// Runs `input ⊗ profile` on every vector pass and asserts each output bit
-/// equals the scalar reference's.
-fn assert_conforms(input: &Grid, profile: &[f32], ctx: &str) {
+/// equals the scalar reference's. Returns the names of the passes compared.
+fn assert_conforms(input: &Grid, profile: &[f32], ctx: &str) -> Vec<&'static str> {
     let reference = run(scalar, input, profile);
-    for (name, pass) in vector_passes() {
+    let passes = vector_passes();
+    for &(name, pass) in &passes {
         let got = run(pass, input, profile);
         for (i, (g, r)) in got.as_slice().iter().zip(reference.as_slice()).enumerate() {
             assert_eq!(
@@ -130,12 +142,15 @@ fn assert_conforms(input: &Grid, profile: &[f32], ctx: &str) {
             );
         }
     }
+    passes.into_iter().map(|(name, _)| name).collect()
 }
 
 /// Grid shapes covering even, odd, mixed-parity, non-square, an overlapping
 /// last tile (widths above 32 that are not multiples of the 32-wide
-/// register block), narrower than one tile, and degenerate 1×N / N×1.
-const SHAPES: [(usize, usize); 8] = [
+/// register block), narrower than one tile, degenerate 1×N / N×1, and a
+/// 100×3 strip where the 271-tap profile leaves whole tiles with taps that
+/// read only padding.
+const SHAPES: [(usize, usize); 9] = [
     (64, 64),
     (33, 47),
     (31, 31),
@@ -144,6 +159,7 @@ const SHAPES: [(usize, usize); 8] = [
     (64, 1),
     (1, 1),
     (3, 3),
+    (100, 3),
 ];
 
 #[test]
@@ -170,14 +186,20 @@ fn straight_edge_conforms_on_all_backends() {
 
 #[test]
 fn dense_contacts_conform_on_all_backends() {
-    // the last four are the workloads' windows: the 224 px flow and serve
-    // window, the golden chip's 359×224 tiles and the tiled chip's 359×359
-    // and 494×359 windows. With SHAPES they cover `w % 32` of 0, 1, 7 and
-    // 14, and `h % 3` of 0, 1 and 2.
+    // 63 to 129 straddle the 64-wide AVX-512 tile; the last four are the
+    // workloads' windows: the 224 px flow and serve window, the golden
+    // chip's 359×224 tiles and the tiled chip's 359×359 and 494×359
+    // windows. With SHAPES the vector tiles cover `w % 32` of 0, 1, 4, 7,
+    // 8, 14 and 31, `w % 64` of 0, 1, 32, 36, 39, 46 and 63, and `h % 3`
+    // of 0, 1 and 2.
     for &(w, h) in &[
         (64usize, 64usize),
         (33, 47),
         (96, 40),
+        (63, 19),
+        (65, 11),
+        (127, 9),
+        (129, 7),
         (224, 224),
         (359, 224),
         (359, 359),
@@ -201,7 +223,7 @@ fn trimmed_far_taps_change_no_bit_on_all_backends() {
     // unframed one bit for bit
     for profile in test_profiles() {
         let c = profile.len() / 2;
-        for &(w, h) in &[(3usize, 3usize), (33, 47), (64, 1)] {
+        for &(w, h) in &[(3usize, 3usize), (33, 47), (64, 1), (100, 3)] {
             let input = straight_edge(w, h);
             let mut framed = Grid::zeros(w + 2 * c, h);
             for y in 0..h {
@@ -224,6 +246,26 @@ fn trimmed_far_taps_change_no_bit_on_all_backends() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn every_tier_the_cpu_reports_is_compared() {
+    // `--nocapture` prints the tiers compared, so a log shows which ones a
+    // host without AVX-512 or AVX2 left out
+    let widest = test_profiles().into_iter().max_by_key(Vec::len);
+    let widest = widest.expect("the bank has profiles");
+    let compared = assert_conforms(&dense_contacts(129, 7), &widest, "tier list");
+    println!("conv conformance compared scalar against: {compared:?}");
+    #[cfg(target_arch = "x86_64")]
+    for (reported, tier) in [
+        (is_x86_feature_detected!("avx2"), "avx2"),
+        (is_x86_feature_detected!("avx512f"), "avx512"),
+    ] {
+        assert!(
+            !reported || compared.contains(&tier),
+            "the CPU reports {tier}, but the suite compared only {compared:?}"
+        );
     }
 }
 

@@ -612,7 +612,7 @@ fn row<'a>(reports: &'a mut [BenchReport], id: &str) -> &'a mut BenchResult {
 fn bench_gate_verdicts_on_edited_copies_of_the_committed_reports() {
     type Edit = fn(&mut Vec<BenchReport>);
     // (fixture, edit to the fresh copy, exit code, lines that must show)
-    let cases: [(&str, Edit, i32, &[&str]); 7] = [
+    let cases: [(&str, Edit, i32, &[&str]); 8] = [
         (
             "identical",
             |_| {},
@@ -659,6 +659,20 @@ fn bench_gate_verdicts_on_edited_copies_of_the_committed_reports() {
             },
             6,
             &["bench report 'chip'", "fast mode differs"],
+        ),
+        (
+            // another vector tier is noted, never fatal
+            "isa_differs",
+            |r| {
+                r.iter_mut()
+                    .filter(|r| r.name == "kernels")
+                    .for_each(|r| r.isa = "sse2".into())
+            },
+            0,
+            &[
+                "[note] report kernels: isa differs",
+                "0 warning(s), 0 failure(s)",
+            ],
         ),
         (
             "no_liveops",
