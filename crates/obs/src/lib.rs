@@ -134,23 +134,43 @@ pub fn run_info_snapshot() -> Vec<(&'static str, String)> {
 }
 
 /// The short git revision of the source tree this binary was built from,
-/// or `"unknown"` when that tree is gone or not a git checkout. It names
+/// with `-dirty` appended when a tracked file differs from it, or
+/// `"unknown"` when that tree is gone or not a git checkout. It names
 /// what code produced a flight dump ([`flight::dump`]) or a bench report,
 /// wherever the run started. `git` runs once, on first use.
 pub fn git_rev() -> &'static str {
     static REV: OnceLock<String> = OnceLock::new();
-    REV.get_or_init(|| {
+    REV.get_or_init(|| tree_rev(Path::new(env!("CARGO_MANIFEST_DIR"))))
+}
+
+/// [`git_rev`] of the checkout that holds `dir`. Untracked files do not
+/// make a tree dirty, and the status check takes no index lock, so it
+/// never disturbs a git command running in the same checkout.
+fn tree_rev(dir: &Path) -> String {
+    let git = |args: &[&str]| {
         std::process::Command::new("git")
-            .args(["-C", env!("CARGO_MANIFEST_DIR")])
-            .args(["rev-parse", "--short", "HEAD"])
+            .arg("-C")
+            .arg(dir)
+            .args(args)
             .output()
             .ok()
             .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_owned())
-    })
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".to_owned();
+    };
+    let status = [
+        "--no-optional-locks",
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+    ];
+    if git(&status).is_some_and(|changes| !changes.is_empty()) {
+        format!("{rev}-dirty")
+    } else {
+        rev
+    }
 }
 
 /// The trace output path registered by [`trace_setup`], if any — what the
@@ -185,5 +205,46 @@ pub fn trace_setup(out: &Path) {
     enable();
     if out.as_os_str() != "-" {
         *TRACE_PATH.lock().expect("trace path lock") = Some(out.to_path_buf());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tree_rev_marks_edited_tracked_files_only() {
+        let dir = std::env::temp_dir().join(format!("ldmo_tree_rev_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let git = |args: &[&str]| {
+            let out = std::process::Command::new("git")
+                .arg("-C")
+                .arg(&dir)
+                .args(["-c", "user.name=ldmo", "-c", "user.email=ldmo@localhost"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .output()
+                .expect("git runs");
+            assert!(out.status.success(), "git {args:?}: {out:?}");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("tracked.txt"), "a\n").expect("write");
+        git(&["add", "tracked.txt"]);
+        git(&["commit", "-q", "-m", "first"]);
+        let clean = tree_rev(&dir);
+        assert!(
+            clean.len() >= 7 && !clean.contains('-'),
+            "a clean tree: {clean}"
+        );
+        std::fs::write(dir.join("untracked.txt"), "b\n").expect("write");
+        assert_eq!(tree_rev(&dir), clean, "an untracked file alone");
+        std::fs::write(dir.join("tracked.txt"), "edited\n").expect("write");
+        assert_eq!(
+            tree_rev(&dir),
+            format!("{clean}-dirty"),
+            "an edited tracked file"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,50 +6,51 @@
 //! job: fan a slice of independent work items across threads **without
 //! changing a single bit of the result**.
 //!
-//! Determinism comes from two rules (DESIGN.md §10):
+//! Determinism comes from three rules (DESIGN.md §10):
 //!
-//! - **Static chunking.** Items are split into contiguous chunks by index
-//!   arithmetic over `(len, threads)` — never work-stealing — so which
-//!   worker computes which item is a pure function of the input.
-//! - **Index-keyed output, fixed-order reduction.** [`ThreadPool::par_map`]
-//!   writes `result[i]` for item `i`; any cross-item reduction happens on
-//!   the calling thread in item order, replaying the serial fold exactly.
-//!   Together these make results identical for *any* thread count, not
-//!   just reproducible at a fixed one.
+//! - **Index-keyed output.** [`ThreadPool::par_map`] writes `result[i]`
+//!   for item `i`, whichever thread computed it.
+//! - **State is scratch only.** The state [`ThreadPool::par_map_init`]
+//!   hands `f` must not carry one item's work into another item's result:
+//!   which items share a state changes with the thread count.
+//! - **Fixed-order reduction.** Any cross-item reduction happens on the
+//!   calling thread in item order, replaying the serial fold exactly.
 //!
-//! [`ThreadPool::par_map_init`] gives each participating worker an owned
-//! scratch state built once per parallel region, so the workspace-reuse
-//! discipline of DESIGN.md §6 (e.g. a per-worker `IltScratch`) survives
-//! parallelism: workers allocate at region start, not per item.
+//! Together these make results identical for *any* thread count, not just
+//! reproducible at a fixed one.
 //!
-//! A pool with `threads == 1` (and any nested call from inside a worker)
-//! takes the exact serial code path — a plain `iter().map()` fold with one
-//! scratch state — so `--threads 1` is byte-for-byte the pre-parallel
-//! engine.
+//! Every fork-join call is one *region* with one protocol: the caller
+//! publishes a set of jobs, then it and every helper that wakes in time
+//! claim jobs from one atomic counter. Once every job is claimed the
+//! caller retracts the region, so a helper that has not woken yet skips
+//! it, and waits only for the helpers still inside a job. A map's jobs
+//! are its items split into at most one contiguous chunk per thread; each
+//! chunk runs its items in order on one `init()` state, so the
+//! workspace-reuse discipline of DESIGN.md §6 (e.g. an `IltScratch` per
+//! chunk) survives parallelism: chunks allocate at region start, not per
+//! item. [`ThreadPool::run_each`] publishes a handful of coarse jobs the
+//! caller owns (one ILT step's per-mask passes) and allocates nothing.
 //!
-//! [`ThreadPool::run_each`] is the allocation-free region for a handful of
-//! coarse jobs the caller owns (one ILT step's per-mask passes): the caller
-//! and the helpers claim jobs from an atomic counter, and once every job
-//! is claimed the caller retracts the region, so a helper that has not
-//! woken yet never holds the caller up.
+//! A pool with `threads == 1`, a single item and any nested call take the
+//! exact serial code path — a plain `iter().map()` fold with one scratch
+//! state — so `--threads 1` is byte-for-byte the pre-parallel engine.
 //!
-//! Telemetry: every top-level region adds its item count to the `par.tasks`
-//! counter, and workers adopt the dispatching thread's innermost span as
-//! their parent (via `ldmo_obs::adopt_parent_span`), so spans opened inside
-//! parallel regions stay attached to the trace tree instead of floating at
-//! the root. With the collector enabled the pool also self-profiles
-//! (DESIGN.md §12): each working chunk records its busy time into the
-//! `par.worker_busy_us` histogram, resident workers record the publish-to-
-//! pickup latency into `par.worker_wait_us`, each region records its wall
-//! time into `par.region_us`, and the `par.busy_fraction` gauge carries the
-//! last region's utilization (summed busy time over `threads × wall`) — the
-//! measurement the multi-core scaling analysis reads. All of it is timing
-//! only: the computation and its chunking are bit-identical with profiling
-//! on or off.
+//! Telemetry: every top-level region adds its item (or job) count to the
+//! `par.tasks` counter, and helpers adopt the dispatching thread's
+//! innermost span as their parent (via `ldmo_obs::adopt_parent_span`), so
+//! spans opened inside parallel regions stay attached to the trace tree
+//! instead of floating at the root. With the collector enabled the pool
+//! also self-profiles (DESIGN.md §12): each participating thread records
+//! its busy time into the `par.worker_busy_us` histogram, helpers record
+//! the publish-to-pickup latency into `par.worker_wait_us`, each region
+//! records its wall time into `par.region_us`, and the `par.busy_fraction`
+//! gauge carries the last region's utilization (summed busy time over
+//! `threads × wall`) — the measurement the multi-core scaling analysis
+//! reads. All of it is timing only: the computation and its chunking are
+//! bit-identical with profiling on or off.
 
 use std::any::Any;
 use std::cell::Cell;
-use std::marker::PhantomData;
 use std::mem::{ManuallyDrop, MaybeUninit};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -58,9 +59,9 @@ use std::thread;
 use std::time::Instant;
 
 /// Locks ignoring poison: the pool's mutexes only guard state that stays
-/// valid across a panic (worker panics are caught before any lock is
+/// valid across a panic (job panics are caught before any lock is
 /// touched; the one unwind-while-held is the dispatcher re-raising a
-/// worker panic after the region fully completed).
+/// job's panic after the region fully completed).
 fn lock_pool<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -69,31 +70,81 @@ fn lock_pool<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 // Pool internals
 // ---------------------------------------------------------------------------
 
-/// One parallel region, type-erased for broadcast to the resident workers.
-/// `data` points at a stack-allocated region context on the dispatching
-/// thread, which clears the job and waits until no helper is inside it
-/// before returning — the pointer never outlives its referent.
-#[derive(Clone, Copy)]
-struct Job {
-    data: *const (),
-    run: unsafe fn(*const (), usize, usize),
+/// The first panic payload of a region, re-raised on the dispatcher.
+type PanicSlot = Mutex<Option<Box<dyn Any + Send + 'static>>>;
+
+/// One fork-join call, on the dispatching thread's stack: jobs `0..len`,
+/// each claimed from `next` by exactly one thread.
+struct Region<'a> {
+    /// Runs job `i` on whichever thread claimed it.
+    run: &'a (dyn Fn(usize) + Sync),
+    len: usize,
+    /// The next unclaimed job index.
+    next: AtomicUsize,
+    /// First panic payload from any job (the dispatcher re-raises it).
+    panic: PanicSlot,
+    /// Innermost span of the dispatching thread, adopted by helpers.
+    parent_span: u64,
+    /// When the region was published — helpers measure their pickup
+    /// latency against it (self-profiling; only read with obs enabled).
+    published: Instant,
+    /// Summed busy microseconds of the participating threads, feeding
+    /// `par.busy_fraction`.
+    busy_us: AtomicU64,
 }
 
-// The region context behind `data` only holds `Sync` references (items,
-// closures) plus pointers to results or `Send` jobs that each index's one
-// claimant touches.
+impl Region<'_> {
+    /// Runs job `i`, keeping its panic payload if it is the first.
+    fn run_caught(&self, i: usize) {
+        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (self.run)(i))) {
+            lock_pool(&self.panic).get_or_insert(payload);
+        }
+    }
+}
+
+/// A published region, its lifetime erased for broadcast to the helpers.
+/// The dispatcher retracts it and waits until no helper is inside it
+/// before returning — the pointer never outlives its referent.
+#[derive(Clone, Copy)]
+struct Job(*const Region<'static>);
+
+// SAFETY: every field of `Region` is `Sync` (a `Sync` closure, atomics, a
+// mutex, plain values), so a helper may use it through this pointer; a
+// helper takes the pointer and raises `State::active` under one lock, and
+// the dispatcher keeps the region alive until `active` is back to 0.
 unsafe impl Send for Job {}
 
+/// A caller's slice, shared with a region's threads by its base pointer:
+/// each index is claimed by one thread, so no two threads touch one
+/// element.
+struct Slots<T>(*mut T);
+
+// SAFETY: the one field is the base pointer; element `i` is reached only
+// by the thread that claimed `i`, which may mutate or drop it there, so
+// `T: Send` suffices and no `&T` is shared between threads.
+unsafe impl<T: Send> Sync for Slots<T> {}
+
+impl<T> Slots<T> {
+    /// Element `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` is in bounds of the slice, and only the thread that claimed it
+    /// touches element `i` until the region ends.
+    unsafe fn at(&self, i: usize) -> *mut T {
+        // SAFETY: in bounds, by the caller's contract
+        unsafe { self.0.add(i) }
+    }
+}
+
 struct State {
-    /// Region generation counter; workers run one job per new epoch.
+    /// Region generation counter; helpers pick up one job per new epoch.
     epoch: u64,
-    /// The current epoch's job; `None` once the dispatcher retracted it
-    /// ([`ThreadPool::run_each`]), so a helper that wakes late skips it.
+    /// The current epoch's region; `None` once the dispatcher retracted
+    /// it, so a helper that wakes late skips it.
     job: Option<Job>,
-    /// Helpers inside the current epoch's job.
+    /// Helpers inside the current epoch's region.
     active: usize,
-    /// Helpers that finished the current epoch's job.
-    finished: usize,
     shutdown: bool,
 }
 
@@ -125,10 +176,10 @@ impl Drop for Inner {
 }
 
 thread_local! {
-    /// Set while this thread is executing a chunk of a parallel region —
-    /// on resident workers *and* on the dispatching thread (which runs
-    /// chunk 0 itself). Nested `par_map` calls check it and degrade to the
-    /// serial path instead of deadlocking on the region lock.
+    /// Set on a helper for its whole life, and on the dispatching thread
+    /// while it claims jobs of its own region. Nested `par_map` calls
+    /// check it and degrade to the serial path instead of deadlocking on
+    /// the region lock.
     static IN_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -136,7 +187,8 @@ fn in_region() -> bool {
     IN_REGION.with(Cell::get)
 }
 
-fn worker_loop(shared: Arc<Shared>, index: usize, total: usize) {
+fn worker_loop(shared: Arc<Shared>) {
+    IN_REGION.with(|f| f.set(true));
     let mut last_epoch = 0u64;
     loop {
         let job = {
@@ -159,21 +211,52 @@ fn worker_loop(shared: Arc<Shared>, index: usize, total: usize) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        IN_REGION.with(|f| f.set(true));
-        // Soundness: the dispatcher keeps the region context alive until
-        // `active` falls back to 0 below.
-        unsafe { (job.run)(job.data, index, total) };
-        IN_REGION.with(|f| f.set(false));
+        // SAFETY: this helper raised `active` when it took the job, and the
+        // dispatcher keeps the region alive until `active` falls back to 0
+        // below.
+        claim(unsafe { &*job.0 }, true);
         let mut st = lock_pool(&shared.state);
         st.active -= 1;
-        st.finished += 1;
         shared.done_cv.notify_all();
     }
 }
 
-/// Contiguous static chunk of `0..n` owned by worker `index` of `total`:
-/// the first `n % total` workers get one extra item. A pure function of
-/// `(n, index, total)` — the scheduling half of the determinism rule.
+/// Claims and runs `region`'s jobs until none is left. A helper records
+/// its pickup latency and works under the dispatcher's span; a thread
+/// that ran a job adds its busy time to the region's.
+fn claim(region: &Region<'_>, helper: bool) {
+    let started = ldmo_obs::enabled().then(Instant::now);
+    if let Some(t0) = started.filter(|_| helper) {
+        let wait = t0.duration_since(region.published);
+        metric_handles().worker_wait.record(wait.as_micros() as u64);
+    }
+    let previous = helper.then(|| ldmo_obs::adopt_parent_span(region.parent_span));
+    let mut ran = false;
+    loop {
+        // Relaxed: the counter only hands out indices. The region's data
+        // reaches a helper, and its results reach the dispatcher, through
+        // the state mutex (the publish, and the `active` decrement).
+        let i = region.next.fetch_add(1, Ordering::Relaxed);
+        if i >= region.len {
+            break;
+        }
+        ran = true;
+        region.run_caught(i);
+    }
+    if let Some(parent) = previous {
+        ldmo_obs::adopt_parent_span(parent);
+    }
+    if let Some(t0) = started.filter(|_| ran) {
+        let busy = t0.elapsed().as_micros() as u64;
+        metric_handles().worker_busy.record(busy);
+        region.busy_us.fetch_add(busy, Ordering::Relaxed);
+    }
+}
+
+/// Contiguous static chunk of `0..n` with index `index` of `total`: the
+/// first `n % total` chunks get one extra item. A pure function of
+/// `(n, index, total)`, so which items share a chunk never depends on
+/// timing.
 fn chunk_bounds(n: usize, index: usize, total: usize) -> (usize, usize) {
     let base = n / total;
     let rem = n % total;
@@ -181,71 +264,33 @@ fn chunk_bounds(n: usize, index: usize, total: usize) -> (usize, usize) {
     (start, start + base + usize::from(index < rem))
 }
 
-/// The first panic payload of a region, re-raised on the dispatcher.
-type PanicSlot = Mutex<Option<Box<dyn Any + Send + 'static>>>;
-
-/// Region context for [`ThreadPool::par_map_init`], shared by reference
-/// with every worker for the duration of one region.
-struct MapCtx<'a, T, S, R, I, F> {
-    items: &'a [T],
-    /// Disjoint-index output: worker `w` writes exactly `chunk_bounds(w)`.
-    out: *mut MaybeUninit<R>,
-    init: &'a I,
-    f: &'a F,
-    /// Innermost span of the dispatching thread, adopted by workers.
-    parent_span: u64,
-    /// First panic payload from any worker (the dispatcher re-raises it).
-    panic: &'a PanicSlot,
-    /// When the region was published — resident workers measure their
-    /// queue wait against it (self-profiling; only read with obs enabled).
-    published: Instant,
-    /// Summed per-worker busy microseconds, feeding `par.busy_fraction`.
-    busy_us: &'a AtomicU64,
-    _state: PhantomData<fn() -> S>,
+/// The pool's self-profiling metrics, registered once: a registry lookup
+/// locks a process-wide mutex, which [`ThreadPool::run_each`] keeps off
+/// its path.
+struct MetricHandles {
+    tasks: ldmo_obs::Counter,
+    worker_wait: ldmo_obs::Histogram,
+    worker_busy: ldmo_obs::Histogram,
+    region: ldmo_obs::Histogram,
+    busy_fraction: ldmo_obs::Gauge,
 }
 
-unsafe fn run_map_chunk<T, S, R, I, F>(data: *const (), index: usize, total: usize)
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let ctx = unsafe { &*data.cast::<MapCtx<'_, T, S, R, I, F>>() };
-    let (start, end) = chunk_bounds(ctx.items.len(), index, total);
-    if start >= end {
-        return;
-    }
-    let profiling = ldmo_obs::enabled();
-    if profiling && index > 0 {
-        // publish-to-pickup latency of a resident worker (the dispatcher
-        // is index 0 and starts immediately)
-        metric_handles()
-            .worker_wait
-            .record(ctx.published.elapsed().as_micros() as u64);
-    }
-    let chunk_start = profiling.then(Instant::now);
-    let previous = (index > 0).then(|| ldmo_obs::adopt_parent_span(ctx.parent_span));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        // per-worker scratch: one init per region, reused across the chunk
-        let mut state = (ctx.init)();
-        for i in start..end {
-            let value = (ctx.f)(&mut state, &ctx.items[i]);
-            // disjoint chunks: no other worker touches slot i
-            unsafe { (*ctx.out.add(i)).write(value) };
-        }
-    }));
-    if let Some(parent) = previous {
-        ldmo_obs::adopt_parent_span(parent);
-    }
-    if let Some(t0) = chunk_start {
-        let busy = t0.elapsed().as_micros() as u64;
-        metric_handles().worker_busy.record(busy);
-        ctx.busy_us.fetch_add(busy, Ordering::Relaxed);
-    }
-    if let Err(payload) = result {
-        let mut slot = lock_pool(ctx.panic);
-        slot.get_or_insert(payload);
+fn metric_handles() -> &'static MetricHandles {
+    static HANDLES: OnceLock<MetricHandles> = OnceLock::new();
+    HANDLES.get_or_init(|| MetricHandles {
+        tasks: ldmo_obs::counter("par.tasks"),
+        worker_wait: ldmo_obs::histogram("par.worker_wait_us"),
+        worker_busy: ldmo_obs::histogram("par.worker_busy_us"),
+        region: ldmo_obs::histogram("par.region_us"),
+        busy_fraction: ldmo_obs::gauge("par.busy_fraction"),
+    })
+}
+
+/// Adds `n` to `par.tasks` for a top-level region (a nested call's items
+/// are already counted by the region it runs in).
+fn count_tasks(n: usize) {
+    if !in_region() && ldmo_obs::enabled() {
+        metric_handles().tasks.add(n as u64);
     }
 }
 
@@ -253,10 +298,10 @@ where
 // Public API
 // ---------------------------------------------------------------------------
 
-/// A fixed-size fork-join pool. `threads - 1` resident workers are spawned
+/// A fixed-size fork-join pool. `threads - 1` resident helpers are spawned
 /// at construction and parked on a condvar between regions; the calling
-/// thread participates as worker 0 of every region. Cloning is a cheap
-/// handle copy; the workers shut down when the last handle drops.
+/// thread claims jobs of every region it dispatches. Cloning is a cheap
+/// handle copy; the helpers shut down when the last handle drops.
 pub struct ThreadPool {
     inner: Arc<Inner>,
 }
@@ -288,7 +333,6 @@ impl ThreadPool {
                 epoch: 0,
                 job: None,
                 active: 0,
-                finished: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -299,7 +343,7 @@ impl ThreadPool {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("ldmo-par-{index}"))
-                    .spawn(move || worker_loop(shared, index, threads))
+                    .spawn(move || worker_loop(shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -318,43 +362,62 @@ impl ThreadPool {
         self.inner.threads
     }
 
-    /// Publishes `job` as a new epoch and wakes every helper.
-    fn publish(&self, job: Job) {
-        let mut st = lock_pool(&self.inner.shared.state);
-        st.epoch += 1;
-        st.job = Some(job);
-        st.finished = 0;
-        self.inner.shared.work_cv.notify_all();
-    }
-
-    /// Waits until every helper has run the published job — each owns a
-    /// static chunk of it — and clears it.
-    fn join_all(&self) {
-        let mut st = lock_pool(&self.inner.shared.state);
-        while st.finished < self.inner.threads - 1 {
-            st = self
-                .inner
-                .shared
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
+    /// Runs `run(i)` once for every `i` in `0..len` and returns the first
+    /// panic payload, after every job has run. A one-thread pool, a single
+    /// job and a call from inside a region run the jobs in order on the
+    /// calling thread. Otherwise the region is published to the helpers,
+    /// the caller claims jobs too, and once every job is claimed the
+    /// caller retracts the region: a helper that has not picked it up
+    /// skips it, and the caller waits only for the helpers inside it.
+    fn region(&self, len: usize, run: &(dyn Fn(usize) + Sync)) -> Option<Box<dyn Any + Send>> {
+        let region = Region {
+            run,
+            len,
+            next: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            parent_span: ldmo_obs::current_span_id(),
+            published: Instant::now(),
+            busy_us: AtomicU64::new(0),
+        };
+        if self.inner.threads == 1 || len <= 1 || in_region() {
+            (0..len).for_each(|i| region.run_caught(i));
+        } else {
+            let shared = &self.inner.shared;
+            let _serial = lock_pool(&self.inner.region);
+            {
+                let mut st = lock_pool(&shared.state);
+                st.epoch += 1;
+                st.job = Some(Job(std::ptr::from_ref(&region).cast()));
+                shared.work_cv.notify_all();
+            }
+            IN_REGION.with(|flag| flag.set(true));
+            claim(&region, false);
+            IN_REGION.with(|flag| flag.set(false));
+            let mut st = lock_pool(&shared.state);
+            st.job = None;
+            while st.active > 0 {
+                st = shared
+                    .done_cv
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            drop(st);
+            if ldmo_obs::enabled() {
+                // wall time, and the share of the pool's capacity that was
+                // busy (1.0 = fully used; low = imbalance or few items)
+                let wall_us = region.published.elapsed().as_micros() as u64;
+                let busy = region.busy_us.load(Ordering::Relaxed) as f64;
+                let handles = metric_handles();
+                handles.region.record(wall_us);
+                handles
+                    .busy_fraction
+                    .set(busy / (wall_us.max(1) as f64 * self.inner.threads as f64));
+            }
         }
-        st.job = None;
-    }
-
-    /// Retracts the published job, so a helper that has not picked it up
-    /// yet skips it, and waits for the helpers already inside it.
-    fn retract(&self) {
-        let mut st = lock_pool(&self.inner.shared.state);
-        st.job = None;
-        while st.active > 0 {
-            st = self
-                .inner
-                .shared
-                .done_cv
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        region
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Maps `f` over `items`, preserving order: `result[i] == f(&items[i])`
@@ -368,13 +431,14 @@ impl ThreadPool {
         self.par_map_init(items, || (), move |(), item| f(item))
     }
 
-    /// [`ThreadPool::par_map`] with per-worker scratch: `init` runs once
-    /// per participating worker at region start, and `f` receives that
-    /// worker's state for every item of its chunk. `f` must use the state
-    /// as *scratch only* — results must not depend on which items the
-    /// state saw before (the chunking, and therefore the state history,
-    /// changes with the thread count; fully-overwritten workspaces in the
-    /// sense of DESIGN.md §6 satisfy this by construction).
+    /// [`ThreadPool::par_map`] with per-chunk scratch: items are split into
+    /// at most one contiguous chunk per thread, `init` runs once per chunk,
+    /// and `f` receives that chunk's state for each of its items, in item
+    /// order. `f` must use the state as *scratch only* — results must not
+    /// depend on which items the state saw before (the chunking, and
+    /// therefore the state history, changes with the thread count;
+    /// fully-overwritten workspaces in the sense of DESIGN.md §6 satisfy
+    /// this by construction).
     pub fn par_map_init<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
     where
         T: Sync,
@@ -382,196 +446,75 @@ impl ThreadPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, &T) -> R + Sync,
     {
+        self.map_indexed(items, init, |state, _, item| f(state, item))
+    }
+
+    /// [`ThreadPool::par_map_init`], with `f` also given each item's index.
+    fn map_indexed<T, S, R, I, F>(&self, items: &[T], init: I, f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
         let n = items.len();
         if n == 0 {
             return Vec::new();
         }
-        let nested = in_region();
-        if !nested && ldmo_obs::enabled() {
-            metric_handles().tasks.add(n as u64);
-        }
-        if self.inner.threads == 1 || n == 1 || nested {
+        count_tasks(n);
+        let threads = self.inner.threads;
+        if threads == 1 || n == 1 || in_region() {
             // the exact serial code path: one scratch state, a plain fold
             // in item order
             let mut state = init();
-            return items.iter().map(|item| f(&mut state, item)).collect();
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| f(&mut state, i, item))
+                .collect();
         }
 
         let mut out: Vec<MaybeUninit<R>> = (0..n).map(|_| MaybeUninit::uninit()).collect();
-        let panic_slot = Mutex::new(None);
-        let busy_us = AtomicU64::new(0);
-        let region_start = Instant::now();
-        let ctx = MapCtx::<'_, T, S, R, I, F> {
-            items,
-            out: out.as_mut_ptr(),
-            init: &init,
-            f: &f,
-            parent_span: ldmo_obs::current_span_id(),
-            panic: &panic_slot,
-            published: region_start,
-            busy_us: &busy_us,
-            _state: PhantomData,
-        };
-        let data = (&ctx as *const MapCtx<'_, T, S, R, I, F>).cast::<()>();
-        let run = run_map_chunk::<T, S, R, I, F>;
-
-        let _region = lock_pool(&self.inner.region);
-        self.publish(Job { data, run });
-        // the dispatcher works chunk 0 itself (panics are caught inside)
-        IN_REGION.with(|flag| flag.set(true));
-        unsafe { run(data, 0, self.inner.threads) };
-        IN_REGION.with(|flag| flag.set(false));
-        self.join_all();
-        if ldmo_obs::enabled() {
-            record_region(region_start, &busy_us, self.inner.threads);
-        }
-
-        if let Some(payload) = panic_slot
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
+        let slots = Slots(out.as_mut_ptr());
+        let payload = self.region(n.min(threads), &|chunk| {
+            let (start, end) = chunk_bounds(n, chunk, threads);
+            // per-chunk scratch: one init, reused across the chunk
+            let mut state = init();
+            for (i, item) in (start..end).zip(&items[start..end]) {
+                let value = f(&mut state, i, item);
+                // SAFETY: i < n, and the chunks are disjoint and each is
+                // claimed once, so no other thread touches slot i
+                unsafe { (*slots.at(i)).write(value) };
+            }
+        });
+        if let Some(payload) = payload {
             // `out` drops as MaybeUninit (no R destructors run), so results
             // written before the panic leak instead of double-dropping
             panic::resume_unwind(payload);
         }
-        // every slot 0..n was written by exactly one disjoint chunk
         let mut out = ManuallyDrop::new(out);
+        // SAFETY: no chunk panicked, so every slot 0..n was written by
+        // exactly one chunk, and `MaybeUninit<R>` has `R`'s layout
         unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Caller-owned jobs
-// ---------------------------------------------------------------------------
-
-/// Region context for [`ThreadPool::run_each`], shared by reference with
-/// the helpers that pick the region up before the caller retracts it.
-struct EachCtx<J> {
-    /// The caller's jobs; job `i` runs on whichever thread claims `i`.
-    jobs: *mut J,
-    len: usize,
-    /// The next unclaimed job index.
-    next: AtomicUsize,
-    /// First panic payload from any job (the caller re-raises it).
-    panic: PanicSlot,
-    /// Summed busy microseconds of the participating threads.
-    busy_us: AtomicU64,
-}
-
-/// Runs `job`, keeping its panic payload in `slot` if it is the first.
-fn run_caught<J: FnMut()>(job: &mut J, slot: &PanicSlot) {
-    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(job)) {
-        lock_pool(slot).get_or_insert(payload);
-    }
-}
-
-/// Claims and runs jobs of an [`EachCtx`] until none is left.
-unsafe fn claim_jobs<J: FnMut() + Send>(data: *const (), _index: usize, _total: usize) {
-    let ctx = unsafe { &*data.cast::<EachCtx<J>>() };
-    let started = ldmo_obs::enabled().then(Instant::now);
-    loop {
-        let i = ctx.next.fetch_add(1, Ordering::Relaxed);
-        if i >= ctx.len {
-            break;
-        }
-        // the counter hands out each index once, so no other thread
-        // touches job i
-        run_caught(unsafe { &mut *ctx.jobs.add(i) }, &ctx.panic);
-    }
-    if let Some(t0) = started {
-        let busy = t0.elapsed().as_micros() as u64;
-        metric_handles().worker_busy.record(busy);
-        ctx.busy_us.fetch_add(busy, Ordering::Relaxed);
-    }
-}
-
-/// The pool's self-profiling metrics, registered once: a registry lookup
-/// locks a process-wide mutex, which [`ThreadPool::run_each`] keeps off
-/// its path.
-struct MetricHandles {
-    tasks: ldmo_obs::Counter,
-    worker_wait: ldmo_obs::Histogram,
-    worker_busy: ldmo_obs::Histogram,
-    region: ldmo_obs::Histogram,
-    busy_fraction: ldmo_obs::Gauge,
-}
-
-fn metric_handles() -> &'static MetricHandles {
-    static HANDLES: OnceLock<MetricHandles> = OnceLock::new();
-    HANDLES.get_or_init(|| MetricHandles {
-        tasks: ldmo_obs::counter("par.tasks"),
-        worker_wait: ldmo_obs::histogram("par.worker_wait_us"),
-        worker_busy: ldmo_obs::histogram("par.worker_busy_us"),
-        region: ldmo_obs::histogram("par.region_us"),
-        busy_fraction: ldmo_obs::gauge("par.busy_fraction"),
-    })
-}
-
-/// Region-level self-profiling: wall time plus the fraction of the pool's
-/// capacity that was busy (1.0 = fully used; low values = imbalance or
-/// too few items).
-fn record_region(start: Instant, busy_us: &AtomicU64, threads: usize) {
-    let wall_us = start.elapsed().as_micros() as u64;
-    let handles = metric_handles();
-    handles.region.record(wall_us);
-    let busy = busy_us.load(Ordering::Relaxed) as f64;
-    handles
-        .busy_fraction
-        .set(busy / (wall_us.max(1) as f64 * threads as f64));
-}
-
-impl ThreadPool {
     /// Runs every job in `jobs` exactly once and returns when all have
     /// finished: the allocation-free region for a few coarse jobs whose
     /// state the caller owns, such as one ILT step's per-mask passes.
     ///
-    /// The caller and the helpers claim jobs from an atomic counter, so
-    /// which thread runs a job depends on timing; each job must write
-    /// only what it captured, which keeps the results independent of
-    /// it. Once every job is claimed the caller retracts the region: a
-    /// helper that has not woken up by then skips it instead of holding
-    /// the caller up. A one-thread pool, a single job and a call from
-    /// inside a region run the jobs in order on the calling thread. A
-    /// panicking job does not stop the others; the first panic is
-    /// re-raised once every job has run.
+    /// Each job is claimed on its own, so which thread runs it depends on
+    /// timing; each job must write only what it captured, which keeps the
+    /// results independent of it. A one-thread pool, a single job and a
+    /// call from inside a region run the jobs in order on the calling
+    /// thread. A panicking job does not stop the others; the first panic
+    /// is re-raised once every job has run.
     pub fn run_each<J: FnMut() + Send>(&self, jobs: &mut [J]) {
-        let nested = in_region();
-        let profiling = ldmo_obs::enabled();
-        if !nested && profiling {
-            metric_handles().tasks.add(jobs.len() as u64);
-        }
-        let ctx = EachCtx {
-            jobs: jobs.as_mut_ptr(),
-            len: jobs.len(),
-            next: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-            busy_us: AtomicU64::new(0),
-        };
-        if self.inner.threads == 1 || jobs.len() <= 1 || nested {
-            for job in jobs.iter_mut() {
-                run_caught(job, &ctx.panic);
-            }
-        } else {
-            let data = (&ctx as *const EachCtx<J>).cast::<()>();
-            let region_start = Instant::now();
-            let _region = lock_pool(&self.inner.region);
-            self.publish(Job {
-                data,
-                run: claim_jobs::<J>,
-            });
-            IN_REGION.with(|flag| flag.set(true));
-            unsafe { claim_jobs::<J>(data, 0, self.inner.threads) };
-            IN_REGION.with(|flag| flag.set(false));
-            self.retract();
-            if profiling {
-                record_region(region_start, &ctx.busy_us, self.inner.threads);
-            }
-        }
-        if let Some(payload) = ctx
-            .panic
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
+        let len = jobs.len();
+        count_tasks(len);
+        let slots = Slots(jobs.as_mut_ptr());
+        // SAFETY: the region hands out each index below `len` once, so no
+        // other thread touches job i, and `jobs` outlives the region
+        if let Some(payload) = self.region(len, &|i| unsafe { (*slots.at(i))() }) {
             panic::resume_unwind(payload);
         }
     }
@@ -624,7 +567,7 @@ impl ThreadPool {
     /// [`ThreadPool::par_map_init`] with per-item panic isolation, for
     /// fan-outs that must degrade one slot instead of aborting the run
     /// (candidate ranking, dataset labeling). After a caught panic the
-    /// worker's scratch state is rebuilt with `init` — a panic can leave
+    /// chunk's scratch state is rebuilt with `init` — a panic can leave
     /// it half-written, and reusing it would let one bad item corrupt its
     /// chunk's remaining results.
     pub fn par_map_init_catching<T, S, R, I, F>(
@@ -639,24 +582,11 @@ impl ThreadPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, &T) -> R + Sync,
     {
-        let base = items.as_ptr() as usize;
-        let init = &init;
-        let f = &f;
-        self.par_map_init(
+        self.map_indexed(
             items,
-            || Some(init()),
-            move |state, item| {
-                // recover the item index from its address (static chunking
-                // hands `f` items of the original slice by reference)
-                let index = if size_of::<T>() == 0 {
-                    0
-                } else {
-                    (std::ptr::from_ref(item) as usize - base) / size_of::<T>()
-                };
-                if state.is_none() {
-                    *state = Some(init());
-                }
-                let scratch = state.as_mut().expect("replenished above");
+            || None,
+            |state, index, item| {
+                let scratch = state.get_or_insert_with(&init);
                 match panic::catch_unwind(AssertUnwindSafe(|| f(scratch, item))) {
                     Ok(value) => Ok(value),
                     Err(payload) => {
@@ -956,6 +886,70 @@ mod tests {
             drop(jobs);
             assert_eq!(*count.get_mut(), 3);
             assert_eq!(pool.par_map(&[1, 2, 3], |&x: &i32| x * 2), [2, 4, 6]);
+        }
+    }
+
+    #[test]
+    fn zst_panic_reports_its_slot() {
+        // zero-sized items all share one address, so an item's index must
+        // come from its position, not its pointer
+        let calls = AtomicUsize::new(0);
+        let out = ThreadPool::new(1).par_map_catching(&[(); 8], |()| {
+            let call = calls.fetch_add(1, Ordering::SeqCst);
+            assert!(call != 5, "injected failure");
+        });
+        let err = out[5].as_ref().expect_err("the 6th call panicked");
+        assert_eq!(err.index, 5);
+        assert!(out
+            .iter()
+            .enumerate()
+            .all(|(i, slot)| i == 5 || slot.is_ok()));
+    }
+
+    #[test]
+    fn one_protocol_holds_on_an_oversubscribed_pool() {
+        // more threads than most hosts have cores: a helper often wakes
+        // after the caller has run its chunk or job, or after the retract
+        let pool = ThreadPool::new(8);
+        for round in 0..300 {
+            let n = round % 41;
+            let items: Vec<usize> = (0..n).collect();
+            let runs: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+            let inits = AtomicUsize::new(0);
+            let out = pool.par_map_init_catching(
+                &items,
+                || {
+                    inits.fetch_add(1, Ordering::SeqCst);
+                    None
+                },
+                |last: &mut Option<usize>, &i| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    (i, last.replace(i))
+                },
+            );
+            // results in item order; a chunk runs its items in order on
+            // one state, so each item's state last saw the item before it
+            let mut chunks = 0;
+            for (i, slot) in out.iter().enumerate() {
+                let &(item, previous) = slot.as_ref().expect("no item panics");
+                assert_eq!(item, i, "round {round}");
+                match previous {
+                    None => chunks += 1,
+                    Some(p) => assert_eq!(p + 1, i, "round {round}"),
+                }
+            }
+            assert_eq!(chunks, n.min(8), "round {round}");
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::SeqCst) == 1),
+                "round {round}"
+            );
+            assert_eq!(inits.load(Ordering::SeqCst), chunks, "one init per chunk");
+
+            let mut ran = vec![0u32; round % 11];
+            let mut jobs: Vec<_> = ran.iter_mut().map(|r| move || *r += 1).collect();
+            pool.run_each(&mut jobs);
+            drop(jobs);
+            assert!(ran.iter().all(|&r| r == 1), "round {round}");
         }
     }
 

@@ -546,20 +546,29 @@ fn report_commands_end_quietly_when_stdout_closes() {
 
 #[test]
 fn a_flight_dump_names_the_revision_the_binary_was_built_from() {
-    let git = Command::new("git")
-        .args([
-            "-C",
-            env!("CARGO_MANIFEST_DIR"),
-            "rev-parse",
-            "--short",
-            "HEAD",
-        ])
-        .output()
-        .ok()
-        .filter(|o| o.status.success());
-    let rev = git.map_or("unknown".to_owned(), |o| {
-        String::from_utf8_lossy(&o.stdout).trim().to_owned()
-    });
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(["-C", env!("CARGO_MANIFEST_DIR")])
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_owned())
+    };
+    // the stamp names an uncommitted tree: `-dirty` when a tracked file
+    // differs from HEAD
+    let rev = match git(&["rev-parse", "--short", "HEAD"]) {
+        None => "unknown".to_owned(),
+        Some(rev) => match git(&[
+            "--no-optional-locks",
+            "status",
+            "--porcelain",
+            "--untracked-files=no",
+        ]) {
+            Some(changes) if !changes.is_empty() => format!("{rev}-dirty"),
+            _ => rev,
+        },
+    };
     // the temp dir is outside the source tree, so a revision looked up
     // where the run started would read "unknown"
     let dir = temp_dir("dump_git_rev");

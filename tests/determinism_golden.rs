@@ -64,8 +64,9 @@ fn testcase_1_outcome_is_pinned() {
 
 /// Runs `f` once on a 1-thread global pool and once on a 4-thread pool,
 /// with tracing enabled, and returns both results for bitwise comparison.
-/// This is the crate's parallelism contract: static chunking plus
-/// fixed-order reduction make thread count invisible in the output.
+/// This is the crate's parallelism contract: index-keyed output, state
+/// used as scratch only and fixed-order reduction make thread count (and
+/// which thread claims which chunk) invisible in the output.
 fn serial_vs_threaded<R>(f: impl Fn() -> R) -> (R, R) {
     ldmo::obs::enable();
     ldmo::par::set_global_threads(1);
