@@ -3,7 +3,7 @@
 //! (the reason learned selection beats simulation-based selection), plus
 //! the decomposition and vision substrates.
 
-use criterion::{criterion_group, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, BatchSize, Criterion};
 use ldmo_chip::{halo_nm, ChipConfig, TileGrid};
 use ldmo_core::predictor::PrintabilityPredictor;
 use ldmo_decomp::covering::covering_array;
@@ -18,6 +18,7 @@ use ldmo_litho::{
 };
 use ldmo_vision::sift::{extract_features, SiftConfig};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 fn cell_mask() -> (Grid, KernelBank, LithoConfig) {
     let cfg = LithoConfig::default();
@@ -310,27 +311,67 @@ fn bench_ilt(c: &mut Criterion) {
     group.bench_function("step_alloc", |b| {
         b.iter(|| seed_iteration(&mut ps, &corridors, &target, &cfg, &bank))
     });
-    // workspace iteration: identical per-iteration work, all buffers owned
-    // by the session (zero per-iteration allocations). Guards are on by
-    // default; `step_guard_off` isolates their overhead (EXPERIMENTS.md
-    // pins it at <=2%).
-    let mut session = IltSession::new(&layout, assignment, &cfg);
-    group.bench_function("step_workspace", |b| b.iter(|| session.step_one()));
-    let unguarded_cfg = IltConfig {
+    group.finish();
+}
+
+/// The workspace ILT step rows, timed as one interleaved rotation so that
+/// the host's drifting load falls on all three alike: each round times
+/// one `step_one` of every session, starting one session later than the
+/// round before. Each timed step follows an untimed step of its own
+/// session, as in a run: in a plain rotation the row stepping after
+/// `step_liveops` read about 5% slow, which biased the gate's ratio low.
+/// All three run the identical per-iteration work of
+/// `ilt/step_alloc` with every buffer owned by the session (zero
+/// per-iteration allocations). `step_workspace` is the default, guarded
+/// session; `step_guard_off` isolates the guards' overhead
+/// (EXPERIMENTS.md, "Guard overhead"); `step_liveops` steps with the
+/// collector on, recording every span close and convergence row into its
+/// stores (the record the flight dump and `/spans` read), and the perf
+/// gate holds it within 5% of `step_workspace`.
+fn bench_ilt_steps() -> Vec<(String, Vec<Duration>)> {
+    let layout = cells::cell("BUF_X1").expect("known cell");
+    let assignment: &[u8] = &[0, 1, 1, 0];
+    let cfg = IltConfig::default();
+    let unguarded = IltConfig {
         guard: GuardPolicy::disabled(),
         ..cfg.clone()
     };
-    let mut unguarded = IltSession::new(&layout, assignment, &unguarded_cfg);
-    group.bench_function("step_guard_off", |b| b.iter(|| unguarded.step_one()));
-    // live-ops iteration: the collector on, recording every span close and
-    // convergence row into its stores (the record the flight dump and
-    // `/spans` read) — the perf gate holds this within 5% of
-    // step_workspace
-    ldmo_obs::enable();
-    let mut liveops = IltSession::new(&layout, assignment, &cfg);
-    group.bench_function("step_liveops", |b| b.iter(|| liveops.step_one()));
-    ldmo_obs::disable();
-    group.finish();
+    let ids = [
+        "ilt/step_workspace",
+        "ilt/step_guard_off",
+        "ilt/step_liveops",
+    ];
+    let mut sessions = [&cfg, &unguarded, &cfg].map(|c| IltSession::new(&layout, assignment, c));
+    let fast = ldmo_bench::fast_mode();
+    let (warmup, rounds) = if fast { (5, 40) } else { (40, 120) };
+    let mut samples = vec![Vec::with_capacity(rounds); ids.len()];
+    for round in 0..warmup + rounds {
+        for k in 0..ids.len() {
+            let i = (round + k) % ids.len();
+            if ids[i] == "ilt/step_liveops" {
+                ldmo_obs::enable();
+            }
+            black_box(sessions[i].step_one());
+            let start = Instant::now();
+            black_box(sessions[i].step_one());
+            let elapsed = start.elapsed();
+            ldmo_obs::disable();
+            if round >= warmup {
+                samples[i].push(elapsed);
+            }
+        }
+    }
+    ids.into_iter()
+        .zip(samples)
+        .map(|(id, row)| {
+            let mut sorted = row.clone();
+            sorted.sort();
+            let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+            let med = sorted[sorted.len() / 2];
+            println!("{id:<40} time: [{min:.3?} {med:.3?} {max:.3?}]");
+            (id.to_owned(), row)
+        })
+        .collect()
 }
 
 fn bench_cnn(c: &mut Criterion) {
@@ -388,10 +429,9 @@ fn bench_conv_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+criterion_group!(benches_before_steps, bench_litho, bench_ilt);
 criterion_group!(
-    benches,
-    bench_litho,
-    bench_ilt,
+    benches_after_steps,
     bench_cnn,
     bench_decomp,
     bench_vision,
@@ -399,5 +439,10 @@ criterion_group!(
 );
 
 fn main() -> ExitCode {
-    ldmo_bench::bench_main("kernels", benches)
+    ldmo_bench::bench_main("kernels", || {
+        let mut rows = benches_before_steps();
+        rows.extend(bench_ilt_steps());
+        rows.extend(benches_after_steps());
+        rows
+    })
 }

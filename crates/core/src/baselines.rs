@@ -12,7 +12,9 @@
 //!   followed by an independent ILT run.
 
 use crate::score::{printability_score, ScoreWeights};
-use ldmo_decomp::{generate_candidates, DecompConfig};
+use crate::select::order_by_score;
+use ldmo_decomp::canonical::canonicalize;
+use ldmo_decomp::{generate_candidates, greedy_coloring, two_color, ConflictGraph, DecompConfig};
 use ldmo_ilt::{IltConfig, IltContext, IltOutcome, IltSession};
 use ldmo_layout::classify::ClassifyConfig;
 use ldmo_layout::{Layout, MaskAssignment};
@@ -106,27 +108,19 @@ pub fn unified_flow(layout: &Layout, cfg: &UnifiedConfig) -> BaselineResult {
                 let _ = session.step_one();
             }
         }
-        // rank by intermediate printability and drop the worse half
-        let mut scored: Vec<(usize, f64)> = active
+        // rank by intermediate printability and drop the worse half; the
+        // survivors keep their order, which breaks the next round's ties
+        let scores = active
             .iter()
-            .enumerate()
-            .map(|(i, (_, s))| {
-                let snap = s.snapshot(Vec::new(), None);
-                (i, printability_score(&snap, &cfg.weights))
-            })
+            .map(|(_, s)| printability_score(&s.snapshot(Vec::new(), None), &cfg.weights))
             .collect();
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let keep: std::collections::HashSet<usize> = scored
-            .iter()
-            .take(active.len().div_ceil(2))
-            .map(|&(i, _)| i)
-            .collect();
-        let mut idx = 0;
-        active.retain(|_| {
-            let k = keep.contains(&idx);
-            idx += 1;
-            k
-        });
+        let mut keep = vec![false; active.len()];
+        let survivors = active.len().div_ceil(2);
+        for i in order_by_score(scores).into_iter().take(survivors) {
+            keep[i] = true;
+        }
+        let mut keep = keep.into_iter();
+        active.retain(|_| keep.next() == Some(true));
         if active
             .iter()
             .all(|(_, s)| s.iterations() >= cfg.ilt.max_iterations)
@@ -178,35 +172,11 @@ fn on_global_pool(ctx: IltContext) -> IltContext {
     crate::lanes::on_pool(ctx, &ldmo_par::global())
 }
 
-/// The SUALD-style greedy coloring, exposed for tests and ablations.
+/// The SUALD-style greedy coloring: [`greedy_coloring`] at two masks,
+/// canonically oriented. Exposed for tests and ablations.
 pub fn suald_decompose(layout: &Layout) -> MaskAssignment {
-    let n = layout.len();
-    let gaps = layout.gap_matrix();
-    // order: most-constrained first (smallest nearest-neighbour gap)
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let ga = gaps[a].iter().copied().fold(f64::INFINITY, f64::min);
-        let gb = gaps[b].iter().copied().fold(f64::INFINITY, f64::min);
-        ga.total_cmp(&gb)
-    });
-    let mut assignment = vec![u8::MAX; n];
-    for &p in &order {
-        // min same-mask gap if p joins mask m
-        let min_gap = |m: u8| -> f64 {
-            (0..n)
-                .filter(|&q| q != p && assignment[q] == m)
-                .map(|q| gaps[p][q])
-                .fold(f64::INFINITY, f64::min)
-        };
-        let (g0, g1) = (min_gap(0), min_gap(1));
-        assignment[p] = if g0 >= g1 { 0 } else { 1 };
-    }
-    // canonical orientation
-    if assignment.first() == Some(&1) {
-        for v in &mut assignment {
-            *v = 1 - *v;
-        }
-    }
+    let mut assignment = greedy_coloring(layout, 2);
+    canonicalize(&mut assignment);
     assignment
 }
 
@@ -228,56 +198,33 @@ pub fn two_stage_bfs(layout: &Layout, ilt_cfg: &IltConfig) -> BaselineResult {
     }
 }
 
-/// BFS two-coloring over conflict edges (gap ≤ nmin); patterns untouched by
-/// conflicts are balanced between the masks.
+/// BFS two-coloring ([`two_color`]) of the conflict graph over all
+/// patterns (gap ≤ nmin), canonically oriented; patterns in no conflict
+/// alternate between the masks for balance.
 pub fn bfs_decompose(layout: &Layout, classify: &ClassifyConfig) -> MaskAssignment {
-    let n = layout.len();
-    let gaps = layout.gap_matrix();
-    let mut adj = vec![Vec::new(); n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if gaps[i][j] <= classify.nmin {
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
+    let all: Vec<usize> = (0..layout.len()).collect();
+    let graph = ConflictGraph::build(layout, &all, classify.nmin);
+    let (mut assignment, _) = two_color(&all, &graph.edges);
+    let mut in_conflict = vec![false; all.len()];
+    for e in &graph.edges {
+        in_conflict[e.a] = true;
+        in_conflict[e.b] = true;
     }
-    let mut assignment = vec![u8::MAX; n];
-    for start in 0..n {
-        if assignment[start] != u8::MAX || adj[start].is_empty() {
-            continue;
-        }
-        assignment[start] = 0;
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            for &v in &adj[u] {
-                if assignment[v] == u8::MAX {
-                    assignment[v] = 1 - assignment[u];
-                    queue.push_back(v);
-                }
-            }
-        }
-    }
-    // isolated patterns: alternate for balance
     let mut next = 0u8;
-    for a in &mut assignment {
-        if *a == u8::MAX {
-            *a = next;
-            next = 1 - next;
-        }
+    for (a, _) in assignment.iter_mut().zip(in_conflict).filter(|(_, c)| !c) {
+        *a = next;
+        next = 1 - next;
     }
-    if assignment.first() == Some(&1) {
-        for v in &mut assignment {
-            *v = 1 - *v;
-        }
-    }
+    canonicalize(&mut assignment);
     assignment
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::{sample_decompositions, SamplingConfig};
     use ldmo_geom::Rect;
+    use ldmo_layout::generate::{GeneratorConfig, LayoutGenerator};
 
     fn quad_layout(gap: i32) -> Layout {
         let size = 64;
@@ -321,6 +268,65 @@ mod tests {
         assert_ne!(a[0], a[2]);
         assert_ne!(a[1], a[3]);
         assert_ne!(a[2], a[3]);
+    }
+
+    #[test]
+    fn colorings_pinned_on_odd_cycles() {
+        // On a non-bipartite conflict graph the visit order decides the
+        // masks, so each coloring's exact output is pinned: the triangle
+        // and two generated layouts with odd conflict cycles.
+        let triangle = Layout::new(
+            Rect::new(0, 0, 448, 448),
+            vec![
+                Rect::square(120, 120, 64),
+                Rect::square(248, 120, 64),
+                Rect::square(184, 230, 64),
+            ],
+        );
+        let generated = LayoutGenerator::new(GeneratorConfig::default(), 0).generate_dataset(20);
+        // (layout, BFS, SUALD, greedy k = 2, greedy k = 3, the one
+        // Algorithm 1 candidate, which IV-B sampling also returns)
+        type Pins<'a> = (&'a Layout, &'a [u8], &'a [u8], &'a [u8], &'a [u8], &'a [u8]);
+        let cases: [Pins; 3] = [
+            (
+                &triangle,
+                &[0, 1, 1],
+                &[0, 1, 0],
+                &[0, 1, 0],
+                &[0, 1, 2],
+                &[0, 0, 1],
+            ),
+            (
+                &generated[6],
+                &[0, 1, 1, 0, 0],
+                &[0, 1, 1, 0, 0],
+                &[1, 0, 0, 1, 1],
+                &[1, 0, 0, 2, 1],
+                &[0, 1, 1, 0, 0],
+            ),
+            (
+                &generated[15],
+                &[0, 0, 0, 1, 1, 1],
+                &[0, 1, 1, 0, 1, 1],
+                &[0, 1, 1, 0, 1, 1],
+                &[0, 2, 2, 1, 2, 1],
+                &[0, 0, 0, 1, 1, 1],
+            ),
+        ];
+        let nmin = ClassifyConfig::default().nmin;
+        for (layout, bfs, suald, greedy2, greedy3, candidate) in cases {
+            assert!(!ldmo_decomp::is_dpl_compatible(layout, nmin));
+            assert_eq!(bfs_decompose(layout, &ClassifyConfig::default()), bfs);
+            assert_eq!(suald_decompose(layout), suald);
+            assert_eq!(greedy_coloring(layout, 2), greedy2);
+            assert_eq!(greedy_coloring(layout, 3), greedy3);
+            let sampled = sample_decompositions(layout, &SamplingConfig::default());
+            assert_eq!(sampled, [candidate]);
+            assert_eq!(
+                generate_candidates(layout, &DecompConfig::default()),
+                sampled
+            );
+        }
     }
 
     #[test]

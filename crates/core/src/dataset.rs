@@ -14,7 +14,6 @@ use ldmo_guard::{fault, penalty_score, DegradeReason};
 use ldmo_ilt::{IltConfig, IltContext, OutcomeHealth};
 use ldmo_layout::{Layout, MaskAssignment};
 use ldmo_nn::Tensor;
-use std::time::{Duration, Instant};
 
 /// Which sampling strategy assembles the training pairs.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,11 +33,6 @@ pub struct DatasetConfig {
     pub ilt: IltConfig,
     /// Eq. 9 weights.
     pub weights: ScoreWeights,
-    /// Wall-clock deadline for labeling one sample. A sample that blows
-    /// it keeps its decomposition image but is labeled with the
-    /// deterministic [`ldmo_guard::penalty_score`] instead of stalling the
-    /// fan-out. `None` (the default) keeps labeling fully deterministic.
-    pub candidate_deadline: Option<Duration>,
 }
 
 /// A labeled training set of decomposition images.
@@ -190,9 +184,6 @@ pub fn build_dataset_pooled(
         &indexed,
         || None::<ldmo_ilt::IltScratch>,
         |scratch, &(task, (li, d))| {
-            // the stall injection simulates a slow sample, so it must
-            // land inside the timed window
-            let started = Instant::now();
             fault::apply_stall(task);
             fault::maybe_panic(task);
             let layout = &layouts[*li];
@@ -201,13 +192,6 @@ pub fn build_dataset_pooled(
                 OutcomeHealth::Degraded { reason } => {
                     ldmo_obs::incr("guard.sample_penalized");
                     penalty_score(reason)
-                }
-                _ if dcfg
-                    .candidate_deadline
-                    .is_some_and(|dl| started.elapsed() > dl) =>
-                {
-                    ldmo_obs::incr("guard.sample_penalized");
-                    penalty_score(DegradeReason::BudgetExhausted)
                 }
                 _ => printability_score(&outcome, &dcfg.weights),
             };

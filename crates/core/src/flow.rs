@@ -60,12 +60,13 @@ pub struct FlowConfig {
     /// Maximum candidates attempted before giving up and completing the
     /// best-ranked candidate without the abort policy.
     pub max_attempts: usize,
-    /// Wall-clock deadline for ranking one candidate. A candidate that
-    /// blows it is not scored — it receives the deterministic
-    /// [`ldmo_guard::penalty_score`] for
-    /// [`DegradeReason::BudgetExhausted`], so one pathological candidate
-    /// cannot stall the whole selection. `None` (the default) keeps
-    /// ranking fully deterministic.
+    /// Wall-clock deadline for ranking one candidate. It bounds nothing:
+    /// a candidate that blows it is still evaluated to the end, and the
+    /// ranking waits for it. Only then is its score replaced by the
+    /// deterministic [`ldmo_guard::penalty_score`] for
+    /// [`DegradeReason::BudgetExhausted`], which makes the order
+    /// timing-dependent. `None` (the default) keeps ranking fully
+    /// deterministic; `ilt.budget` is what stops a run.
     pub candidate_deadline: Option<Duration>,
 }
 

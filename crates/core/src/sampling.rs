@@ -3,17 +3,18 @@
 //! - **Layout sampling** (IV-A): SIFT features per layout → Algorithm 2
 //!   distance matrix → k-medoids → a few layouts per cluster. This covers
 //!   the layout space with far fewer simulations than uniform sampling.
-//! - **Decomposition sampling** (IV-B): patterns closer than `nmin` are
-//!   `SP` (MST + component flips), everything else is a direct factor, and
-//!   one *three-wise* covering array generates the decompositions to label
-//!   — "any sub-region with three patterns, the training set contains the
+//! - **Decomposition sampling** (IV-B): Algorithm 1
+//!   ([`generate_candidates`]) with no `NP` array. Patterns closer than
+//!   `nmin` are `SP` (MST + component flips), the `VP` band is widened to
+//!   every other pattern, so each is a direct factor, and one
+//!   *three-wise* covering array generates the decompositions to label —
+//!   "any sub-region with three patterns, the training set contains the
 //!   complete combination of them".
 //! - **Random sampling**: the Fig. 8 ablation baseline.
 
 use ldmo_decomp::canonical::canonical_dedup;
-use ldmo_decomp::covering::covering_array;
-use ldmo_decomp::{minimum_spanning_forest, two_color_forest, ConflictGraph};
-use ldmo_layout::classify::{pattern_sets, ClassifyConfig};
+use ldmo_decomp::{generate_candidates, DecompConfig};
+use ldmo_layout::classify::ClassifyConfig;
 use ldmo_layout::{Layout, MaskAssignment};
 use ldmo_vision::kmedoids::kmedoids;
 use ldmo_vision::sift::{extract_features, SiftConfig};
@@ -100,38 +101,21 @@ pub fn sample_layouts_random(layouts: &[Layout], count: usize, seed: u64) -> Vec
 }
 
 /// Decomposition sampling (Section IV-B): MST over sub-`nmin` patterns plus
-/// one strength-3 covering array over (component flips ∪ all other
-/// patterns).
+/// one strength-`cfg.strength` covering array over (component flips ∪ all
+/// other patterns). This is [`generate_candidates`] with `nmax = ∞`, so
+/// every non-`SP` pattern is a `VP` factor and the `NP` array is one
+/// empty row.
 pub fn sample_decompositions(layout: &Layout, cfg: &SamplingConfig) -> Vec<MaskAssignment> {
-    // IV-B classification: d <= nmin -> SP; everything else is one factor
-    let classify = ClassifyConfig {
-        nmin: cfg.nmin,
-        nmax: cfg.nmin, // collapses the VP band: non-SP patterns are "NP"
+    let decomp = DecompConfig {
+        classify: ClassifyConfig {
+            nmin: cfg.nmin,
+            nmax: f64::INFINITY,
+        },
+        strength_primary: cfg.strength,
+        strength_secondary: 0,
+        max_candidates: cfg.max_per_layout,
     };
-    let sets = pattern_sets(layout, &classify);
-    let graph = ConflictGraph::build(layout, &sets.sp, cfg.nmin);
-    let forest = minimum_spanning_forest(&graph);
-    let (colors, component) = two_color_forest(&forest);
-    let free: Vec<usize> = sets.vp.iter().chain(&sets.np).copied().collect();
-    let k = forest.component_count + free.len();
-    let arrs = covering_array(k, cfg.strength);
-    let n = layout.len();
-    let mut rows = Vec::with_capacity(arrs.len());
-    for row in &arrs {
-        let mut assignment = vec![0u8; n];
-        for &p in &sets.sp {
-            assignment[p] = colors[&p] ^ row[component[&p]];
-        }
-        for (i, &p) in free.iter().enumerate() {
-            assignment[p] = row[forest.component_count + i];
-        }
-        rows.push(assignment);
-    }
-    let mut out = canonical_dedup(rows);
-    if cfg.max_per_layout > 0 && out.len() > cfg.max_per_layout {
-        out.truncate(cfg.max_per_layout);
-    }
-    out
+    generate_candidates(layout, &decomp)
 }
 
 /// Random decomposition sampling (the Fig. 8 baseline): uniform random

@@ -70,7 +70,7 @@ pub fn generate_candidates(layout: &Layout, cfg: &DecompConfig) -> Vec<MaskAssig
     let sets = pattern_sets(layout, &cfg.classify);
     let graph = ConflictGraph::build(layout, &sets.sp, cfg.classify.nmin);
     let forest = minimum_spanning_forest(&graph);
-    let (colors, component) = two_color_forest(&forest);
+    let colors = two_color_forest(&forest);
 
     // Arrs1 factors: one flip per SP component, then one per VP pattern
     let k1 = forest.component_count + sets.vp.len();
@@ -83,9 +83,8 @@ pub fn generate_candidates(layout: &Layout, cfg: &DecompConfig) -> Vec<MaskAssig
     'outer: for r1 in &arrs1 {
         for r2 in &arrs2 {
             let mut assignment = vec![0u8; n];
-            for &p in &sets.sp {
-                let flip = r1[component[&p]];
-                assignment[p] = colors[&p] ^ flip;
+            for (i, &p) in forest.vertices.iter().enumerate() {
+                assignment[p] = colors[i] ^ r1[forest.component[i]];
             }
             for (i, &p) in sets.vp.iter().enumerate() {
                 assignment[p] = r1[forest.component_count + i];

@@ -7,7 +7,7 @@
 //! is why the *minimum* spanning tree identifies the pairs that must go to
 //! different masks first.
 
-use ldmo_layout::Layout;
+use ldmo_layout::{Layout, MaskAssignment};
 
 /// A weighted undirected edge between two pattern indices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,37 +76,105 @@ impl ConflictGraph {
         self.edges.len()
     }
 
-    /// Whether the graph is bipartite (2-colorable), checked by BFS.
+    /// Whether the graph is bipartite (2-colorable), checked by
+    /// [`two_color`].
     pub fn is_bipartite(&self) -> bool {
-        use std::collections::{HashMap, VecDeque};
-        let mut adj: HashMap<usize, Vec<usize>> = HashMap::new();
-        for e in &self.edges {
-            adj.entry(e.a).or_default().push(e.b);
-            adj.entry(e.b).or_default().push(e.a);
+        two_color(&self.vertices, &self.edges).1
+    }
+}
+
+/// BFS two-coloring of the graph `(vertices, edges)`: each vertex not yet
+/// colored, in `vertices` order, roots a BFS at color 0, and the first
+/// neighbour to reach a vertex gives it the opposite color, neighbours
+/// taken in `edges` order. Returns the colors, aligned with `vertices`,
+/// and whether no edge joins two equal colors (the graph is bipartite).
+/// On an odd cycle the visit order decides which edges end up
+/// monochromatic.
+///
+/// # Panics
+///
+/// Panics if an edge endpoint is not in `vertices`.
+///
+/// ```
+/// use ldmo_decomp::{two_color, Edge};
+///
+/// let edge = |a, b| Edge { a, b, weight: 0.0 };
+/// let (colors, bipartite) = two_color(&[0, 1, 2], &[edge(0, 1), edge(1, 2)]);
+/// assert_eq!((colors, bipartite), (vec![0, 1, 0], true));
+/// let (_, bipartite) = two_color(&[0, 1, 2], &[edge(0, 1), edge(1, 2), edge(0, 2)]);
+/// assert!(!bipartite);
+/// ```
+pub fn two_color(vertices: &[usize], edges: &[Edge]) -> (Vec<u8>, bool) {
+    let mut local = vec![usize::MAX; vertices.iter().max().map_or(0, |&v| v + 1)];
+    for (i, &v) in vertices.iter().enumerate() {
+        local[v] = i;
+    }
+    let mut adj = vec![Vec::new(); vertices.len()];
+    for e in edges {
+        adj[local[e.a]].push(local[e.b]);
+        adj[local[e.b]].push(local[e.a]);
+    }
+    let mut colors = vec![u8::MAX; vertices.len()];
+    let mut queue = std::collections::VecDeque::new();
+    for root in 0..vertices.len() {
+        if colors[root] != u8::MAX {
+            continue;
         }
-        let mut color: HashMap<usize, u8> = HashMap::new();
-        for &start in &self.vertices {
-            if color.contains_key(&start) {
-                continue;
-            }
-            color.insert(start, 0);
-            let mut queue = VecDeque::from([start]);
-            while let Some(u) = queue.pop_front() {
-                let cu = color[&u];
-                for &v in adj.get(&u).into_iter().flatten() {
-                    match color.get(&v) {
-                        Some(&cv) if cv == cu => return false,
-                        Some(_) => {}
-                        None => {
-                            color.insert(v, 1 - cu);
-                            queue.push_back(v);
-                        }
-                    }
+        colors[root] = 0;
+        queue.push_back(root);
+        while let Some(u) = queue.pop_front() {
+            for &v in &adj[u] {
+                if colors[v] == u8::MAX {
+                    colors[v] = 1 - colors[u];
+                    queue.push_back(v);
                 }
             }
         }
-        true
     }
+    let proper = edges
+        .iter()
+        .all(|e| colors[local[e.a]] != colors[local[e.b]]);
+    (colors, proper)
+}
+
+/// Greedy `k`-mask coloring of `layout`'s patterns: in most-constrained
+/// first order (smallest nearest-neighbour gap first, ties by index),
+/// each pattern takes the mask that maximizes its minimum same-mask gap,
+/// ties to the lower mask. At `k = 2` this is the spacing-uniformity
+/// objective of the SUALD-style baseline; at `k = 3` it gives the
+/// triple-patterning assignments the ILT engine runs as `K = 3` masks.
+///
+/// # Panics
+///
+/// Panics if `num_masks` is 0 or above 255.
+pub fn greedy_coloring(layout: &Layout, num_masks: usize) -> MaskAssignment {
+    assert!(num_masks >= 1, "need at least one mask");
+    let num_masks = u8::try_from(num_masks).expect("at most 255 masks");
+    let n = layout.len();
+    let gaps = layout.gap_matrix();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        let ga = gaps[a].iter().copied().fold(f64::INFINITY, f64::min);
+        let gb = gaps[b].iter().copied().fold(f64::INFINITY, f64::min);
+        ga.total_cmp(&gb)
+    });
+    let mut assignment = vec![u8::MAX; n];
+    for &p in &order {
+        let mut best_mask = 0u8;
+        let mut best_gap = f64::NEG_INFINITY;
+        for m in 0..num_masks {
+            let gap = (0..n)
+                .filter(|&q| q != p && assignment[q] == m)
+                .map(|q| gaps[p][q])
+                .fold(f64::INFINITY, f64::min);
+            if gap > best_gap {
+                best_gap = gap;
+                best_mask = m;
+            }
+        }
+        assignment[p] = best_mask;
+    }
+    assignment
 }
 
 /// Whether `layout` is double-patterning compatible: its conflict graph
@@ -172,6 +240,33 @@ mod tests {
         let g = ConflictGraph::build(&l, &[0, 1, 2], 80.0);
         assert_eq!(g.edge_count(), 3, "need a full triangle for this test");
         assert!(!g.is_bipartite());
+    }
+
+    /// Three contacts in a mutual-conflict triangle (all gaps ≤ 80):
+    /// impossible for two masks, trivial for three.
+    fn triangle() -> Layout {
+        Layout::new(
+            Rect::new(0, 0, 448, 448),
+            vec![
+                Rect::square(120, 120, 64),
+                Rect::square(248, 120, 64),
+                Rect::square(184, 230, 64),
+            ],
+        )
+    }
+
+    #[test]
+    fn greedy_coloring_uses_all_three_masks_on_triangle() {
+        let a = greedy_coloring(&triangle(), 3);
+        let set: std::collections::HashSet<u8> = a.iter().copied().collect();
+        assert_eq!(set.len(), 3, "triangle needs three masks: {a:?}");
+    }
+
+    #[test]
+    fn greedy_two_mask_matches_layout_size() {
+        let a = greedy_coloring(&triangle(), 2);
+        assert_eq!(a.len(), 3);
+        assert!(a.iter().all(|&m| m < 2));
     }
 
     #[test]

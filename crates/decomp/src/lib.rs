@@ -18,6 +18,14 @@
 //!    duplicate rows ([`canonical`]), then combine
 //!    `mergedArrs1 × mergedArrs2` into full mask assignments ([`generate`]).
 //!
+//! The crate holds the workspace's one coloring of each kind:
+//! [`two_color`], the BFS two-coloring behind the MST coloring, the
+//! bipartite check and the BFS baseline of Table I, and
+//! [`greedy_coloring`], the max-min-gap `k`-mask coloring behind the
+//! SUALD-style baseline and the triple-patterning extension. Section IV-B's
+//! training-set sampling is Algorithm 1 with the `VP` band widened to
+//! every non-`SP` pattern.
+//!
 //! ```
 //! use ldmo_layout::cells;
 //! use ldmo_decomp::{generate_candidates, DecompConfig};
@@ -39,5 +47,5 @@ pub mod oracle;
 
 pub use dsu::DisjointSets;
 pub use generate::{generate_candidates, DecompConfig};
-pub use graph::{is_dpl_compatible, ConflictGraph, Edge};
+pub use graph::{greedy_coloring, is_dpl_compatible, two_color, ConflictGraph, Edge};
 pub use mst::{minimum_spanning_forest, two_color_forest, MstForest};

@@ -9,7 +9,7 @@
 //! n-wise factor per component.
 
 use crate::dsu::DisjointSets;
-use crate::graph::{ConflictGraph, Edge};
+use crate::graph::{two_color, ConflictGraph, Edge};
 use std::collections::HashMap;
 
 /// A minimum spanning forest over a conflict graph.
@@ -30,15 +30,6 @@ impl MstForest {
     /// Total weight of the forest.
     pub fn total_weight(&self) -> f64 {
         self.edges.iter().map(|e| e.weight).sum()
-    }
-
-    /// Vertices of each component, grouped and ascending.
-    pub fn component_members(&self) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); self.component_count];
-        for (i, &v) in self.vertices.iter().enumerate() {
-            groups[self.component[i]].push(v);
-        }
-        groups
     }
 }
 
@@ -78,45 +69,13 @@ pub fn minimum_spanning_forest(graph: &ConflictGraph) -> MstForest {
     }
 }
 
-/// Two-colors each tree of the forest by BFS: adjacent MST vertices receive
-/// different colors. Returns `(colors, component)` maps keyed by pattern
-/// index: `colors[&p]` is 0/1 with the smallest pattern of each component
-/// fixed at color 0, `component[&p]` is the component id.
-pub fn two_color_forest(forest: &MstForest) -> (HashMap<usize, u8>, HashMap<usize, usize>) {
-    let mut adj: HashMap<usize, Vec<usize>> = HashMap::new();
-    for e in &forest.edges {
-        adj.entry(e.a).or_default().push(e.b);
-        adj.entry(e.b).or_default().push(e.a);
-    }
-    let mut colors: HashMap<usize, u8> = HashMap::new();
-    let mut component: HashMap<usize, usize> = HashMap::new();
-    for (cid, members) in forest.component_members().into_iter().enumerate() {
-        // members are ascending: root the BFS at the smallest pattern
-        let Some(&root) = members.first() else {
-            continue;
-        };
-        let mut queue = std::collections::VecDeque::new();
-        colors.insert(root, 0);
-        component.insert(root, cid);
-        queue.push_back(root);
-        while let Some(u) = queue.pop_front() {
-            let cu = colors[&u];
-            for &v in adj.get(&u).into_iter().flatten() {
-                if let std::collections::hash_map::Entry::Vacant(e) = colors.entry(v) {
-                    e.insert(1 - cu);
-                    component.insert(v, cid);
-                    queue.push_back(v);
-                }
-            }
-        }
-        // isolated members unreachable by edges (shouldn't happen inside a
-        // component, but keep the maps total)
-        for &m in &members {
-            colors.entry(m).or_insert(0);
-            component.entry(m).or_insert(cid);
-        }
-    }
-    (colors, component)
+/// Two-colors each tree of the forest with [`two_color`]: adjacent MST
+/// vertices receive different colors, and the first vertex of each
+/// component is fixed at color 0. The colors are aligned with
+/// `forest.vertices`; `forest.component` holds the matching component
+/// ids.
+pub fn two_color_forest(forest: &MstForest) -> Vec<u8> {
+    two_color(&forest.vertices, &forest.edges).0
 }
 
 #[cfg(test)]
@@ -172,9 +131,7 @@ mod tests {
         let f = minimum_spanning_forest(&g);
         assert_eq!(f.component_count, 2);
         assert_eq!(f.edges.len(), 3); // 1 + 2
-        let members = f.component_members();
-        assert_eq!(members[0], vec![0, 1]);
-        assert_eq!(members[1], vec![2, 3, 4]);
+        assert_eq!(f.component, vec![0, 0, 1, 1, 1]);
     }
 
     #[test]
@@ -182,12 +139,12 @@ mod tests {
         let l = layout(&[(0, 0), (130, 0), (264, 0)]);
         let g = ConflictGraph::build(&l, &[0, 1, 2], 80.0);
         let f = minimum_spanning_forest(&g);
-        let (colors, component) = two_color_forest(&f);
+        let colors = two_color_forest(&f);
         for e in &f.edges {
-            assert_ne!(colors[&e.a], colors[&e.b], "edge {e:?} monochromatic");
+            assert_ne!(colors[e.a], colors[e.b], "edge {e:?} monochromatic");
         }
-        assert_eq!(colors[&0], 0, "smallest pattern anchored to color 0");
-        assert!(component.values().all(|&c| c == 0));
+        assert_eq!(colors[0], 0, "smallest pattern anchored to color 0");
+        assert!(f.component.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -196,10 +153,8 @@ mod tests {
         let g = ConflictGraph::build(&l, &[0, 1], 80.0);
         let f = minimum_spanning_forest(&g);
         assert_eq!(f.component_count, 2);
-        let (colors, component) = two_color_forest(&f);
-        assert_eq!(colors[&0], 0);
-        assert_eq!(colors[&1], 0);
-        assert_ne!(component[&0], component[&1]);
+        assert_eq!(two_color_forest(&f), vec![0, 0]);
+        assert_ne!(f.component[0], f.component[1]);
     }
 
     #[test]
@@ -207,7 +162,6 @@ mod tests {
         let g = ConflictGraph::default();
         let f = minimum_spanning_forest(&g);
         assert_eq!(f.component_count, 0);
-        let (colors, component) = two_color_forest(&f);
-        assert!(colors.is_empty() && component.is_empty());
+        assert!(two_color_forest(&f).is_empty() && f.component.is_empty());
     }
 }

@@ -588,14 +588,15 @@ impl<const K: usize> IltSession<K> {
             return self.rollback(step_start, l2);
         }
         let step = self.cfg.step_size * self.step_scale;
-        let step_norm = match step_start {
-            Some(_) => update_norm(&self.grads, step),
-            None => f64::NAN,
-        };
+        let mut norm_sq = 0.0f64;
         for ((p, g), corridor) in self.p.iter_mut().zip(&self.grads).zip(&self.corridors) {
-            descend(p, g, step);
+            norm_sq += descend(p, g, step, step_start.is_some());
             clamp_to_corridor(p, corridor);
         }
+        let step_norm = match step_start {
+            Some(_) => norm_sq.sqrt(),
+            None => f64::NAN,
+        };
         self.iterations_done += 1;
         self.last_l2 = l2;
         if let Some(start) = step_start {
@@ -880,41 +881,29 @@ fn step_histogram() -> ldmo_obs::Histogram {
     *HIST.get_or_init(|| ldmo_obs::histogram("ilt.step_us"))
 }
 
-/// L2 norm of the update [`descend`] is about to apply: each mask's
-/// gradient is scaled by `step / max|g|`, so the applied step has norm
-/// `step · ‖g‖₂ / max|g|` per mask, combined in quadrature. Only computed
-/// when the collector is enabled — it costs one extra pass over the
-/// gradients.
-fn update_norm(grads: &[Grid], step: f32) -> f64 {
-    let mut total = 0.0f64;
-    for g in grads {
-        let mut max_abs = 0.0f32;
-        let mut sum_sq = 0.0f64;
-        for &v in g.as_slice() {
-            max_abs = max_abs.max(v.abs());
-            sum_sq += f64::from(v) * f64::from(v);
-        }
-        if max_abs > f32::EPSILON {
-            let scale = f64::from(step) / f64::from(max_abs);
-            total += scale * scale * sum_sq;
-        }
-    }
-    total.sqrt()
-}
-
 /// Max-normalized gradient step: the most-active parameter moves by
-/// exactly `step`.
-fn descend(p: &mut Grid, g: &Grid, step: f32) {
-    let max_abs = g.as_slice().iter().fold(0.0f32, |acc, &v| acc.max(v.abs()));
+/// exactly `step`. With `norm` set (the collector is on), the pass that
+/// finds `max|g|` also sums `g²`, and the squared L2 norm of the applied
+/// update, `(step / max|g|)² · Σ g²`, is returned; the step norms of the
+/// masks combine in quadrature. Otherwise, or when nothing moves, 0.
+fn descend(p: &mut Grid, g: &Grid, step: f32, norm: bool) -> f64 {
+    let gs = g.as_slice();
+    let (max_abs, sum_sq) = if norm {
+        gs.iter().fold((0.0f32, 0.0f64), |(m, s), &v| {
+            (m.max(v.abs()), s + f64::from(v) * f64::from(v))
+        })
+    } else {
+        (gs.iter().fold(0.0f32, |acc, &v| acc.max(v.abs())), 0.0)
+    };
     if max_abs <= f32::EPSILON {
-        return;
+        return 0.0;
     }
     let scale = step / max_abs;
-    let ps = p.as_mut_slice();
-    let gs = g.as_slice();
-    for (v, &d) in ps.iter_mut().zip(gs) {
+    for (v, &d) in p.as_mut_slice().iter_mut().zip(gs) {
         *v -= scale * d;
     }
+    let norm_scale = f64::from(step) / f64::from(max_abs);
+    norm_scale * norm_scale * sum_sq
 }
 
 /// Enforces the MRC corridor: parameters outside it are pinned shut.
@@ -989,6 +978,43 @@ mod tests {
 
     fn fast_cfg() -> IltConfig {
         IltConfig::default()
+    }
+
+    #[test]
+    fn triple_patterning_beats_double_on_triangle() {
+        // the greedy colorings of the triangle: three masks, or two with
+        // one conflicting pair
+        let layout = triangle_layout();
+        let tpl = IltSession::<3>::prepare(&layout, &[0, 1, 2], &fast_cfg()).run();
+        let dpl = IltSession::<2>::prepare(&layout, &[0, 1, 0], &fast_cfg()).run();
+        assert!(
+            tpl.epe_violations() < dpl.epe_violations()
+                || tpl.violations.count() < dpl.violations.count(),
+            "TPL (epe {}, viol {}) should beat DPL (epe {}, viol {}) on a triangle",
+            tpl.epe_violations(),
+            tpl.violations.count(),
+            dpl.epe_violations(),
+            dpl.violations.count()
+        );
+        assert_eq!(
+            tpl.epe_violations(),
+            0,
+            "three well-separated masks must print cleanly"
+        );
+    }
+
+    #[test]
+    fn single_mask_case_degenerates_gracefully() {
+        let layout = Layout::new(Rect::new(0, 0, 448, 448), vec![Rect::square(192, 192, 64)]);
+        let out = IltSession::<1>::prepare(&layout, &[0], &fast_cfg()).run();
+        assert_eq!(out.masks.len(), 1);
+        assert_eq!(out.epe_violations(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the session's mask count")]
+    fn out_of_range_assignment_rejected() {
+        let _ = IltSession::<2>::prepare(&triangle_layout(), &[0, 1, 2], &fast_cfg());
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! [`IltScratch`] take the count as a const parameter `K` that defaults to
 //! the paper's double patterning (`K = 2`). [`IltSession::prepare`] with
 //! `K = 3` runs triple patterning under the same guards, budget, abort
-//! policy and allocation-free step; [`greedy_coloring`] produces its
-//! assignments.
+//! policy and allocation-free step; `ldmo_decomp::greedy_coloring`
+//! produces its assignments.
 //!
 //! A context built with [`IltContext::with_lanes`] runs each step's
 //! per-mask forward and gradient passes as jobs on a caller-supplied
@@ -44,7 +44,6 @@
 mod engine;
 mod gradient;
 mod lanes;
-pub mod multi;
 
 pub use engine::{
     evaluate_unoptimized, optimize, IltConfig, IltContext, IltOutcome, IltScratch, IltSession,
@@ -57,4 +56,3 @@ pub use lanes::LaneRunner;
 // Guard vocabulary used in this crate's public API (IltConfig carries the
 // policy and budget; IltOutcome carries the health verdict).
 pub use ldmo_guard::{Budget, DegradeReason, GuardPolicy, OutcomeHealth};
-pub use multi::greedy_coloring;

@@ -45,7 +45,7 @@ fn main() {
         forest.component_count,
         forest.total_weight()
     );
-    let (colors, _) = two_color_forest(&forest);
+    let colors = two_color_forest(&forest);
     println!("MST two-coloring: {colors:?}");
 
     // --- n-wise covering arrays (Fig. 4) ----------------------------------

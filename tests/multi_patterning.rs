@@ -3,9 +3,9 @@
 //! layouts double patterning cannot. Every mask count runs on the one ILT
 //! engine, `IltSession::<K>`.
 
-use ldmo::decomp::is_dpl_compatible;
+use ldmo::decomp::{greedy_coloring, is_dpl_compatible};
 use ldmo::geom::Rect;
-use ldmo::ilt::{greedy_coloring, IltConfig, IltSession};
+use ldmo::ilt::{IltConfig, IltSession};
 use ldmo::layout::Layout;
 
 /// Three contacts in a mutual-conflict triangle (all gaps ≤ 80 nm).
